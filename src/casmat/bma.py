@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ParseError, SpaceMismatchError
 from .kernel import (KERNEL_HEADER, Kernel, IdentityReport,
                      check_approximate_identity, matmul, ones_kernel,
-                     sup_norm, transpose)
+                     parse_row, sup_norm, transpose, write_dump)
 from .measure import product_integrate
-from .scheme import Scheme
+from .scheme import Scheme, pair_table_stats
 
 BASIS_HEADER = "#casmat-basis v1"
 
@@ -117,17 +117,18 @@ def check_rank(basis):
         raise RankDeficiencyError(dependent)
 
 
-def _is_indicator_partition(basis):
-    total = np.zeros_like(basis[0].entries, dtype=float)
-    for K in basis:
+def _cell_matrix(basis):
+    """Cell ids of an adjacency-indicator partition basis, else None."""
+    lab = np.full(basis[0].entries.shape, -1, dtype=np.int64)
+    for k, K in enumerate(basis):
         e = K.entries
-        if (e.imag != 0).any():
-            return False
-        r = e.real
-        if not np.isin(r, (0.0, 1.0)).all():
-            return False
-        total += r
-    return bool((total == 1.0).all())
+        cell = e.real == 1.0
+        # not a 0/1 kernel, or overlapping an earlier cell
+        if ((e.imag != 0).any() or not np.isin(e.real, (0.0, 1.0)).all()
+                or (lab[cell] >= 0).any()):
+            return None
+        lab[cell] = k
+    return lab if (lab >= 0).all() else None
 
 
 def structure_constants(alg: AlgebraBasis):
@@ -146,19 +147,16 @@ def structure_constants(alg: AlgebraBasis):
     tensor = np.zeros((L, L, L), dtype=complex)
     residual = 0.0
 
-    if _is_indicator_partition(basis):
-        lab = np.zeros(basis[0].entries.shape, dtype=np.int64)
-        for k, K in enumerate(basis):
-            lab[K.entries.real == 1.0] = k
-        cell = [np.unravel_index(int(np.argmax(K.entries.real == 1.0)),
-                                 lab.shape) for K in basis]
-        for i in range(L):
-            Ai = basis[i].entries.real
-            for j in range(L):
-                P = (Ai * w) @ basis[j].entries.real
-                coeffs = np.array([P[cell[k]] for k in range(L)])
-                tensor[i, j, :] = coeffs
-                residual = max(residual, float(np.abs(P - coeffs[lab]).max()))
+    lab = _cell_matrix(basis)
+    if lab is not None:
+        # A_i o A_j at (x, z) is entry [i, j] of the CAS2 table of (x, z)
+        # over the cell matrix: one table reduction per cell
+        for k in range(L):
+            xs, zs = np.nonzero(lab == k)
+            _, lo, hi, first = pair_table_stats(lab, w, L, xs, zs)
+            tensor[:, :, k] = first
+            residual = max(residual, float((hi - first).max()),
+                           float((first - lo).max()))
         return tensor, residual
 
     B = _stack(basis)
@@ -316,15 +314,8 @@ def write_basis(alg: AlgebraBasis, path) -> None:
         fh.write(f"{BASIS_HEADER} count={alg.size} "
                  f"contains_j={'true' if alg.contains_J else 'false'} "
                  f"closure_tolerance={alg.closure_tolerance!r}\n")
-        n = alg.space.node_count
         for K in alg.basis:
-            fh.write(f"{KERNEL_HEADER} n={n}\n")
-            for row in K.entries:
-                fields = []
-                for v in row:
-                    fields.append(repr(float(v.real)))
-                    fields.append(repr(float(v.imag)))
-                fh.write(",".join(fields) + "\n")
+            write_dump(fh, K)
 
 
 def read_basis(path, space) -> AlgebraBasis:
@@ -351,16 +342,7 @@ def read_basis(path, space) -> AlgebraBasis:
         while len(rows) < n:
             if pos >= len(lines):
                 raise ParseError("kernel dump ended early", line=pos)
-            parts = lines[pos].strip().split(",")
-            if len(parts) != 2 * n:
-                raise ParseError(
-                    f"expected {2 * n} fields, got {len(parts)}", line=pos + 1)
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError("malformed float field", line=pos + 1)
-            rows.append([complex(vals[2 * k], vals[2 * k + 1])
-                         for k in range(n)])
+            rows.append(parse_row(lines[pos].strip(), n, pos + 1))
             pos += 1
         basis.append(Kernel(np.asarray(rows), space))
     return AlgebraBasis(basis=tuple(basis), contains_J=contains_j,

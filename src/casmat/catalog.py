@@ -331,27 +331,31 @@ def materialize_recipe(text: str):
             raise ValueError(f"malformed recipe parameter {tok!r}")
         key, val = tok.split("=", 1)
         params[key] = val
+
+    def need(key):
+        if key not in params:
+            raise ValueError(f"recipe {kind!r} is missing the parameter "
+                             f"{key}=")
+        return params[key]
+
     if kind == "cyclic":
-        scheme = cyclic_scheme(int(params["n"]))
+        scheme = cyclic_scheme(int(need("n")))
     elif kind == "hamming":
-        scheme = hamming_scheme(int(params["d"]), int(params["q"]))
+        scheme = hamming_scheme(int(need("d")), int(need("q")))
     elif kind == "group":
         gens = [[int(v) for v in g.split(",")]
-                for g in params["generators"].split(";")]
+                for g in need("generators").split(";")]
         scheme = group_action_scheme(gens)
     elif kind == "circle":
-        scheme = circle_scheme(int(params["nodes"]), int(params["bins"]),
+        scheme = circle_scheme(int(need("nodes")), int(need("bins")),
                                signed=params.get("signed", "true") == "true")
     elif kind == "sphere":
         seed = int(params.get("seed", DEFAULT_SPHERE_SEED))
-        if "nodes" in params:
-            scheme = sphere_scheme(int(params["nodes"]), int(params["bins"]),
-                                   seed=seed)
-        else:
-            scheme = sphere_scheme(params["quadrature"], int(params["bins"]),
-                                   seed=seed)
+        source = (int(params["nodes"]) if "nodes" in params
+                  else need("quadrature"))
+        scheme = sphere_scheme(source, int(need("bins")), seed=seed)
     elif kind == "delsarte":
-        metric = np.loadtxt(params["metric"])
+        metric = np.loadtxt(need("metric"))
         bins = int(params["bins"]) if "bins" in params else None
         scheme = delsarte_scheme(metric, n_bins=bins)
     else:

@@ -16,11 +16,8 @@ import numpy as np
 
 from . import __version__
 from .bma import build_approximate_identity, default_probes, indicator_bump, verify_bma
-from .catalog import (DEFAULT_SPHERE_SEED, circle_scheme, cyclic_scheme,
-                      delsarte_scheme, group_action_scheme, hamming_scheme,
-                      materialize_recipe, sphere_scheme)
+from .catalog import DEFAULT_SPHERE_SEED, materialize_recipe
 from .correspondence import algebra_of_scheme, roundtrip_check
-from .errors import ParseError
 from .hypergroup import kernel_of_scheme, random_probe_pairs, verify_strong_cas
 from .scheme import read_scheme, verify_cas, write_scheme
 
@@ -28,10 +25,6 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 BMA_AUTO_LABEL_CAP = 64
 BMA_AUTO_NODE_CAP = 1024
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("CASMAT_SEED", "20259"))
 
 
 def _jsonify(obj):
@@ -105,10 +98,7 @@ def _load_scheme(path):
         return None, EXIT_USAGE
     try:
         return read_scheme(path), None
-    except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
 
@@ -206,41 +196,36 @@ def cmd_verify(args) -> int:
                    started, args.report)
 
 
+def _catalog_recipe(args) -> str:
+    """The recipe string that rebuilds what `catalog <kind>` asks for."""
+    if args.kind == "recipe":
+        return args.spec
+    if args.kind == "cyclic":
+        return f"cyclic n={args.n}"
+    if args.kind == "hamming":
+        return f"hamming d={args.d} q={args.q}"
+    if args.kind == "group":
+        return "group generators=" + ";".join(
+            ",".join(str(int(v)) for v in g.split(","))
+            for g in args.generator)
+    if args.kind == "circle":
+        return (f"circle nodes={args.nodes} bins={args.bins} "
+                f"signed={'false' if args.unsigned else 'true'}")
+    if args.kind == "sphere":
+        if args.quadrature:
+            return f"sphere quadrature={args.quadrature} bins={args.bins}"
+        if args.nodes is None:
+            raise ValueError("sphere needs --nodes or --quadrature")
+        return f"sphere nodes={args.nodes} bins={args.bins} seed={args.seed}"
+    # delsarte
+    return f"delsarte metric={args.metric}" + (
+        f" bins={args.bins}" if args.bins is not None else "")
+
+
 def cmd_catalog(args) -> int:
     started = time.perf_counter()
     try:
-        if args.kind == "cyclic":
-            scheme, recipe = cyclic_scheme(args.n), f"cyclic n={args.n}"
-        elif args.kind == "hamming":
-            scheme = hamming_scheme(args.d, args.q)
-            recipe = f"hamming d={args.d} q={args.q}"
-        elif args.kind == "group":
-            gens = [[int(v) for v in g.split(",")] for g in args.generator]
-            scheme = group_action_scheme(gens)
-            recipe = "group generators=" + ";".join(
-                ",".join(str(v) for v in g) for g in gens)
-        elif args.kind == "circle":
-            scheme = circle_scheme(args.nodes, args.bins,
-                                   signed=not args.unsigned)
-            recipe = (f"circle nodes={args.nodes} bins={args.bins} "
-                      f"signed={'false' if args.unsigned else 'true'}")
-        elif args.kind == "sphere":
-            source = args.quadrature if args.quadrature else args.nodes
-            scheme = sphere_scheme(source, args.bins, seed=args.seed)
-            if args.quadrature:
-                recipe = f"sphere quadrature={args.quadrature} bins={args.bins}"
-            else:
-                recipe = (f"sphere nodes={args.nodes} bins={args.bins} "
-                          f"seed={args.seed}")
-        elif args.kind == "delsarte":
-            metric = np.loadtxt(args.metric)
-            scheme = delsarte_scheme(metric, n_bins=args.bins)
-            recipe = f"delsarte metric={args.metric}" + (
-                f" bins={args.bins}" if args.bins is not None else "")
-        elif args.kind == "recipe":
-            scheme, recipe = materialize_recipe(args.spec)
-        else:  # pragma: no cover - argparse prevents this
-            raise ValueError(f"unknown kind {args.kind}")
+        scheme, recipe = materialize_recipe(_catalog_recipe(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -323,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagonal-slack", type=int, default=0)
     p.add_argument("--max-pairs", type=int, default=None,
                    help="cap fiber pairs with a seeded swap-closed sample")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bma", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--report", default=None, help="also write the JSON here")
     p.set_defaults(func=cmd_verify)
@@ -371,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme")
     p.add_argument("--probes", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_hypergroup)
     return parser
@@ -383,11 +368,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if (getattr(args, "command", "") == "catalog"
-            and getattr(args, "kind", "") == "sphere"
-            and args.nodes is None and args.quadrature is None):
-        print("error: sphere needs --nodes or --quadrature", file=sys.stderr)
-        return EXIT_USAGE
+    if getattr(args, "seed", 0) is None:
+        text = os.environ.get("CASMAT_SEED", "20259")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            print(f"error: CASMAT_SEED must be an integer, got {text!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except OSError as exc:

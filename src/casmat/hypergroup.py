@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Kernel, matmul
-from .scheme import Scheme, fiber, verify_cas
+from .scheme import Scheme, fiber, joint_table, row_masses, verify_cas
 
 
 class RepresentativeDependenceError(ValueError):
@@ -56,14 +56,9 @@ def kernel_of_scheme(scheme: Scheme, tolerance=None) -> HypergroupData:
     across x beyond tolerance (no invariant measure). tolerance defaults
     to 1e-12 times the total mass.
     """
-    n = scheme.space.node_count
-    L = scheme.label_count
-    w = scheme.space.weights
     if tolerance is None:
         tolerance = 1e-12 * scheme.space.total_mass
-    rowmass = np.empty((n, L))
-    for x in range(n):
-        rowmass[x] = np.bincount(scheme.relation[x], weights=w, minlength=L)
+    rowmass = row_masses(scheme)
     empty = np.nonzero(rowmass == 0)
     if empty[0].size:
         x, i = int(empty[0][0]), int(empty[1][0])
@@ -83,14 +78,30 @@ def kernel_of_scheme(scheme: Scheme, tolerance=None) -> HypergroupData:
                           row_mass_spread=spread)
 
 
-def _push_through_relation(hg: HypergroupData, x: int, z: int, i: int):
-    """Pushforward of kappa(z, i) under y -> relation[x, y]."""
+def _convolution_row(hg: HypergroupData, i: int, max_reps: int = 8):
+    """delta_i * delta_i' for every i', and the spread of each.
+
+    For a representative (x, z) of i, row i' of the joint table of
+    (relation[z], relation[x]) over haar[i'] pushes kappa(z, i') forward
+    through y -> relation[x, y]. Averages the first max_reps of them.
+    """
     scheme = hg.scheme
-    mask = scheme.relation[z] == i
-    counts = np.bincount(scheme.relation[x][mask],
-                         weights=scheme.space.weights[mask],
-                         minlength=hg.label_count)
-    return counts / hg.haar_weights[i]
+    rel = scheme.relation
+    xs, zs = fiber(scheme, i)
+    tables = np.stack([joint_table(rel[z], rel[x], scheme.space.weights,
+                                   hg.label_count)
+                       for x, z in zip(xs[:max_reps], zs[:max_reps])])
+    measures = tables / hg.haar_weights[:, None]
+    spread = (measures.max(axis=0) - measures.min(axis=0)).max(axis=1)
+    return measures.mean(axis=0), spread
+
+
+def convolution_table(hg: HypergroupData):
+    """table[i, i'] = delta_i * delta_i' for all label pairs, and the worst
+    representative spread over the whole table."""
+    rows = [_convolution_row(hg, i) for i in range(hg.label_count)]
+    table = np.stack([m for m, _ in rows])
+    return table, max(float(spread.max()) for _, spread in rows)
 
 
 def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
@@ -104,17 +115,13 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     RepresentativeDependenceError (the scheme is not strong at this mesh).
     """
     i, ip = int(i), int(i_prime)
-    xs, zs = fiber(hg.scheme, i)
-    take = min(max_reps, xs.size)
-    measures = np.stack([
-        _push_through_relation(hg, int(xs[r]), int(zs[r]), ip)
-        for r in range(take)])
-    spread = float((measures.max(axis=0) - measures.min(axis=0)).max())
+    row, spreads = _convolution_row(hg, i, max_reps)
+    spread = float(spreads[ip])
     if tolerance is not None and spread > tolerance:
         raise RepresentativeDependenceError(
             f"convolution delta_{i} * delta_{ip} varies by {spread:.3e} "
             f"across fiber representatives (tolerance {tolerance:.3e})")
-    return measures.mean(axis=0), spread
+    return row[ip], spread
 
 
 def convolve_measure_point(hg: HypergroupData, mu: np.ndarray, i_prime):
@@ -133,6 +140,10 @@ def convolve_functions(hg: HypergroupData, f, g):
     (f * g)[i] = sum_{i'} haar[i'] * (integral of f against
     delta_i * delta_{i'}) * g[i'^T].
     """
+    return _convolve(hg, convolution_table(hg)[0], f, g)
+
+
+def _convolve(hg: HypergroupData, table, f, g):
     f = np.asarray(f)
     g = np.asarray(g)
     L = hg.label_count
@@ -143,8 +154,8 @@ def convolve_functions(hg: HypergroupData, f, g):
     for i in range(L):
         acc = 0.0
         for ip in range(L):
-            m, _ = convolve_point_masses(hg, i, ip)
-            acc = acc + hg.haar_weights[ip] * np.dot(m, f) * g[inv[ip]]
+            acc = acc + (hg.haar_weights[ip] * np.dot(table[i, ip], f)
+                         * g[inv[ip]])
         out[i] = acc
     return out
 
@@ -212,15 +223,7 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
     L = hg.label_count
     inv = hg.involution
     residuals = {}
-    max_spread = 0.0
-
-    # convolution table and the worst representative spread
-    table = np.zeros((L, L, L))
-    for i in range(L):
-        for ip in range(L):
-            m, spread = convolve_point_masses(hg, i, ip)
-            table[i, ip] = m
-            max_spread = max(max_spread, spread)
+    table, max_spread = convolution_table(hg)
 
     # identity label point mass is a two-sided unit
     i0 = scheme.label_space.identity_label
@@ -241,8 +244,7 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
         Rf = Kernel(np.asarray(f)[rel], scheme.space)
         Rg = Kernel(np.asarray(g)[rel], scheme.space)
         lhs = matmul(Rf, Rg).entries
-        conv = convolve_functions(hg, f, g)
-        rhs = conv[rel]
+        rhs = _convolve(hg, table, f, g)[rel]
         res = max(res, float(np.abs(lhs - rhs).max()))
     residuals["pullback_convolution"] = res
 
@@ -251,14 +253,13 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
     rng = np.random.default_rng(seed)
     test_functions = [rng.uniform(-1.0, 1.0, n)
                       for _ in range(test_function_count)]
+    rowints = [row_masses(scheme, w * phi) for phi in test_functions]
     res = 0.0
     for f, _ in probes:
         f = np.asarray(f)
-        for phi in test_functions:
-            wphi = w * phi
+        for phi, rowint in zip(test_functions, rowints):
             for x in range(n):
-                rowint = np.bincount(rel[x], weights=wphi, minlength=L)
-                lhs = float(np.dot(f, rowint))
+                lhs = float(np.dot(f, rowint[x]))
                 rhs = float(np.dot(w, f[rel[x]] * phi))
                 res = max(res, abs(lhs - rhs))
     residuals["transport"] = res

@@ -139,17 +139,35 @@ def check_approximate_identity(family, probes, tolerance: float) -> IdentityRepo
                           tolerance=float(tolerance))
 
 
+def write_dump(fh, K: Kernel) -> None:
+    """Write one kernel dump: the v1 header, then CSV rows of re,im pairs."""
+    fh.write(f"{KERNEL_HEADER} n={K.space.node_count}\n")
+    for row in K.entries:
+        fields = []
+        for v in row:
+            fields.append(repr(float(v.real)))
+            fields.append(repr(float(v.imag)))
+        fh.write(",".join(fields) + "\n")
+
+
+def parse_row(text: str, n: int, lineno: int) -> list:
+    """Parse one dump row of n re,im pairs into complex values."""
+    parts = text.split(",")
+    if len(parts) != 2 * n:
+        raise ParseError(
+            f"expected {2 * n} comma-separated fields, got {len(parts)}",
+            line=lineno)
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError:
+        raise ParseError("malformed float field", line=lineno)
+    return [complex(vals[2 * k], vals[2 * k + 1]) for k in range(n)]
+
+
 def write_kernel(K: Kernel, path) -> None:
     """Dump a kernel as CSV rows of re,im pairs under the v1 header."""
-    n = K.space.node_count
     with open(path, "w") as fh:
-        fh.write(f"{KERNEL_HEADER} n={n}\n")
-        for row in K.entries:
-            fields = []
-            for v in row:
-                fields.append(repr(float(v.real)))
-                fields.append(repr(float(v.imag)))
-            fh.write(",".join(fields) + "\n")
+        write_dump(fh, K)
 
 
 def read_kernel(path, space: MeasureSpace) -> Kernel:
@@ -165,21 +183,8 @@ def read_kernel(path, space: MeasureSpace) -> Kernel:
     if n != space.node_count:
         raise ParseError(
             f"kernel is over {n} nodes, space has {space.node_count}")
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 2 * n:
-            raise ParseError(
-                f"expected {2 * n} comma-separated fields, got {len(parts)}",
-                line=lineno)
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError("malformed float field", line=lineno)
-        rows.append([complex(vals[2 * k], vals[2 * k + 1]) for k in range(n)])
+    rows = [parse_row(raw.strip(), n, lineno)
+            for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
     if len(rows) != n:
         raise ParseError(f"expected {n} matrix rows, got {len(rows)}")
     return Kernel(np.asarray(rows), space)

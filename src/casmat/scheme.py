@@ -187,9 +187,44 @@ def _sample_fiber(scheme: Scheme, k, max_pairs, rng):
     return sx, sz, True
 
 
-def _pair_value(scheme, mask_w, mask_wp, x, z):
-    sel = mask_w[scheme.relation[x, :]] & mask_wp[scheme.relation[:, z]]
-    return scheme.space.weights[sel].sum()
+def joint_table(left, right, weights, L) -> np.ndarray:
+    """h[a, b]: the mass of the y with left[y] == a and right[y] == b.
+
+    Each cell sums in increasing y. CAS2 tables, structure constants and
+    convolutions all come from here, so they share that order.
+    """
+    keys = left.astype(np.int64) * L + right
+    return np.bincount(keys, weights=weights, minlength=L * L).reshape(L, L)
+
+
+def pair_table_stats(relation, weights, L, xs, zs, A=None, B=None):
+    """Reduce the CAS2 tables of the pairs (xs[p], zs[p]).
+
+    The table of (x, z) is joint_table(relation[x, :], relation[:, z]),
+    so entry [i, j] is the mass of the y with relation[x, y] == i and
+    relation[y, z] == j. Returns (sum, min, max, first): the sum of the
+    raw tables and the entrywise min, max and first value of the tables
+    projected as A @ h @ B.T (unprojected when A is None).
+    """
+    h = joint_table(relation[xs[0]], relation[:, zs[0]], weights, L)
+    total = h.copy()
+    first = h if A is None else A @ h @ B.T
+    lo, hi = first.copy(), first.copy()
+    for x, z in zip(xs[1:], zs[1:]):
+        h = joint_table(relation[x], relation[:, z], weights, L)
+        total += h
+        v = h if A is None else A @ h @ B.T
+        np.minimum(lo, v, out=lo)
+        np.maximum(hi, v, out=hi)
+    return total, lo, hi, first
+
+
+def row_masses(scheme: Scheme, weights=None) -> np.ndarray:
+    """rowmass[x, i]: the mass (weights by default) of relation row x on i."""
+    w = scheme.space.weights if weights is None else weights
+    L = scheme.label_count
+    return np.stack([np.bincount(row, weights=w, minlength=L)
+                     for row in scheme.relation])
 
 
 def intersection_number(scheme: Scheme, W, W_prime, k,
@@ -201,13 +236,13 @@ def intersection_number(scheme: Scheme, W, W_prime, k,
     returns (mean, max - min). With max_pairs set, a seeded swap-closed
     sample of fiber pairs is used instead of the full fiber.
     """
-    mask_w = _membership(scheme, W)
-    mask_wp = _membership(scheme, W_prime)
+    A = _membership(scheme, W)[None, :].astype(float)
+    B = _membership(scheme, W_prime)[None, :].astype(float)
     rng = np.random.default_rng(seed)
     xs, zs, _ = _sample_fiber(scheme, k, max_pairs, rng)
-    vals = np.array([_pair_value(scheme, mask_w, mask_wp, x, z)
-                     for x, z in zip(xs, zs)])
-    return float(vals.mean()), float(vals.max() - vals.min())
+    total, lo, hi, _ = pair_table_stats(scheme.relation, scheme.space.weights,
+                                        scheme.label_count, xs, zs, A, B)
+    return float((A @ total @ B.T)[0, 0] / xs.size), float(hi[0, 0] - lo[0, 0])
 
 
 @dataclass
@@ -329,7 +364,8 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             witnesses["cas1"] = items
 
     # CAS3: relation transpose matches the involution table
-    mism_x, mism_y = np.nonzero(inv[rel] != rel.T)
+    # in the relation's int32, so the n x n temporary takes half the memory
+    mism_x, mism_y = np.nonzero(inv.astype(rel.dtype)[rel] != rel.T)
     cas3_ok = mism_x.size == 0
     if not cas3_ok:
         witnesses["cas3"] = [
@@ -347,6 +383,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         raise ValueError(
             f"borel family has {F} sets; the {F}x{F} deviation tables "
             f"would not fit in memory")
+    M = MT = None
     if not singleton:
         M = np.zeros((F, L))
         MT = np.zeros((F, L))
@@ -375,49 +412,29 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     inv_id_max = 0.0
     labels_checked = 0
 
-    def fiber_stats(k):
+    def sample(k):
         nonlocal sampled
         xs, zs, was_sampled = _sample_fiber(scheme, k, max_pairs_per_fiber, rng)
         sampled = sampled or was_sampled
-        raw_sum = np.zeros((L, L))
-        lo = np.full((F, F), np.inf)
-        hi = np.full((F, F), -np.inf)
-        for x, z in zip(xs, zs):
-            joint = rel[x, :].astype(np.int64) * L + rel[:, z]
-            h = np.bincount(joint, weights=w, minlength=L * L).reshape(L, L)
-            raw_sum += h
-            v = h if singleton else M @ h @ M.T
-            np.minimum(lo, v, out=lo)
-            np.maximum(hi, v, out=hi)
-        raw_mean = raw_sum / xs.size
-        return (xs, zs), raw_mean, lo, hi
+        return xs, zs
 
-    def transposed_sample_stats(xs, zs):
-        # fiber(k^T) sampled as the transpose of fiber(k)'s sample keeps
-        # the transpose identity exact under sampling
-        raw_sum = np.zeros((L, L))
-        lo = np.full((F, F), np.inf)
-        hi = np.full((F, F), -np.inf)
-        for x, z in zip(zs, xs):
-            joint = rel[x, :].astype(np.int64) * L + rel[:, z]
-            h = np.bincount(joint, weights=w, minlength=L * L).reshape(L, L)
-            raw_sum += h
-            v = h if singleton else M @ h @ M.T
-            np.minimum(lo, v, out=lo)
-            np.maximum(hi, v, out=hi)
-        return raw_sum / len(xs), lo, hi
+    def stats(xs, zs):
+        total, lo, hi, _ = pair_table_stats(rel, w, L, xs, zs, M, M)
+        return total / xs.size, lo, hi
 
     for k, kt in orbits:
-        pairs_k, mean_k, lo_k, hi_k = fiber_stats(k)
-        per_orbit = [(k, mean_k, lo_k, hi_k)]
+        xs, zs = sample(k)
+        per_orbit = [(k, *stats(xs, zs))]
         if kt != k:
             if cas3_ok:
-                mean_kt, lo_kt, hi_kt = transposed_sample_stats(*pairs_k)
+                # fiber(k^T) sampled as the transpose of fiber(k)'s sample
+                # keeps the transpose identity exact under sampling
+                xs, zs = zs, xs
             else:
                 # invalid schemes: the transposed sample may leave the
                 # fiber, fall back to an independent sample
-                _, mean_kt, lo_kt, hi_kt = fiber_stats(kt)
-            per_orbit.append((kt, mean_kt, lo_kt, hi_kt))
+                xs, zs = sample(kt)
+            per_orbit.append((kt, *stats(xs, zs)))
         for lab, mean, lo, hi in per_orbit:
             labels_checked += 1
             dev = hi - lo
@@ -430,12 +447,11 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             values = mean if singleton else M @ mean @ M.T
             cas4_max = max(cas4_max, float(np.abs(values - values.T).max()))
         # transpose identity: p_{W1,W2}^k vs p_{W2^T,W1^T}^{k^T}
-        mean_for_kt = per_orbit[-1][1] if kt != k else mean_k
+        mean_k, mean_kt = per_orbit[0][1], per_orbit[-1][1]
         if singleton:
-            vt = mean_for_kt[np.ix_(inv, inv)]
+            vk, vt = mean_k, mean_kt[np.ix_(inv, inv)]
         else:
-            vt = MT @ mean_for_kt @ MT.T
-        vk = mean_k if singleton else M @ mean_k @ M.T
+            vk, vt = M @ mean_k @ M.T, MT @ mean_kt @ MT.T
         inv_id_max = max(inv_id_max, float(np.abs(vk - vt.T).max()))
 
     if cas2_arg is not None and cas2_max > tolerance:
@@ -445,9 +461,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             "min_value": vmin, "max_value": vmax, "deviation": cas2_max}]
 
     # pushforward identity and row-valency constancy
-    rowmass = np.empty((n, L))
-    for x in range(n):
-        rowmass[x] = np.bincount(rel[x], weights=w, minlength=L)
+    rowmass = row_masses(scheme)
     row_valency_max = float((rowmass.max(axis=0) - rowmass.min(axis=0)).max())
     fibermass = w @ rowmass
     push_dev = np.abs(rowmass * scheme.space.total_mass - fibermass)
@@ -571,6 +585,7 @@ def read_scheme(path) -> Scheme:
     involution = np.zeros(L, dtype=np.int64)
     bin_meta: list = [None] * L
     any_bins = False
+    seen = set()
     for _ in range(L):
         lineno, text = reader.next_content()
         if text is None:
@@ -584,6 +599,9 @@ def read_scheme(path) -> Scheme:
             fail("malformed label ids", lineno)
         if not 0 <= lid < L:
             fail(f"label id {lid} out of range", lineno)
+        if lid in seen:
+            fail(f"duplicate record for label {lid}", lineno)
+        seen.add(lid)
         involution[lid] = linv
         if len(parts) == 4:
             try:

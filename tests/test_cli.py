@@ -175,3 +175,39 @@ def test_exit_code_contract_under_subprocess():
     proc = subprocess.run([sys.executable, "-m", "casmat", "verify",
                            "/does/not/exist"], capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_catalog_recipe_missing_parameter_is_usage_error(tmp_path, capsys):
+    code = main(["catalog", "recipe", "--spec", "cyclic",
+                 "--out", str(tmp_path / "x.scheme")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n=" in err and "Traceback" not in err
+    assert not (tmp_path / "x.scheme").exists()
+
+
+def test_catalog_kinds_write_their_recipe_files(tmp_path, capsys):
+    # each kind goes through the recipe dispatch; the file records the
+    # recipe that rebuilds it byte for byte
+    for argv in (["cyclic", "--n", "5"], ["hamming", "--d", "2", "--q", "3"],
+                 ["group", "--generator", "1, 2,0"],
+                 ["circle", "--nodes", "12", "--bins", "4", "--unsigned"],
+                 ["sphere", "--nodes", "20", "--bins", "4", "--seed", "3"]):
+        direct = tmp_path / "direct.scheme"
+        again = tmp_path / "again.scheme"
+        assert run(capsys, "catalog", *argv, "--out", str(direct))[0] == 0
+        recipe = direct.read_text().splitlines()[1]
+        assert recipe.startswith("recipe " + argv[0])
+        assert run(capsys, "catalog", "recipe", "--spec",
+                   recipe[len("recipe "):], "--out", str(again))[0] == 0
+        assert again.read_bytes() == direct.read_bytes()
+
+
+def test_bad_casmat_seed_is_usage_error(hamming_file, capsys, monkeypatch):
+    monkeypatch.setenv("CASMAT_SEED", "abc")
+    assert main(["verify", str(hamming_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0 and "CASMAT_SEED" in err
+    assert main(["hypergroup", str(hamming_file)]) == 2
+    # an explicit --seed does not read the environment
+    assert main(["verify", str(hamming_file), "--seed", "3"]) == 0

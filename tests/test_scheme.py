@@ -257,3 +257,15 @@ def test_scheme_bad_header(tmp_path):
     path.write_text("#nope\n")
     with pytest.raises(ParseError, match="line 1"):
         read_scheme(path)
+
+
+def test_scheme_duplicate_label_record_is_rejected(tmp_path):
+    # the missing label's record would otherwise default to partner 0
+    path = tmp_path / "dup.scheme"
+    write_scheme(hamming_scheme(2, 2), path)
+    text = path.read_text()
+    assert "\n0 0\n1 1\n" in text
+    path.write_text(text.replace("\n0 0\n1 1\n", "\n1 1\n1 1\n"))
+    with pytest.raises(ParseError, match="line 7: duplicate record for "
+                                         "label 1"):
+        read_scheme(path)
