@@ -7,6 +7,7 @@ Constructors establish the structural invariants themselves; verify_cas
 is a check on them, not a crutch.
 """
 
+import shlex
 from itertools import product
 
 import numpy as np
@@ -320,9 +321,18 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
 # recipe strings, e.g. "cyclic n=12" or "sphere nodes=5000 bins=40 seed=1729"
 
 
+def _recipe_value(value: str) -> str:
+    """A recipe value, shell-quoted only where splitting would change it."""
+    return value if shlex.split(value) == [value] else shlex.quote(value)
+
+
 def materialize_recipe(text: str):
-    """Build a Scheme from a recipe string; returns (scheme, recipe)."""
-    tokens = text.split()
+    """Build a Scheme from a recipe string; returns (scheme, recipe).
+
+    Tokens split like a shell command line, so a quoted value may hold
+    spaces (`sphere quadrature='my dir/q.txt' bins=4`).
+    """
+    tokens = shlex.split(text)
     if not tokens:
         raise ValueError("empty recipe")
     kind, params = tokens[0], {}
@@ -360,4 +370,5 @@ def materialize_recipe(text: str):
         scheme = delsarte_scheme(metric, n_bins=bins)
     else:
         raise ValueError(f"unknown recipe kind {kind!r}")
-    return scheme, " ".join([kind] + [f"{k}={v}" for k, v in params.items()])
+    return scheme, " ".join([kind] + [f"{k}={_recipe_value(v)}"
+                                      for k, v in params.items()])

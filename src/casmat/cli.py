@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import sys
 import time
 
@@ -25,6 +26,8 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 BMA_AUTO_LABEL_CAP = 64
 BMA_AUTO_NODE_CAP = 1024
+# fiber pairs evaluated x nodes: about a minute of CAS2 work
+VERIFY_WORK_BUDGET = 10**9
 
 
 def _jsonify(obj):
@@ -126,9 +129,32 @@ def _parse_family_arg(text, path_hint):
     return sets
 
 
+def _check_verify_work(scheme, max_pairs):
+    """Refuse, with exit 2, a verify whose CAS2 work exceeds the budget."""
+    if max_pairs is not None and max_pairs < 1:
+        print(f"error: --max-pairs must be at least 1, got {max_pairs}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    n = scheme.space.node_count
+    counts = scheme.fiber_counts
+    if max_pairs is not None:
+        counts = np.minimum(counts, max_pairs)
+    work = int(counts.sum()) * n
+    if work <= VERIFY_WORK_BUDGET:
+        return None
+    suggest = max(1, VERIFY_WORK_BUDGET // (n * scheme.label_count))
+    print(f"error: verify would evaluate {work:.1e} fiber-pair x node steps "
+          f"(budget {VERIFY_WORK_BUDGET:.0e}); sample the fibers with "
+          f"--max-pairs {suggest}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     scheme, err = _load_scheme(args.scheme)
+    if err is not None:
+        return err
+    err = _check_verify_work(scheme, args.max_pairs)
     if err is not None:
         return err
     try:
@@ -213,12 +239,13 @@ def _catalog_recipe(args) -> str:
                 f"signed={'false' if args.unsigned else 'true'}")
     if args.kind == "sphere":
         if args.quadrature:
-            return f"sphere quadrature={args.quadrature} bins={args.bins}"
+            return (f"sphere quadrature={shlex.quote(args.quadrature)} "
+                    f"bins={args.bins}")
         if args.nodes is None:
             raise ValueError("sphere needs --nodes or --quadrature")
         return f"sphere nodes={args.nodes} bins={args.bins} seed={args.seed}"
     # delsarte
-    return f"delsarte metric={args.metric}" + (
+    return f"delsarte metric={shlex.quote(args.metric)}" + (
         f" bins={args.bins}" if args.bins is not None else "")
 
 

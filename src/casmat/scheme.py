@@ -106,7 +106,7 @@ class Scheme:
     """
 
     __slots__ = ("space", "label_space", "relation", "borel_bins",
-                 "fiber_counts")
+                 "fiber_counts", "_row_counts")
 
     def __init__(self, space: MeasureSpace, label_space: LabelSpace,
                  relation, borel_bins=None):
@@ -119,7 +119,11 @@ class Scheme:
         L = label_space.size
         if rel.size and (rel.min() < 0 or rel.max() >= L):
             raise ValueError("relation entries must lie in 0..label_count-1")
-        counts = np.bincount(rel.ravel(), minlength=L)
+        # counted in blocks of rows: one bincount over all n * n entries
+        # of an int32 relation would first copy them to int64
+        counts = np.zeros(L, dtype=np.int64)
+        for r in range(0, n, 256):
+            counts += np.bincount(rel[r:r + 256].ravel(), minlength=L)
         missing = np.nonzero(counts == 0)[0]
         if missing.size:
             raise SurjectivityError(missing.tolist())
@@ -129,6 +133,7 @@ class Scheme:
         self.label_space = label_space
         self.relation = rel
         self.fiber_counts = counts
+        self._row_counts = None
         if borel_bins is not None:
             borel_bins = tuple(tuple(int(i) for i in W) for W in borel_bins)
             for W in borel_bins:
@@ -167,13 +172,45 @@ def _membership(scheme: Scheme, W) -> np.ndarray:
     return mask
 
 
+def _fiber_pairs_at(scheme: Scheme, k, ranks):
+    """The fiber pairs of label k at the given ranks in row-major order.
+
+    Rows are found from per-row label counts (one bincount per row, built
+    once per scheme); only the rows that hold a drawn pair are scanned.
+    """
+    if scheme._row_counts is None:
+        L = scheme.label_count
+        counts = np.empty((scheme.space.node_count, L), dtype=np.int32)
+        for x, row in enumerate(scheme.relation):
+            counts[x] = np.bincount(row, minlength=L)
+        scheme._row_counts = counts
+    per_row = scheme._row_counts[:, k]
+    ends = np.cumsum(per_row)
+    xs = np.searchsorted(ends, ranks, side="right")
+    offsets = ranks - (ends[xs] - per_row[xs])
+    zs = np.empty_like(xs)
+    order = np.argsort(xs, kind="stable")
+    rows, starts = np.unique(xs[order], return_index=True)
+    for x, group in zip(rows, np.split(order, starts[1:])):
+        zs[group] = np.flatnonzero(scheme.relation[x] == k)[offsets[group]]
+    return xs, zs
+
+
 def _sample_fiber(scheme: Scheme, k, max_pairs, rng):
-    """Fiber pairs, optionally capped to a seeded swap-closed sample."""
-    xs, zs = fiber(scheme, k)
-    if max_pairs is None or xs.size <= max_pairs:
+    """Fiber pairs, optionally capped to a seeded swap-closed sample.
+
+    The sample draws ranks into the row-major fiber, so it picks the same
+    pairs as indexing fiber(scheme, k) would, without scanning the whole
+    relation.
+    """
+    k = int(k)
+    count = (int(scheme.fiber_counts[k]) if 0 <= k < scheme.label_count
+             else 0)
+    if max_pairs is None or count <= max_pairs:
+        xs, zs = fiber(scheme, k)
         return xs, zs, False
-    idx = rng.choice(xs.size, size=max_pairs, replace=False)
-    sx, sz = xs[idx], zs[idx]
+    idx = rng.choice(count, size=max_pairs, replace=False)
+    sx, sz = _fiber_pairs_at(scheme, k, idx)
     if scheme.label_space.involution[k] == k:
         # swap-closure keeps commutativity comparisons exact on
         # symmetric schemes
@@ -197,6 +234,78 @@ def joint_table(left, right, weights, L) -> np.ndarray:
     return np.bincount(keys, weights=weights, minlength=L * L).reshape(L, L)
 
 
+# a chunk of pairs keeps each of its (pairs, n) temporaries near this size
+_CHUNK_ENTRIES = 1 << 20
+
+
+def _table_reduction(relation, weights, xs, zs, K, left=None, right=None):
+    """(sum, min, max) over the pairs of their K x K joint tables.
+
+    The table of (x, z) counts y at cell left[relation[x, y]] * K +
+    right[relation[y, z]] (the labels themselves when left is None). Each
+    pair's cells are segments summed in increasing y by one bincount:
+    numbered p * K * K + cell when K * K <= n, else cut from a stable sort
+    of each row. Min and max scatter over the touched cells only; a cell
+    some pair leaves untouched also takes that pair's 0. The sum adds the
+    pairs' cells in pair order, as h0 + h1 + ... would.
+    """
+    n = weights.size
+    KK = K * K
+    dense = KK <= n
+    step = max(1, _CHUNK_ENTRIES // max(n, KK))
+    # segment ids stay below step * max(n, KK), which fits in int32
+    # unless a table alone has more than 2**31 cells
+    itype = np.int32 if step * max(n, KK) < 2**31 else np.int64
+    base = np.arange(step, dtype=itype)[:, None] * (KK if dense else 0)
+    wtile = np.tile(weights, step) if dense else None
+    total = np.zeros(KK)
+    lo = np.full(KK, np.inf)
+    hi = np.full(KK, -np.inf)
+    hits = np.zeros(KK, dtype=np.int64)
+    for s in range(0, len(xs), step):
+        rows = relation[xs[s:s + step]]
+        cols = relation[:, zs[s:s + step]].T
+        if left is not None:
+            rows, cols = left[rows], right[cols]
+        C = len(rows)
+        keys = np.multiply(rows, K, dtype=itype)
+        keys += base[:C]
+        keys += cols
+        if dense:
+            tables = np.bincount(keys.ravel(), weights=wtile[:C * n],
+                                 minlength=C * KK).reshape(C, KK)
+            np.minimum(lo, tables.min(axis=0), out=lo)
+            np.maximum(hi, tables.max(axis=0), out=hi)
+            hits += C
+            # an axis-0 sum adds row after row: pair order
+            tables[0] += total
+            total = tables.sum(axis=0)
+            continue
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys.sort(axis=1)
+        starts = np.ones(keys.shape, dtype=bool)
+        starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        values = np.bincount(np.cumsum(starts.ravel(), dtype=itype) - 1,
+                             weights=weights.take(order).ravel())
+        cells = keys[starts]
+        np.minimum.at(lo, cells, values)
+        np.maximum.at(hi, cells, values)
+        np.add.at(hits, cells, 1)
+        np.add.at(total, cells, values)
+    partial = hits < len(xs)
+    np.minimum(lo, 0.0, out=lo, where=partial)
+    np.maximum(hi, 0.0, out=hi, where=partial)
+    return total.reshape(K, K), lo.reshape(K, K), hi.reshape(K, K)
+
+
+def _label_map(A):
+    """label -> set index when the rows of A are disjoint 0/1 label sets
+    (labels in no set go to len(A)); None when some label is in two."""
+    if not (np.isin(A, (0.0, 1.0)).all() and (A.sum(axis=0) <= 1).all()):
+        return None
+    return np.where(A.any(axis=0), A.argmax(axis=0), len(A))
+
+
 def pair_table_stats(relation, weights, L, xs, zs, A=None, B=None):
     """Reduce the CAS2 tables of the pairs (xs[p], zs[p]).
 
@@ -205,15 +314,35 @@ def pair_table_stats(relation, weights, L, xs, zs, A=None, B=None):
     relation[y, z] == j. Returns (sum, min, max, first): the sum of the
     raw tables and the entrywise min, max and first value of the tables
     projected as A @ h @ B.T (unprojected when A is None).
+
+    Disjoint label sets project by mapping each label to its set (the
+    rest to one more set), so a projected cell sums its y in increasing
+    order; overlapping sets project each pair's table densely.
     """
+    if A is not None:
+        left, right = _label_map(A), _label_map(B)
+        if left is None or right is None:
+            return _projected_pair_stats(relation, weights, L, xs, zs, A, B)
+    first = joint_table(relation[xs[0]], relation[:, zs[0]], weights, L)
+    total, lo, hi = _table_reduction(relation, weights, xs, zs, L)
+    if A is None:
+        return total, lo, hi, first
+    K = max(len(A), len(B)) + 1
+    _, lo, hi = _table_reduction(relation, weights, xs, zs, K, left, right)
+    return total, lo[:len(A), :len(B)], hi[:len(A), :len(B)], A @ first @ B.T
+
+
+def _projected_pair_stats(relation, weights, L, xs, zs, A, B):
+    """pair_table_stats for overlapping label sets: one dense table and
+    projection per pair."""
     h = joint_table(relation[xs[0]], relation[:, zs[0]], weights, L)
     total = h.copy()
-    first = h if A is None else A @ h @ B.T
+    first = A @ h @ B.T
     lo, hi = first.copy(), first.copy()
     for x, z in zip(xs[1:], zs[1:]):
         h = joint_table(relation[x], relation[:, z], weights, L)
         total += h
-        v = h if A is None else A @ h @ B.T
+        v = A @ h @ B.T
         np.minimum(lo, v, out=lo)
         np.maximum(hi, v, out=hi)
     return total, lo, hi, first
@@ -236,13 +365,14 @@ def intersection_number(scheme: Scheme, W, W_prime, k,
     returns (mean, max - min). With max_pairs set, a seeded swap-closed
     sample of fiber pairs is used instead of the full fiber.
     """
-    A = _membership(scheme, W)[None, :].astype(float)
-    B = _membership(scheme, W_prime)[None, :].astype(float)
+    # W and W' as the two-set partitions {W, rest}: cell [0, 0] is the value
+    left = np.where(_membership(scheme, W), 0, 1)
+    right = np.where(_membership(scheme, W_prime), 0, 1)
     rng = np.random.default_rng(seed)
     xs, zs, _ = _sample_fiber(scheme, k, max_pairs, rng)
-    total, lo, hi, _ = pair_table_stats(scheme.relation, scheme.space.weights,
-                                        scheme.label_count, xs, zs, A, B)
-    return float((A @ total @ B.T)[0, 0] / xs.size), float(hi[0, 0] - lo[0, 0])
+    total, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
+                                     xs, zs, 2, left, right)
+    return float(total[0, 0] / xs.size), float(hi[0, 0] - lo[0, 0])
 
 
 @dataclass
@@ -519,8 +649,9 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
             for W in scheme.borel_bins:
                 fh.write(" ".join(str(i) for i in W) + "\n")
         fh.write("relation\n")
+        fmt = " ".join(["%d"] * scheme.space.node_count) + "\n"
         for row in scheme.relation:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            fh.write(fmt % tuple(row.tolist()))
 
 
 class _LineReader:
@@ -536,6 +667,18 @@ class _LineReader:
             if text:
                 return lineno, text
         return None, None
+
+
+def _parse_relation_block(rows, n):
+    """The n x n relation from its n lines in one call, or None when they
+    are not n lines of n plain int32 entries each (blank lines included)."""
+    if n <= 0 or len(rows) != n or any(not r or r.isspace() for r in rows):
+        return None
+    try:
+        rel = np.loadtxt(rows, dtype=np.int32, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    return rel if rel.shape == (n, n) else None
 
 
 def read_scheme(path) -> Scheme:
@@ -640,20 +783,25 @@ def read_scheme(path) -> Scheme:
         lineno, text = reader.next_content()
     if text != "relation":
         fail("expected 'relation' section", lineno)
-    rel = np.zeros((n, n), dtype=np.int64)
-    for r in range(n):
-        lineno, text = reader.next_content()
-        if text is None:
-            fail(f"relation matrix ended early at row {r}", lineno)
-        parts = text.split()
-        if len(parts) != n:
-            fail(f"relation row {r} has {len(parts)} entries, expected {n}",
-                 lineno)
-        try:
-            rel[r] = [int(t) for t in parts]
-        except ValueError:
-            fail(f"malformed relation entry in row {r}", lineno)
+    rel = _parse_relation_block(reader.lines[reader.pos:reader.pos + n], n)
+    if rel is None:
+        # the row loop finds the exact line and message of the fault
+        rel = np.zeros((n, n), dtype=np.int64)
+        for r in range(n):
+            lineno, text = reader.next_content()
+            if text is None:
+                fail(f"relation matrix ended early at row {r}", lineno)
+            parts = text.split()
+            if len(parts) != n:
+                fail(f"relation row {r} has {len(parts)} entries, "
+                     f"expected {n}", lineno)
+            try:
+                rel[r] = [int(t) for t in parts]
+            except ValueError:
+                fail(f"malformed relation entry in row {r}", lineno)
 
+    # free the file's lines before Scheme copies the relation
+    del lines, reader
     try:
         space = make_quadrature(weights)
         label_space = LabelSpace(involution=involution, identity_label=identity,

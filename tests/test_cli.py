@@ -188,11 +188,21 @@ def test_catalog_recipe_missing_parameter_is_usage_error(tmp_path, capsys):
 
 def test_catalog_kinds_write_their_recipe_files(tmp_path, capsys):
     # each kind goes through the recipe dispatch; the file records the
-    # recipe that rebuilds it byte for byte
+    # recipe that rebuilds it byte for byte, input paths with spaces too
+    from casmat import make_quadrature, write_quadrature
+    spaced = tmp_path / "dir with space"
+    spaced.mkdir()
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    write_quadrature(make_quadrature(np.ones(6), coordinates=octahedron),
+                     spaced / "q.txt")
+    np.savetxt(spaced / "metric.txt", 1.0 - np.eye(3))
     for argv in (["cyclic", "--n", "5"], ["hamming", "--d", "2", "--q", "3"],
                  ["group", "--generator", "1, 2,0"],
                  ["circle", "--nodes", "12", "--bins", "4", "--unsigned"],
-                 ["sphere", "--nodes", "20", "--bins", "4", "--seed", "3"]):
+                 ["sphere", "--nodes", "20", "--bins", "4", "--seed", "3"],
+                 ["sphere", "--quadrature", str(spaced / "q.txt"),
+                  "--bins", "3"],
+                 ["delsarte", "--metric", str(spaced / "metric.txt")]):
         direct = tmp_path / "direct.scheme"
         again = tmp_path / "again.scheme"
         assert run(capsys, "catalog", *argv, "--out", str(direct))[0] == 0
@@ -211,3 +221,17 @@ def test_bad_casmat_seed_is_usage_error(hamming_file, capsys, monkeypatch):
     assert main(["hypergroup", str(hamming_file)]) == 2
     # an explicit --seed does not read the environment
     assert main(["verify", str(hamming_file), "--seed", "3"]) == 0
+
+
+def test_verify_refuses_work_over_budget(hamming_file, capsys, monkeypatch):
+    # h32: 8 nodes, 4 labels, 64 fiber pairs -> 512 pair x node steps
+    monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 100)
+    assert main(["verify", str(hamming_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0
+    assert "5.1e+02" in err and "--max-pairs 3" in err
+    # the suggested sample fits the budget: 4 labels x 3 pairs x 8 nodes
+    assert main(["verify", str(hamming_file), "--max-pairs", "3"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(hamming_file), "--max-pairs", "0"]) == 2
+    assert "--max-pairs must be at least 1" in capsys.readouterr().err

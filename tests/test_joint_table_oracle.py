@@ -8,6 +8,10 @@ over x, y and z on small random schemes: weighted, non-symmetric, and with
 one relation entry corrupted. Integer weights make every sum exact, so the
 results must agree bit for bit; other weights allow 1e-12, because a
 fiber's mean may be summed in another pair order.
+
+Schemes come in two sizes, so the engine's segment numbering runs both
+ways: dense per-pair ids where L * L <= n (N = 20), a sort of each pair's
+cells otherwise (N = 7).
 """
 
 import random
@@ -19,14 +23,16 @@ from casmat import (LabelSpace, Scheme, algebra_of_scheme,
                     convolve_point_masses, intersection_number,
                     kernel_of_scheme, make_quadrature, structure_constants,
                     verify_cas)
+from casmat import scheme as scheme_module
+from casmat.scheme import _sample_fiber, joint_table, pair_table_stats
 
 # label 0 is the diagonal, 1 and 2 are involution partners, 3 is symmetric
 INVOLUTION = [0, 2, 1, 3]
 L = len(INVOLUTION)
-N = 7
+SIZES = (7, 20)
 
 
-def random_scheme(seed, integer_weights, corrupt):
+def random_scheme(seed, integer_weights, corrupt, N=7):
     """A CAS3-consistent random relation on N nodes, optionally with one
     off-diagonal entry relabelled so that CAS3 fails there.
 
@@ -57,6 +63,7 @@ def random_scheme(seed, integer_weights, corrupt):
 
 def oracle_tables(rel, w):
     """P[x, z][i][j]: the mass of the y with rel[x][y] == i, rel[y][z] == j."""
+    N = len(rel)
     P = {}
     for x in range(N):
         for z in range(N):
@@ -68,6 +75,7 @@ def oracle_tables(rel, w):
 
 
 def oracle_fibers(rel):
+    N = len(rel)
     return {k: [(x, z) for x in range(N) for z in range(N) if rel[x][z] == k]
             for k in range(L)}
 
@@ -107,7 +115,7 @@ def oracle_intersection(rel, w, W, Wp, k):
     vals = []
     for x, z in oracle_fibers(rel)[k]:
         m = 0.0
-        for y in range(N):
+        for y in range(len(rel)):
             if rel[x][y] in W and rel[y][z] in Wp:
                 m += w[y]
         vals.append(m)
@@ -115,6 +123,7 @@ def oracle_intersection(rel, w, W, Wp, k):
 
 
 def oracle_convolution(rel, w, i, ip, max_reps=8):
+    N = len(rel)
     haar = sum(w[y] for y in range(N) if rel[0][y] == ip)
     reps = oracle_fibers(rel)[i][:max_reps]
     measures = []
@@ -138,15 +147,18 @@ def agree(got, want, exact):
         assert np.abs(got - want).max() <= 1e-12, (got, want)
 
 
-CASES = [(seed, integer_weights, corrupt)
+CASES = [pytest.param(seed, integer_weights, corrupt, N,
+                      id=f"{seed}-{integer_weights}-{corrupt}"
+                      + ("" if N == 7 else f"-n{N}"))
          for seed in range(4)
          for integer_weights in (True, False)
-         for corrupt in (False, True)]
+         for corrupt in (False, True)
+         for N in SIZES]
 
 
-@pytest.mark.parametrize("seed,integer_weights,corrupt", CASES)
-def test_verify_cas_matches_oracle(seed, integer_weights, corrupt):
-    scheme, rel, w = random_scheme(seed, integer_weights, corrupt)
+@pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)
+def test_verify_cas_matches_oracle(seed, integer_weights, corrupt, N):
+    scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
     rep = verify_cas(scheme, tolerance=0.0)
     assert rep.cas3_ok is not corrupt
     assert not rep.symmetric
@@ -156,33 +168,36 @@ def test_verify_cas_matches_oracle(seed, integer_weights, corrupt):
     agree(rep.involution_identity_max_deviation, transpose, integer_weights)
 
 
-@pytest.mark.parametrize("seed,integer_weights,corrupt", CASES)
+@pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)
 def test_verify_cas_projected_family_matches_oracle(seed, integer_weights,
-                                                   corrupt):
-    scheme, rel, w = random_scheme(seed, integer_weights, corrupt)
-    family = [(1, 2), (3,), (0, 3), (1,)]
-    rep = verify_cas(scheme, borel_family=family, tolerance=0.0)
-    cas2, cas4, transpose = oracle_cas(rel, w, family)
-    agree(rep.cas2_max_deviation, cas2, integer_weights)
-    # a projected fiber mean sums rounded means: never bit-exact
-    agree(rep.cas4_max_deviation, cas4, False)
-    agree(rep.involution_identity_max_deviation, transpose, False)
+                                                   corrupt, N):
+    scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
+    # overlapping sets, disjoint sets, disjoint sets that miss a label
+    for family in ([(1, 2), (3,), (0, 3), (1,)], [(1, 2), (3,), (0,)],
+                   [(3,), (1, 2)]):
+        rep = verify_cas(scheme, borel_family=family, tolerance=0.0)
+        cas2, cas4, transpose = oracle_cas(rel, w, family)
+        agree(rep.cas2_max_deviation, cas2, integer_weights)
+        # a projected fiber mean sums rounded means: never bit-exact
+        agree(rep.cas4_max_deviation, cas4, False)
+        agree(rep.involution_identity_max_deviation, transpose, False)
 
 
-@pytest.mark.parametrize("seed,integer_weights,corrupt", CASES)
-def test_intersection_number_matches_oracle(seed, integer_weights, corrupt):
-    scheme, rel, w = random_scheme(seed, integer_weights, corrupt)
+@pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)
+def test_intersection_number_matches_oracle(seed, integer_weights, corrupt, N):
+    scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
     for W, Wp in [({1}, {2}), ({1, 2}, {3}), ({0, 1, 2, 3}, {2, 3})]:
         for k in range(L):
             got = intersection_number(scheme, W, Wp, k)
-            agree(got, oracle_intersection(rel, w, W, Wp, k),
-                  integer_weights)
+            # each pair's value sums in increasing y, the mean in pair
+            # order, as the oracle does: exact for any weights
+            agree(got, oracle_intersection(rel, w, W, Wp, k), True)
 
 
-@pytest.mark.parametrize("seed,integer_weights,corrupt", CASES)
+@pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)
 def test_indicator_structure_constants_match_oracle(seed, integer_weights,
-                                                    corrupt):
-    scheme, rel, w = random_scheme(seed, integer_weights, corrupt)
+                                                    corrupt, N):
+    scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
     tensor, residual = structure_constants(algebra_of_scheme(scheme))
     P = oracle_tables(rel, w)
     want = np.zeros((L, L, L))
@@ -199,10 +214,10 @@ def test_indicator_structure_constants_match_oracle(seed, integer_weights,
     agree(residual, worst, integer_weights)
 
 
-@pytest.mark.parametrize("seed,integer_weights,corrupt", CASES)
+@pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)
 def test_point_mass_convolution_matches_oracle(seed, integer_weights,
-                                               corrupt):
-    scheme, rel, w = random_scheme(seed, integer_weights, corrupt)
+                                               corrupt, N):
+    scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
     hg = kernel_of_scheme(scheme, tolerance=np.inf)
     for i in range(L):
         for ip in range(L):
@@ -211,3 +226,83 @@ def test_point_mass_convolution_matches_oracle(seed, integer_weights,
                 want, want_spread = oracle_convolution(rel, w, i, ip, reps)
                 agree(got, want, integer_weights)
                 agree(spread, want_spread, integer_weights)
+
+
+def reference_pair_stats(rel, w, L, xs, zs, A=None, B=None):
+    """The per-pair loop: one table per pair, summed in pair order. A
+    projection by disjoint label sets maps each label to its set (the rest
+    to one more) and sums each cell in increasing y."""
+    values = []
+    total = np.zeros((L, L))
+    if A is not None:
+        left = np.array([A[:, i].argmax() if A[:, i].any() else len(A)
+                         for i in range(L)])
+        right = np.array([B[:, j].argmax() if B[:, j].any() else len(B)
+                          for j in range(L)])
+        K = max(len(A), len(B)) + 1
+    for x, z in zip(xs, zs):
+        h = joint_table(rel[x], rel[:, z], w, L)
+        total += h
+        if A is None:
+            values.append(h)
+        else:
+            values.append(joint_table(left[rel[x]], right[rel[:, z]], w,
+                                      K)[:len(A), :len(B)])
+    first = joint_table(rel[xs[0]], rel[:, zs[0]], w, L)
+    if A is not None:
+        first = A @ first @ B.T
+    return total, np.min(values, axis=0), np.max(values, axis=0), first
+
+
+@pytest.mark.parametrize("chunk", [64, None])
+@pytest.mark.parametrize("N", SIZES)
+def test_pair_table_stats_matches_loop_across_chunks(N, chunk, monkeypatch):
+    # float weights: any change in summation order shows in the last bits
+    if chunk is not None:
+        # a chunk of 64 entries holds 3 or 4 pairs
+        monkeypatch.setattr(scheme_module, "_CHUNK_ENTRIES", chunk)
+    scheme, _, _ = random_scheme(5, False, True, N)
+    rel, w = scheme.relation, scheme.space.weights
+    rng = np.random.default_rng(N)
+    xs, zs = rng.integers(0, N, 300), rng.integers(0, N, 300)
+    partition = np.array([[0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
+    for A in (None, partition):
+        got = pair_table_stats(rel, w, L, xs, zs, A, A)
+        want = reference_pair_stats(rel, w, L, xs, zs, A, A)
+        for g, e in zip(got, want):
+            assert np.array_equal(g, e), (g, e)
+
+
+def reference_sample(scheme, k, max_pairs, rng):
+    """Sampling from the full fiber scan: np.nonzero, rng.choice, then the
+    swap-closure of self-paired labels."""
+    rel = scheme.relation
+    xs, zs = np.nonzero(rel == k)
+    if max_pairs is None or xs.size <= max_pairs:
+        return xs, zs, False
+    idx = rng.choice(xs.size, size=max_pairs, replace=False)
+    sx, sz = xs[idx], zs[idx]
+    if INVOLUTION[k] == k:
+        n = len(rel)
+        keys = np.unique(np.concatenate([sx * n + sz, sz * n + sx]))
+        sx, sz = keys // n, keys % n
+        inside = rel[sx, sz] == k
+        sx, sz = sx[inside], sz[inside]
+    return sx, sz, True
+
+
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_fiber_draws_the_reference_pairs(seed, N):
+    # labels 1 and 2 are partners, 0 and 3 self-paired; one generator runs
+    # through every label, so later fibers must draw the same pairs too
+    scheme, _, _ = random_scheme(seed, True, False, N)
+    for max_pairs in (1, 3, 10, None):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        for k in (1, 3, 2, 0, 3):
+            got = _sample_fiber(scheme, k, max_pairs, rng)
+            want = reference_sample(scheme, k, max_pairs, ref_rng)
+            assert got[2] == want[2]
+            for g, e in zip(got[:2], want[:2]):
+                assert g.dtype == e.dtype and np.array_equal(g, e)
+        assert rng.random() == ref_rng.random()

@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from casmat import scheme as scheme_module
 from casmat import (LabelSpace, Scheme, SurjectivityError, cyclic_scheme,
                     fiber, hamming_scheme, intersection_number,
                     make_quadrature, read_scheme, verify_cas, write_scheme)
@@ -269,3 +275,110 @@ def test_scheme_duplicate_label_record_is_rejected(tmp_path):
     with pytest.raises(ParseError, match="line 7: duplicate record for "
                                          "label 1"):
         read_scheme(path)
+
+
+# --- relation block: one-call parse, row-loop errors
+
+def _cyclic5_lines():
+    """cyclic(5) as scheme-file lines and the index of relation row 0."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c5.scheme"
+        write_scheme(cyclic_scheme(5), path)
+        lines = path.read_text().split("\n")
+    return lines, lines.index("relation") + 1
+
+
+def _read_lines(lines):
+    """read_scheme of the lines: ("ok", relation) or (error, text, line)."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.scheme"
+        path.write_text("\n".join(lines))
+        try:
+            s = read_scheme(path)
+        except ParseError as exc:
+            return "ParseError", str(exc), exc.line
+    return "ok", s.relation.dtype, s.relation.tolist()
+
+
+def _row_loop_read(lines):
+    """The same read with the one-call parse switched off."""
+    with mock.patch.object(scheme_module, "_parse_relation_block",
+                           return_value=None):
+        return _read_lines(lines)
+
+
+def _edit_row(r, old, new):
+    def edit(rows):
+        rows = list(rows)
+        rows[r] = rows[r].replace(old, new, 1)
+        return rows
+    return edit
+
+
+RANGE_ERROR = ("ParseError", "relation entries must lie in "
+                             "0..label_count-1", None)
+# rows of cyclic(5) are "0 1 2 3 4", "4 0 1 2 3", ... at lines 13-17
+RELATION_FAULTS = {
+    "short row": (_edit_row(1, " 3", ""), (
+        "ParseError", "line 14: relation row 1 has 4 entries, expected 5",
+        14)),
+    "long row": (_edit_row(1, " 3", " 3 1"), (
+        "ParseError", "line 14: relation row 1 has 6 entries, expected 5",
+        14)),
+    "1.5": (_edit_row(0, "1", "1.5"), (
+        "ParseError", "line 13: malformed relation entry in row 0", 13)),
+    "x": (_edit_row(1, "1", "x"), (
+        "ParseError", "line 14: malformed relation entry in row 1", 14)),
+    "1_0": (_edit_row(0, "1", "1_0"), RANGE_ERROR),
+    "99999999999": (_edit_row(0, "1", "99999999999"), RANGE_ERROR),
+    "# in the block": (_edit_row(0, " 1", " #1"), (
+        "ParseError", "line 13: malformed relation entry in row 0", 13)),
+    "0_1 is int 1": (_edit_row(0, "1", "0_1"), None),
+    "blank lines between rows": (lambda rows: rows[:2] + ["", "  "]
+                                 + rows[2:], None),
+    "trailing text": (lambda rows: rows[:5] + ["not a row"] + rows[5:],
+                      None),
+}
+
+
+@pytest.mark.parametrize("name", RELATION_FAULTS)
+def test_read_scheme_relation_error_contract(name):
+    edit, want = RELATION_FAULTS[name]
+    lines, start = _cyclic5_lines()
+    got = _read_lines(lines[:start] + edit(lines[start:]))
+    if want is None:
+        # the same Scheme as the unedited file
+        want = _read_lines(lines)
+    assert got == want
+    assert got == _row_loop_read(lines[:start] + edit(lines[start:]))
+
+
+def test_relation_block_parses_in_one_call():
+    lines, start = _cyclic5_lines()
+    rel = scheme_module._parse_relation_block(lines[start:start + 5], 5)
+    assert rel.dtype == np.int32
+    assert np.array_equal(rel, cyclic_scheme(5).relation)
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "4", "5", "-1", "+2", "01", "1.5", "x", "1_0",
+                     "0_1", "#", "", "3 4", "99999999999", "\t3", "1e0"]),
+    st.text(alphabet="0123456789 -+_.#x\t", max_size=4))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), TOKENS),
+                max_size=3),
+       st.sampled_from([None, 0, 2, 5]))
+def test_read_scheme_matches_row_loop_on_mutated_relations(edits, blank_at):
+    lines, start = _cyclic5_lines()
+    rows = [line.split(" ") for line in lines[start:start + 5]]
+    for r, c, token in edits:
+        rows[r][c] = token
+    block = [" ".join(row) for row in rows]
+    if blank_at is not None:
+        block.insert(blank_at, "")
+    mutated = lines[:start] + block + lines[start + 5:]
+    got = _read_lines(mutated)
+    assert got[0] in ("ok", "ParseError")
+    assert got == _row_loop_read(mutated)
