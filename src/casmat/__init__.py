@@ -35,9 +35,10 @@ from .bma import (AlgebraBasis, BmaReport, RankDeficiencyError,
                   structure_constants, validate_closure, verify_bma,
                   write_basis)
 from .correspondence import (CharacterPartition, DiagonalContaminationError,
-                             InvolutionUndefinedError, RoundtripReport,
-                             algebra_of_scheme, character_partition,
-                             roundtrip_check, scheme_of_algebra)
+                             GroupingBudgetError, InvolutionUndefinedError,
+                             RoundtripReport, algebra_of_scheme,
+                             character_partition, roundtrip_check,
+                             scheme_of_algebra)
 from .hypergroup import (HypergroupData, RepresentativeDependenceError,
                          StrongCasReport, convolve_functions,
                          convolve_measure_point, convolve_point_masses,
@@ -63,8 +64,9 @@ __all__ = [
     "build_approximate_identity", "indicator_bump", "hat_bump",
     "default_probes", "read_basis", "write_basis",
     "CharacterPartition", "DiagonalContaminationError",
-    "InvolutionUndefinedError", "RoundtripReport", "algebra_of_scheme",
-    "character_partition", "scheme_of_algebra", "roundtrip_check",
+    "GroupingBudgetError", "InvolutionUndefinedError", "RoundtripReport",
+    "algebra_of_scheme", "character_partition", "scheme_of_algebra",
+    "roundtrip_check",
     "HypergroupData", "RepresentativeDependenceError", "StrongCasReport",
     "kernel_of_scheme", "convolve_point_masses", "convolve_measure_point",
     "convolve_functions", "random_probe_pairs", "verify_strong_cas",

@@ -324,13 +324,26 @@ def read_basis(path, space) -> AlgebraBasis:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(BASIS_HEADER):
         raise ParseError(f"expected header {BASIS_HEADER!r}", line=1)
-    meta = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+    meta = {}
+    for tok in lines[0].split()[2:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ParseError(f"basis header field {tok!r} is not key=value",
+                             line=1)
+        meta[key] = value
     try:
         count = int(meta["count"])
     except (KeyError, ValueError):
         raise ParseError("basis header is missing count=<n>", line=1)
+    if count < 1:
+        raise ParseError(f"basis count must be at least 1, got {count}",
+                         line=1)
     contains_j = meta.get("contains_j", "true") == "true"
-    closure_tol = float(meta.get("closure_tolerance", "0.0"))
+    try:
+        closure_tol = float(meta.get("closure_tolerance", "0.0"))
+    except ValueError:
+        raise ParseError("basis header has a malformed closure_tolerance",
+                         line=1)
     n = space.node_count
     basis = []
     pos = 1

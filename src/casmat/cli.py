@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .bma import build_approximate_identity, default_probes, indicator_bump, verify_bma
 from .catalog import DEFAULT_SPHERE_SEED, materialize_recipe
-from .correspondence import algebra_of_scheme, roundtrip_check
+from .correspondence import (GroupingBudgetError, algebra_of_scheme,
+                             roundtrip_check)
 from .hypergroup import kernel_of_scheme, random_probe_pairs, verify_strong_cas
 from .scheme import read_scheme, verify_cas, write_scheme
 
@@ -273,6 +274,9 @@ def cmd_correspond(args) -> int:
     arguments = {"tol": args.tol}
     try:
         rt = roundtrip_check(scheme, grouping_tolerance=args.tol)
+    except GroupingBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         checks = [_structural("roundtrip", False, [{"detail": str(exc)}])]
         return _finish("correspond", arguments, _digest(args.scheme), checks,

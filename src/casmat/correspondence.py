@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .bma import AlgebraBasis
+from .errors import CasmatError
 from .kernel import Kernel
 from .scheme import LabelSpace, Scheme
 
@@ -28,6 +29,10 @@ class DiagonalContaminationError(ValueError):
 
 class InvolutionUndefinedError(ValueError):
     """Transposition splits a grouped cell, so no involution is induced."""
+
+
+class GroupingBudgetError(CasmatError):
+    """A grouping tolerance over more exact groups than the merge allows."""
 
 
 def algebra_of_scheme(scheme: Scheme) -> AlgebraBasis:
@@ -58,61 +63,106 @@ class CharacterPartition:
         return int(self.representative_values.shape[0])
 
 
+# above this many exact groups a positive grouping tolerance is refused:
+# the merge compares every pair of groups
+_TOLERANCE_GROUP_CAP = 4096
+_KEY_SEED = 0x5EED_CA5
+
+
+def _key_multipliers(count: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers, one per (kernel, real/imag part)."""
+    rng = np.random.default_rng(_KEY_SEED)
+    return rng.integers(0, 2**64, size=(count, 2), dtype=np.uint64) | 1
+
+
+def _pair_keys(basis) -> np.ndarray:
+    """One wrapping uint64 hash per node pair of its basis values.
+
+    Adding 0.0 turns -0.0 into 0.0, so pairs with equal values get equal
+    keys; unequal values may collide and are split by the caller.
+    """
+    mult = _key_multipliers(len(basis))
+    key = np.zeros(basis[0].entries.size, dtype=np.uint64)
+    for K, m in zip(basis, mult):
+        flat = K.entries.ravel()  # row-major, whatever the entries' order
+        bits = (flat.view(float).reshape(-1, 2) + 0.0).view(np.uint64)
+        bits ^= bits >> np.uint64(31)
+        bits *= m
+        key += bits[:, 0]
+        key += bits[:, 1]
+    return key
+
+
+def _exact_groups(basis):
+    """Group pairs by equal basis values: (group per pair, first members).
+
+    Groups are hash groups verified member by member against their first
+    member; members that differ are regrouped exactly among themselves,
+    so a collision splits a hash group and never merges two value groups.
+    """
+    _, firsts, group_of = np.unique(_pair_keys(basis), return_index=True,
+                                    return_inverse=True)
+    group_of = group_of.reshape(-1)
+    first_of = firsts[group_of]
+    bad = np.zeros(group_of.size, dtype=bool)
+    for K in basis:
+        flat = K.entries.ravel()
+        bad |= flat != flat[first_of]
+    if bad.any():
+        rows = np.nonzero(bad)[0]
+        vals = np.stack([K.entries.ravel()[rows] for K in basis], axis=1)
+        _, sub_firsts, sub_of = np.unique(
+            vals.view(float), axis=0, return_index=True, return_inverse=True)
+        group_of[rows] = firsts.size + sub_of.reshape(-1)
+        firsts = np.concatenate([firsts, rows[sub_firsts]])
+    return group_of, firsts
+
+
+def _tolerance_components(reps: np.ndarray, tol: float) -> np.ndarray:
+    """Connected components of the groups whose values agree within tol."""
+    comp = np.arange(reps.shape[0])
+    for a in range(comp.size - 1):
+        near = np.abs(reps[a + 1:] - reps[a]).max(axis=1) <= tol
+        if near.any():
+            ids = comp[np.append(np.nonzero(near)[0] + a + 1, a)]
+            comp[np.isin(comp, ids)] = ids.min()
+    return np.unique(comp, return_inverse=True)[1]
+
+
 def character_partition(alg: AlgebraBasis,
                         grouping_tolerance: float = 0.0) -> CharacterPartition:
     """Group node pairs into joint level sets of the basis.
 
-    Grouping is exact (bitwise) for tolerance 0; with a positive
-    tolerance, exact groups whose representative values all agree within
-    the tolerance are merged (union-find over group representatives).
+    Grouping is by value for tolerance 0 (-0.0 equals 0.0): pairs are
+    hashed to one key, grouped on it, and every pair is checked against
+    its group's first member. With a positive tolerance, exact groups
+    whose representative values all agree within the tolerance are merged
+    (connected components over group representatives); more than
+    _TOLERANCE_GROUP_CAP exact groups raise GroupingBudgetError.
     """
     basis = alg.basis
     n = alg.space.node_count
-    L = len(basis)
-    vals = np.stack([K.entries.ravel() for K in basis]).T  # (n*n, L)
-    as_floats = np.ascontiguousarray(vals).view(float).reshape(n * n, 2 * L)
-    _, first_idx, inverse = np.unique(as_floats, axis=0, return_index=True,
-                                      return_inverse=True)
-    inverse = inverse.reshape(-1)
-    G = first_idx.size
-    group_of = inverse
-
+    group_of, firsts = _exact_groups(basis)
+    G = firsts.size
+    comp = np.arange(G)
     if grouping_tolerance > 0 and G > 1:
-        reps = vals[first_idx]
-        parent = list(range(G))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a in range(G):
-            for b in range(a + 1, G):
-                if np.abs(reps[a] - reps[b]).max() <= grouping_tolerance:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[rb] = ra
-        roots = np.array([find(a) for a in range(G)])
-        _, group_map = np.unique(roots, return_inverse=True)
-        group_of = group_map[inverse]
+        if G > _TOLERANCE_GROUP_CAP:
+            raise GroupingBudgetError(
+                f"grouping tolerance {grouping_tolerance!r} would compare "
+                f"{G} exact groups pairwise (cap {_TOLERANCE_GROUP_CAP}); "
+                f"use tolerance 0")
+        reps = np.stack([K.entries.ravel()[firsts] for K in basis], axis=1)
+        comp = _tolerance_components(reps, grouping_tolerance)
 
     # deterministic ids: order cells by smallest member pair (row-major)
-    order = np.full(group_of.max() + 1, -1, dtype=np.int64)
-    next_id = 0
-    cells = np.empty(n * n, dtype=np.int32)
-    for flat, g in enumerate(group_of):
-        if order[g] < 0:
-            order[g] = next_id
-            next_id += 1
-        cells[flat] = order[g]
-    cell_matrix = cells.reshape(n, n)
-    rep_values = np.zeros((next_id, L), dtype=complex)
-    seen = np.zeros(next_id, dtype=bool)
-    for flat, c in enumerate(cells):
-        if not seen[c]:
-            seen[c] = True
-            rep_values[c] = vals[flat]
+    cell_first = np.full(comp.max() + 1, n * n, dtype=np.int64)
+    np.minimum.at(cell_first, comp, firsts)
+    order = np.argsort(cell_first)
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    cell_matrix = rank[comp][group_of].reshape(n, n)
+    rep_values = np.stack([K.entries.ravel()[cell_first[order]]
+                           for K in basis], axis=1)
     return CharacterPartition(cell_matrix=cell_matrix,
                               representative_values=rep_values)
 
@@ -146,15 +196,10 @@ def scheme_of_algebra(alg: AlgebraBasis,
             f"off-diagonal pair {pair} shares the diagonal's cell; "
             f"characters do not separate the diagonal", pair=pair)
 
-    C = part.cell_count
-    inv = np.full(C, -1, dtype=np.int64)
     flat = cm.ravel()
     flat_t = cm.T.ravel()
-    firsts = np.full(C, -1, dtype=np.int64)
-    for pos, c in enumerate(flat):
-        if firsts[c] < 0:
-            firsts[c] = pos
-    inv = flat_t[firsts]
+    # every cell occurs, so the first occurrences come in cell order
+    inv = flat_t[np.unique(flat, return_index=True)[1]]
     bad = np.nonzero(inv[flat] != flat_t)[0]
     if bad.size:
         pos = int(bad[0])
@@ -210,9 +255,8 @@ def roundtrip_check(scheme: Scheme,
     rel, rec = scheme.relation, recovered.relation
     mapping = np.full(L, -1, dtype=np.int64)
     flat, flat_rec = rel.ravel(), rec.ravel()
-    for pos, lab in enumerate(flat):
-        if mapping[lab] < 0:
-            mapping[lab] = flat_rec[pos]
+    labels, firsts = np.unique(flat, return_index=True)
+    mapping[labels] = flat_rec[firsts]
     partition_match = (recovered.label_count == L
                        and np.array_equal(mapping[flat], flat_rec)
                        and np.unique(mapping).size == L)

@@ -161,6 +161,8 @@ def parse_row(text: str, n: int, lineno: int) -> list:
         vals = [float(p) for p in parts]
     except ValueError:
         raise ParseError("malformed float field", line=lineno)
+    if not np.isfinite(vals).all():
+        raise ParseError("non-finite float field", line=lineno)
     return [complex(vals[2 * k], vals[2 * k + 1]) for k in range(n)]
 
 

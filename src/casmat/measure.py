@@ -140,6 +140,10 @@ def read_quadrature(path) -> MeasureSpace:
             values = [float(t) for t in fields]
         except ValueError:
             raise ParseError(f"malformed float in {text!r}", line=lineno)
+        if not 0.0 < values[0] < np.inf:
+            raise ParseError(
+                f"weight must be finite and strictly positive, got "
+                f"{fields[0]!r}", line=lineno)
         weights.append(values[0])
         if width > 1:
             coords.append(values[1:])

@@ -579,10 +579,14 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         # transpose identity: p_{W1,W2}^k vs p_{W2^T,W1^T}^{k^T}
         mean_k, mean_kt = per_orbit[0][1], per_orbit[-1][1]
         if singleton:
-            vk, vt = mean_k, mean_kt[np.ix_(inv, inv)]
+            # the check from k^T is a permutation of this one
+            dev = mean_k - mean_kt[np.ix_(inv, inv)].T
         else:
-            vk, vt = M @ mean_k @ M.T, MT @ mean_kt @ MT.T
-        inv_id_max = max(inv_id_max, float(np.abs(vk - vt.T).max()))
+            # a family need not be closed under ^T: check from k and k^T
+            dev = np.concatenate([M @ a @ M.T - (MT @ b @ MT.T).T
+                                  for a, b in ((mean_k, mean_kt),
+                                               (mean_kt, mean_k))])
+        inv_id_max = max(inv_id_max, float(np.abs(dev).max()))
 
     if cas2_arg is not None and cas2_max > tolerance:
         lab, Wset, Wpset, vmin, vmax = cas2_arg

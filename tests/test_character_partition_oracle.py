@@ -1,0 +1,303 @@
+"""Differential tests of the character partition against a brute-force
+oracle.
+
+character_partition groups node pairs by a hash of their basis values,
+checks every pair against its group's first member and regroups the pairs
+that differ; scheme_of_algebra and roundtrip_check number cells and labels
+by first occurrence. The oracle below does the same work with plain
+Python: it keys each pair by the tuple of its basis values (so -0.0 and
+0.0 are one key), numbers cells by first row-major occurrence, and merges
+the connected components of groups whose values agree within the
+tolerance. Every engine must match it exactly, bit for bit.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from casmat import (AlgebraBasis, DiagonalContaminationError,
+                    InvolutionUndefinedError, Kernel, LabelSpace, Scheme,
+                    algebra_of_scheme, character_partition, circle_scheme,
+                    cyclic_scheme, delsarte_scheme, dihedral_group,
+                    group_action_scheme, hamming_scheme, make_quadrature,
+                    roundtrip_check, scheme_of_algebra, sphere_scheme,
+                    symmetric_group)
+from casmat import correspondence
+
+
+def oracle_partition(basis, tol):
+    """(cells as an n x n list, representative value tuples per cell)."""
+    n = basis[0].space.node_count
+    rows = [tuple(complex(K.entries[x, y]) for K in basis)
+            for x in range(n) for y in range(n)]
+    groups = {}
+    group_of = [groups.setdefault(r, len(groups)) for r in rows]
+    reps = list(groups)
+    parent = list(range(len(reps)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    if tol > 0:
+        for a in range(len(reps)):
+            for b in range(a + 1, len(reps)):
+                if max(abs(u - v) for u, v in zip(reps[a], reps[b])) <= tol:
+                    parent[find(b)] = find(a)
+    cell_of_root = {}
+    cells = [cell_of_root.setdefault(find(g), len(cell_of_root))
+             for g in group_of]
+    values = {}
+    for flat, c in enumerate(cells):
+        values.setdefault(c, rows[flat])
+    return ([cells[x * n:(x + 1) * n] for x in range(n)],
+            [values[c] for c in range(len(values))])
+
+
+def oracle_scheme(cells):
+    """(involution list, identity label), or the exception and the first
+    pair in row-major order that its message names."""
+    n = len(cells)
+    i0 = cells[0][0]
+    for x in range(n):
+        if cells[x][x] != i0:
+            return DiagonalContaminationError, (x, x)
+    for x in range(n):
+        for y in range(n):
+            if x != y and cells[x][y] == i0:
+                return DiagonalContaminationError, (x, y)
+    inv = {}
+    for x in range(n):
+        for y in range(n):
+            c, ct = cells[x][y], cells[y][x]
+            if inv.setdefault(c, ct) != ct:
+                return InvolutionUndefinedError, (x, y)
+    return [inv[c] for c in range(len(inv))], i0
+
+
+def is_refusal(want):
+    return isinstance(want, tuple) and isinstance(want[0], type)
+
+
+def oracle_roundtrip(scheme, tol):
+    """roundtrip_check's report as a dict, or the exception and its pair."""
+    rel = scheme.relation.tolist()
+    n, L = len(rel), scheme.label_count
+    cells, _ = oracle_partition(algebra_of_scheme(scheme).basis, tol)
+    recovered = oracle_scheme(cells)
+    if is_refusal(recovered):
+        return recovered
+    inv_r, i0_r = recovered
+    mapping = [-1] * L
+    for x in range(n):
+        for y in range(n):
+            if mapping[rel[x][y]] < 0:
+                mapping[rel[x][y]] = cells[x][y]
+    bad = [(x, y) for x in range(n) for y in range(n)
+           if mapping[rel[x][y]] != cells[x][y]]
+    match = len(inv_r) == L and not bad and len(set(mapping)) == L
+    witness = None
+    if not match:
+        if bad:
+            x, y = bad[0]
+            witness = {"pair": (x, y), "original_label": rel[x][y],
+                       "recovered_label": cells[x][y]}
+        else:
+            witness = {"detail": "label counts differ",
+                       "original": L, "recovered": len(inv_r)}
+    inv_o = scheme.label_space.involution.tolist()
+    i0_o = scheme.label_space.identity_label
+    return {
+        "partition_match": match,
+        "involution_consistent": match and all(
+            mapping[inv_o[i]] == inv_r[mapping[i]] for i in range(L)),
+        "identity_consistent": match and i0_o is not None
+        and mapping[i0_o] == i0_r,
+        "label_bijection": {str(i): mapping[i] for i in range(L)},
+        "original_labels": L,
+        "recovered_labels": len(inv_r),
+        "witness": witness,
+    }
+
+
+def assert_partition_matches(basis, tol):
+    part = character_partition(AlgebraBasis(basis=tuple(basis)), tol)
+    cells, values = oracle_partition(basis, tol)
+    assert part.cell_matrix.dtype == np.int32
+    assert part.cell_matrix.tolist() == cells
+    want = np.array(values, dtype=complex).reshape(len(values), len(basis))
+    # bit for bit, so the sign of a representative's zero must survive
+    assert part.representative_values.tobytes() == want.tobytes()
+
+
+def assert_scheme_matches(basis, tol):
+    alg = AlgebraBasis(basis=tuple(basis))
+    cells, _ = oracle_partition(basis, tol)
+    want = oracle_scheme(cells)
+    if is_refusal(want):
+        error, (x, y) = want
+        with pytest.raises(error) as err:
+            scheme_of_algebra(alg, tol)
+        assert f"({x},{y})" in str(err.value).replace(" ", "")
+        return
+    got = scheme_of_algebra(alg, tol)
+    assert got.relation.tolist() == cells
+    assert got.label_space.involution.tolist() == want[0]
+    assert got.label_space.identity_label == want[1]
+
+
+def assert_roundtrip_matches(scheme, tol):
+    want = oracle_roundtrip(scheme, tol)
+    if is_refusal(want):
+        error, (x, y) = want
+        with pytest.raises(error) as err:
+            roundtrip_check(scheme, tol)
+        assert f"({x},{y})" in str(err.value).replace(" ", "")
+        return
+    got = roundtrip_check(scheme, tol).as_dict()
+    assert got == want
+
+
+# values with repeats, both zeros, and neighbours 1e-12 and 0.5 apart
+POOL = [0.0, -0.0, 1.0, 1.0 + 1e-12, 2.5, 0.5, -1j, complex(-0.0, 1.0),
+        complex(0.5, -0.0), 1.0 - 1e-12j]
+
+
+def random_basis(seed):
+    """Random complex kernels over a small pool of values.
+
+    Most bases hold the diagonal indicator and give the other kernels a
+    constant diagonal, and kernels are often symmetric or come with their
+    transpose, so the recovered scheme often exists.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    space = make_quadrature(np.ones(n))
+    with_diagonal = rng.random() < 0.7
+    basis = [Kernel(np.eye(n), space)] if with_diagonal else []
+    for _ in range(rng.randint(1, 3)):
+        pool = rng.sample(POOL, rng.randint(1, 4))
+        E = np.array([[rng.choice(pool) for _ in range(n)]
+                      for _ in range(n)], dtype=complex)
+        if with_diagonal:
+            np.fill_diagonal(E, E[0, 0])
+        shape = rng.choice(["plain", "symmetric", "with transpose"])
+        if shape == "symmetric":
+            E = np.where(np.triu(np.ones((n, n), dtype=bool)), E, E.T)
+        basis.append(Kernel(E, space))
+        if shape == "with transpose":
+            basis.append(Kernel(E.T, space))
+    return basis
+
+
+TOLERANCES = (0.0, 1e-9, 0.6)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("seed", range(40))
+def test_random_bases_match_oracle(seed, tol):
+    basis = random_basis(seed)
+    assert_partition_matches(basis, tol)
+    assert_scheme_matches(basis, tol)
+
+
+def test_negative_zero_groups_with_zero():
+    space = make_quadrature(np.ones(2))
+    E = np.array([[-0.0, 0.0], [complex(0.0, -0.0), 1.0]])
+    part = character_partition(AlgebraBasis(basis=(Kernel(E, space),)))
+    assert part.cell_matrix.tolist() == [[0, 0], [0, 1]]
+    # the cell keeps its first member's value, sign of zero included
+    assert np.signbit(part.representative_values[0, 0].real)
+    assert_partition_matches([Kernel(E, space)], 0.0)
+
+
+def test_tolerance_merges_chains_of_groups():
+    # 0 ~ 0.5 ~ 1.0 within 0.6, so the three values form one cell even
+    # though 0 and 1.0 are farther apart than the tolerance
+    space = make_quadrature(np.ones(3))
+    E = np.array([[0.0, 1.0, 2.5], [0.5, 0.0, 1.0], [2.5, 0.5, 0.0]])
+    part = character_partition(AlgebraBasis(basis=(Kernel(E, space),)), 0.6)
+    assert part.cell_matrix.tolist() == [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
+    assert_partition_matches([Kernel(E, space)], 0.6)
+
+
+def corrupted(scheme, x, y, label):
+    rel = scheme.relation.copy()
+    rel[x, y] = label
+    return Scheme(scheme.space, scheme.label_space, rel)
+
+
+def catalog_schemes():
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    return {
+        "cyclic5": cyclic_scheme(5),
+        "cyclic12": cyclic_scheme(12),
+        "hamming32": hamming_scheme(3, 2),
+        "hamming23": hamming_scheme(2, 3),
+        "symmetric4": group_action_scheme(symmetric_group(4)),
+        "dihedral6": group_action_scheme(dihedral_group(6)),
+        "circle12": circle_scheme(12, 4, signed=False),
+        "circle24": circle_scheme(24, 6),
+        "sphere20": sphere_scheme(20, 4, seed=3),
+        "sphere40": sphere_scheme(40, 5, seed=2),
+        "octahedron": sphere_scheme(octahedron, 3),
+        "delsarte3": delsarte_scheme(1.0 - np.eye(3)),
+        "cyclic6_corrupt": corrupted(cyclic_scheme(6), 1, 3, 4),
+        "cyclic6_diagonal": corrupted(cyclic_scheme(6), 2, 4, 0),
+    }
+
+
+CATALOG = catalog_schemes()
+
+
+@pytest.mark.parametrize("tol", (0.0, 1e-9, 1.0))
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_indicator_bases_match_oracle(name, tol):
+    scheme = CATALOG[name]
+    basis = algebra_of_scheme(scheme).basis
+    assert_partition_matches(basis, tol)
+    assert_scheme_matches(basis, tol)
+    assert_roundtrip_matches(scheme, tol)
+
+
+def random_relabelled(seed):
+    """A catalog scheme with its labels permuted (identity label too), so
+    the label bijection of the round trip is not the identity."""
+    rng = np.random.default_rng(seed)
+    scheme = list(CATALOG.values())[seed % len(CATALOG)]
+    L = scheme.label_count
+    perm = rng.permutation(L)
+    inv = np.empty(L, dtype=np.int64)
+    inv[perm] = perm[scheme.label_space.involution]
+    i0 = scheme.label_space.identity_label
+    return Scheme(scheme.space,
+                  LabelSpace(involution=inv, identity_label=int(perm[i0])),
+                  perm[scheme.relation])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_relabelled_roundtrip_matches_oracle(seed):
+    assert_roundtrip_matches(random_relabelled(seed), 0.0)
+
+
+@pytest.mark.parametrize("keep", (0, 1))
+def test_hash_collisions_split_and_never_merge(monkeypatch, keep):
+    # keep=0: every key is equal; keep=1: keys see the first kernel only
+    def colliding(count):
+        mult = np.zeros((count, 2), dtype=np.uint64)
+        mult[:keep] = 1
+        return mult
+
+    cases = [(random_basis(seed), tol) for seed in range(10)
+             for tol in TOLERANCES]
+    cases += [(algebra_of_scheme(CATALOG[name]).basis, 0.0)
+              for name in ("cyclic12", "sphere20", "cyclic6_corrupt")]
+    monkeypatch.setattr(correspondence, "_key_multipliers", colliding)
+    for basis, tol in cases:
+        assert_partition_matches(basis, tol)
+        assert_scheme_matches(basis, tol)
+    for name in ("cyclic12", "sphere20", "cyclic6_corrupt"):
+        assert_roundtrip_matches(CATALOG[name], 0.0)
+

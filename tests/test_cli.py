@@ -235,3 +235,18 @@ def test_verify_refuses_work_over_budget(hamming_file, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["verify", str(hamming_file), "--max-pairs", "0"]) == 2
     assert "--max-pairs must be at least 1" in capsys.readouterr().err
+
+
+def test_correspond_refuses_tolerance_grouping_over_cap(hamming_file, capsys,
+                                                         monkeypatch):
+    # h32 has 4 labels, so its indicator basis has 4 exact groups
+    monkeypatch.setattr("casmat.correspondence._TOLERANCE_GROUP_CAP", 3)
+    assert main(["correspond", str(hamming_file), "--tol", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().count("\n") == 0
+    assert "4 exact groups" in captured.err and "tolerance 0" in captured.err
+    # tolerance 0 merges nothing, so the cap does not apply
+    assert run(capsys, "correspond", str(hamming_file))[0] == 0
+    monkeypatch.setattr("casmat.correspondence._TOLERANCE_GROUP_CAP", 4)
+    assert run(capsys, "correspond", str(hamming_file), "--tol", "1e-9")[0] == 0

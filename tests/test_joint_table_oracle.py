@@ -306,3 +306,14 @@ def test_sample_fiber_draws_the_reference_pairs(seed, N):
             for g, e in zip(got[:2], want[:2]):
                 assert g.dtype == e.dtype and np.array_equal(g, e)
         assert rng.random() == ref_rng.random()
+
+
+def test_fiber_transpose_checks_both_labels_of_an_orbit():
+    # labels 1 and 2 are partners; the family is not closed under the
+    # involution, so checking from label 1 alone misses the worst case
+    scheme, rel, w = random_scheme(1, True, True)
+    family = [(2,), (1, 3)]
+    rep = verify_cas(scheme, borel_family=family, tolerance=0.0)
+    transpose = oracle_cas(rel, w, family)[2]
+    assert round(transpose, 3) == 0.771
+    agree(rep.involution_identity_max_deviation, transpose, False)

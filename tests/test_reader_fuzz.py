@@ -1,0 +1,129 @@
+"""Fuzz tests of the quadrature, kernel and basis readers.
+
+Each test writes a valid file, mutates it line by line (fields swapped for
+awkward tokens, lines replaced, inserted or deleted) and reads it back.
+Whatever the mutation, a reader returns a valid object or raises
+ParseError; no other exception may escape.
+"""
+
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from casmat import (AlgebraBasis, Kernel, MeasureSpace, ParseError,
+                    algebra_of_scheme, cyclic_scheme, make_quadrature,
+                    read_basis, read_kernel, read_quadrature, write_basis,
+                    write_kernel, write_quadrature)
+
+TOKENS = st.one_of(
+    st.sampled_from(["0", "-1", "1.5", "-0.0", "nan", "inf", "-inf",
+                     "1e999", "x", "", " ", "#", "1_0", "0x1", "=", "a=b=c",
+                     "n=", "n=3", "n=x", "n=-1", "count=0", "count=-1",
+                     "count=x", "count", "contains_j=false",
+                     "closure_tolerance=x", "closure_tolerance=nan",
+                     "#casmat-kernel v1 n=3", "#casmat-basis v1 count=1",
+                     "#casmat-quadrature v1", "1.0,0.0", ",", "1,2,3"]),
+    st.text(alphabet="0123456789 -+_.,=#enix\t", max_size=6))
+
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["field", "line", "insert", "delete"]),
+              st.integers(0, 40), st.integers(0, 12), TOKENS),
+    max_size=3)
+
+
+def mutate(lines, edits, sep):
+    """Apply (kind, line, field, token) edits; indices wrap around."""
+    lines = list(lines)
+    for kind, i, f, token in edits:
+        if kind == "insert":
+            lines.insert(i % (len(lines) + 1), token)
+            continue
+        if not lines:
+            continue
+        i %= len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "line":
+            lines[i] = token
+        else:
+            fields = re.split(sep, lines[i])
+            fields[f % len(fields)] = token
+            lines[i] = (" " if sep == r"\s" else ",").join(fields)
+    return lines
+
+
+def read_mutated(reader, lines, *args):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.txt"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            return reader(path, *args)
+        except ParseError:
+            return None
+
+
+def valid_lines(writer, obj):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "valid.txt"
+        writer(obj, path)
+        return path.read_text().splitlines()
+
+
+def assert_valid_kernel(K, space):
+    assert isinstance(K, Kernel) and K.space is space
+    assert K.entries.shape == (space.node_count,) * 2
+    assert np.isfinite(K.entries).all()
+
+
+SPACE = make_quadrature([1.0, 2.0, 0.5],
+                        coordinates=np.arange(6.0).reshape(3, 2))
+QUADRATURE_LINES = valid_lines(write_quadrature, SPACE)
+KERNEL_LINES = valid_lines(
+    write_kernel, Kernel(np.arange(9.0).reshape(3, 3) * (1 - 0.5j), SPACE))
+SCHEME = cyclic_scheme(3)
+BASIS_LINES = valid_lines(write_basis, algebra_of_scheme(SCHEME))
+
+
+@settings(deadline=None, max_examples=150)
+@given(EDITS)
+@example([("field", 1, 0, "0")])
+@example([("field", 2, 0, "nan")])
+def test_read_quadrature_on_mutated_files(edits):
+    space = read_mutated(read_quadrature,
+                         mutate(QUADRATURE_LINES, edits, r"\s"))
+    if space is not None:
+        assert isinstance(space, MeasureSpace)
+        assert space.node_count >= 1
+        assert np.isfinite(space.weights).all()
+        assert (space.weights > 0).all()
+
+
+@settings(deadline=None, max_examples=150)
+@given(EDITS)
+@example([("field", 1, 0, "nan")])
+@example([("field", 3, 5, "-inf")])
+def test_read_kernel_on_mutated_files(edits):
+    K = read_mutated(read_kernel, mutate(KERNEL_LINES, edits, ","), SPACE)
+    if K is not None:
+        assert_valid_kernel(K, SPACE)
+
+
+@settings(deadline=None, max_examples=150)
+@given(EDITS, st.booleans())
+@example([("field", 0, 2, "count")], True)
+@example([("field", 0, 2, "count=0")], True)
+@example([("field", 0, 4, "closure_tolerance=x")], True)
+@example([("field", 2, 1, "inf")], False)
+def test_read_basis_on_mutated_files(edits, split_header):
+    # split_header: edit the header's space-separated fields, not commas
+    sep = r"\s" if split_header else ","
+    alg = read_mutated(read_basis, mutate(BASIS_LINES, edits, sep),
+                       SCHEME.space)
+    if alg is not None:
+        assert isinstance(alg, AlgebraBasis) and alg.size >= 1
+        assert isinstance(alg.contains_J, bool)
+        for K in alg.basis:
+            assert_valid_kernel(K, SCHEME.space)
