@@ -6,8 +6,15 @@ commutativity, symmetry), expands products in the span to get structure
 constants, and builds approximate identities from bump functions on the
 label space of a scheme.
 
-Span arithmetic stacks the basis densely, so time and memory grow with
-basis_size * node_count**2; intended for modest label counts.
+A basis of adjacency indicators (0/1 kernels partitioning the node pairs
+into cells) is checked on its integer cell matrix: rank from cell masses,
+span membership from weighted cell means, J-absorption from row masses,
+and closure and commutativity from the joint label tables of
+scheme.pair_tables, whose entries are the intersection numbers. Only the
+approximate-identity probes and the symmetry check touch its dense
+kernels. Any other basis is stacked densely, so time and memory grow with
+basis_size * node_count**2 and every product costs a dense node_count**3
+matmul; intended for modest label counts.
 """
 
 from dataclasses import dataclass
@@ -19,7 +26,7 @@ from .kernel import (KERNEL_HEADER, Kernel, IdentityReport,
                      check_approximate_identity, matmul, ones_kernel,
                      parse_row, sup_norm, transpose, write_dump)
 from .measure import product_integrate
-from .scheme import Scheme, pair_table_stats
+from .scheme import Scheme, pair_table_stats, pair_tables
 
 BASIS_HEADER = "#casmat-basis v1"
 
@@ -73,22 +80,30 @@ def _stack(basis):
     return np.stack([K.entries.ravel() for K in basis])
 
 
+def _span_solver(basis):
+    """expand(target) -> (coefficients, sup-norm residual) for one basis.
+
+    The stacked basis and its Gram matrix under the product-measure inner
+    product are built once and serve every target.
+    """
+    B = _stack(basis)
+    BW = B.conj() * _pair_weights(basis[0].space)
+    G = BW @ B.T
+
+    def expand(target):
+        t = np.asarray(target, dtype=complex).ravel()
+        coeffs = np.linalg.solve(G, BW @ t)
+        return coeffs, float(np.abs(t - coeffs @ B).max())
+    return expand
+
+
 def span_expand(basis, target: np.ndarray):
     """Least-squares expansion of target in the basis span.
 
     Uses the product-measure inner product; returns (coefficients,
     sup-norm residual of the reconstruction).
     """
-    basis = tuple(basis)
-    space = basis[0].space
-    B = _stack(basis)
-    wxy = _pair_weights(space)
-    t = np.asarray(target, dtype=complex).ravel()
-    G = (B.conj() * wxy) @ B.T
-    rhs = (B.conj() * wxy) @ t
-    coeffs = np.linalg.solve(G, rhs)
-    resid = float(np.abs(t - coeffs @ B).max())
-    return coeffs, resid
+    return _span_solver(tuple(basis))(target)
 
 
 def span_membership_tolerance(target: Kernel) -> float:
@@ -131,24 +146,72 @@ def _cell_matrix(basis):
     return lab if (lab >= 0).all() else None
 
 
-def structure_constants(alg: AlgebraBasis):
+def _cell_masses(lab, w, L):
+    """Product-measure mass of each of the L cells.
+
+    Disjoint indicators are orthogonal, so Gram-Schmidt's rule (dependent
+    when the norm is <= 1e-10 * max(1, norm before projection)) reduces to
+    a cell mass <= 1e-20; those members are named in RankDeficiencyError.
+    """
+    mass = np.bincount(lab.ravel(), weights=np.outer(w, w).ravel(),
+                       minlength=L)
+    dependent = np.flatnonzero(mass <= 1e-20)
+    if dependent.size:
+        raise RankDeficiencyError(dependent)
+    return mass
+
+
+def _cell_span_solver(lab, w, L):
+    """expand(target) for a cell basis: the Gram matrix is diagonal, so
+    each coefficient is the target's weighted mean over its cell. Checks
+    the rank first."""
+    mass = _cell_masses(lab, w, L)
+    cells = lab.ravel()
+    wxy = np.outer(w, w).ravel()
+
+    def expand(target):
+        t = np.asarray(target, dtype=complex).ravel()
+        coeffs = (np.bincount(cells, weights=wxy * t.real, minlength=L)
+                  + 1j * np.bincount(cells, weights=wxy * t.imag,
+                                     minlength=L)) / mass
+        return coeffs, float(np.abs(t - coeffs[cells]).max())
+    return expand
+
+
+def _commutator_residual(lab, w, L):
+    """sup |A_i o A_j - A_j o A_i| over all i, j for a cell basis.
+
+    (A_i o A_j)[x, z] is entry [i, j] of the joint table h of (x, z), so
+    this is the largest entry of h - h^T over all pairs; h - h^T is
+    antisymmetric, so its maximum is its largest absolute value.
+    """
+    n = w.size
+    xs, zs = np.divmod(np.arange(n * n), n)
+    worst = 0.0
+    for tables in pair_tables(lab, w, xs, zs, L):
+        h = tables.reshape(-1, L, L)
+        worst = max(worst, float((h - h.transpose(0, 2, 1)).max()))
+    return worst
+
+
+def structure_constants(alg: AlgebraBasis, cells=None):
     """Expand every basis product A_i o A_j in the span.
 
     Returns (tensor, residual): tensor[i, j, k] is the coefficient of
     A_k, residual the worst sup-norm reconstruction error. For an
     adjacency-indicator basis the coefficients are evaluated exactly on
-    the partition cells and equal the intersection numbers.
+    the partition cells and equal the intersection numbers. cells is the
+    basis's cell matrix when the caller has already found it.
     """
     basis = alg.basis
-    space = alg.space
     L = len(basis)
-    w = space.weights
-    check_rank(basis)
+    w = alg.space.weights
     tensor = np.zeros((L, L, L), dtype=complex)
     residual = 0.0
 
-    lab = _cell_matrix(basis)
+    lab = _cell_matrix(basis) if cells is None else cells
     if lab is not None:
+        _cell_masses(lab, w, L)
         # A_i o A_j at (x, z) is entry [i, j] of the CAS2 table of (x, z)
         # over the cell matrix: one table reduction per cell
         for k in range(L):
@@ -159,16 +222,12 @@ def structure_constants(alg: AlgebraBasis):
                            float((first - lo).max()))
         return tensor, residual
 
-    B = _stack(basis)
-    wxy = _pair_weights(space)
-    G = (B.conj() * wxy) @ B.T
+    check_rank(basis)
+    expand = _span_solver(basis)
     for i in range(L):
         for j in range(L):
-            P = matmul(basis[i], basis[j]).entries.ravel()
-            rhs = (B.conj() * wxy) @ P
-            coeffs = np.linalg.solve(G, rhs)
-            tensor[i, j, :] = coeffs
-            residual = max(residual, float(np.abs(P - coeffs @ B).max()))
+            tensor[i, j, :], resid = expand(matmul(basis[i], basis[j]).entries)
+            residual = max(residual, resid)
     return tensor, residual
 
 
@@ -188,8 +247,9 @@ def validate_closure(alg: AlgebraBasis) -> float:
             targets.append(A.entries * B.entries)
     if alg.contains_J:
         targets.append(ones_kernel(alg.space).entries)
+    expand = _span_solver(basis)
     for t in targets:
-        _, resid = span_expand(basis, t)
+        _, resid = expand(t)
         worst = max(worst, resid)
         budget = alg.closure_tolerance + 1e-9 * (1.0 + float(np.abs(t).max()))
         if resid > budget:
@@ -205,7 +265,9 @@ class BmaReport:
 
     bma1a_residuals[N, p] is the worse of the left/right composition
     residuals of identity-family member N against probe p. The probe set
-    is a policy, recorded in probe_policy.
+    is a policy, recorded in probe_policy. stats counts the work done:
+    basis_path ("cells" for an adjacency-indicator partition, else
+    "dense"), dense_matmuls and span_solves (Gram-matrix solves).
     """
 
     bma1a_residuals: np.ndarray
@@ -219,6 +281,7 @@ class BmaReport:
     identity_report: IdentityReport
     bma3_residual: float
     symmetric_residual: float
+    stats: dict
 
     def passed(self) -> bool:
         return (self.identity_report.all_final_below
@@ -238,6 +301,7 @@ class BmaReport:
             "symmetric_residual": self.symmetric_residual,
             "tolerance": self.tolerance,
             "probe_policy": self.probe_policy,
+            "stats": dict(self.stats),
         }
 
 
@@ -248,12 +312,23 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
     identity_family members must lie in the span (within tolerance plus
     the numeric budget), otherwise the call is rejected. BMA4/BMA5 are
     reported as residuals; they do not gate passed().
+
+    An adjacency-indicator basis is checked on its cell matrix (rank
+    first, so an empty member is named before any span check); only the
+    approximate-identity probes multiply dense kernels.
     """
     basis = alg.basis
+    L = len(basis)
+    w = alg.space.weights
     identity_family = list(identity_family)
     probes = list(probes)
+    lab = _cell_matrix(basis)
+    if lab is not None:
+        expand = _cell_span_solver(lab, w, L)
+    else:
+        expand = _span_solver(basis)
     for I_N in identity_family:
-        _, resid = span_expand(basis, I_N.entries)
+        _, resid = expand(I_N.entries)
         if resid > tolerance + span_membership_tolerance(I_N):
             raise ValueError(
                 f"identity family member lies outside the span "
@@ -262,36 +337,55 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
     ident = check_approximate_identity(identity_family, probes, tolerance)
     bma1a = np.maximum(ident.left_residuals, ident.right_residuals)
 
-    J = ones_kernel(alg.space)
-    bma1b = 0.0
-    for A in basis:
-        C = matmul(A, J).entries
-        bma1b = max(bma1b, float(np.abs(C - C[0, 0]).max()))
+    if lab is not None:
+        # (A_k o J)[x, z] is the mass of row x on cell k
+        rows = np.stack([np.bincount(r, weights=w, minlength=L)
+                         for r in lab])
+        bma1b = float(np.abs(rows - rows[0]).max())
+    else:
+        J = ones_kernel(alg.space)
+        bma1b = 0.0
+        for A in basis:
+            C = matmul(A, J).entries
+            bma1b = max(bma1b, float(np.abs(C - C[0, 0]).max()))
 
-    _, bma2 = structure_constants(alg)
+    _, bma2 = structure_constants(alg, cells=lab)
 
     bma3_res = 0.0
     for A in basis:
-        _, resid = span_expand(basis, transpose(A).entries)
+        _, resid = expand(transpose(A).entries)
         bma3_res = max(bma3_res, resid)
     bma3_ok = bma3_res <= tolerance + max(
         span_membership_tolerance(A) for A in basis)
 
-    comm = 0.0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            AB = matmul(basis[i], basis[j]).entries
-            BA = matmul(basis[j], basis[i]).entries
-            comm = max(comm, float(np.abs(AB - BA).max()))
+    if lab is not None:
+        comm = _commutator_residual(lab, w, L)
+    else:
+        comm = 0.0
+        for i in range(L):
+            for j in range(i + 1, L):
+                AB = matmul(basis[i], basis[j]).entries
+                BA = matmul(basis[j], basis[i]).entries
+                comm = max(comm, float(np.abs(AB - BA).max()))
 
     sym_res = max(float(np.abs(A.entries - A.entries.T).max()) for A in basis)
+
+    probe_matmuls = 2 * len(identity_family) * len(probes)
+    if lab is not None:
+        stats = {"basis_path": "cells", "dense_matmuls": probe_matmuls,
+                 "span_solves": 0}
+    else:
+        # J-absorption L, structure constants L * L, commutators L * (L - 1)
+        stats = {"basis_path": "dense",
+                 "dense_matmuls": probe_matmuls + L + L * L + L * (L - 1),
+                 "span_solves": len(identity_family) + L * L + L}
 
     return BmaReport(
         bma1a_residuals=bma1a, bma1b_deviation=bma1b, bma2_residual=bma2,
         bma3_ok=bool(bma3_ok), commutative_residual=comm,
         symmetric_ok=bool(sym_res <= tolerance), tolerance=float(tolerance),
         probe_policy=probe_policy, identity_report=ident,
-        bma3_residual=bma3_res, symmetric_residual=sym_res)
+        bma3_residual=bma3_res, symmetric_residual=sym_res, stats=stats)
 
 
 def default_probes(alg: AlgebraBasis, count: int = 3, seed: int = 0):

@@ -238,49 +238,79 @@ def joint_table(left, right, weights, L) -> np.ndarray:
 _CHUNK_ENTRIES = 1 << 20
 
 
+def _chunk_step(n, KK):
+    """(pairs per chunk, segment id dtype) for tables of KK cells over n
+    nodes: a chunk's (pairs, n) and (pairs, KK) temporaries stay near
+    _CHUNK_ENTRIES entries."""
+    step = max(1, _CHUNK_ENTRIES // max(n, KK))
+    # segment ids stay below step * max(n, KK), which fits in int32
+    # unless a table alone has more than 2**31 cells
+    return step, np.int32 if step * max(n, KK) < 2**31 else np.int64
+
+
+def _cell_keys(relation, xs, zs, K, itype, left, right):
+    """keys[p, y] = left[relation[x, y]] * K + right[relation[y, z]] for
+    the pairs (xs[p], zs[p]) (the labels themselves when left is None)."""
+    rows = relation[xs]
+    cols = relation[:, zs].T
+    if left is not None:
+        rows, cols = left[rows], right[cols]
+    keys = np.multiply(rows, K, dtype=itype)
+    keys += cols
+    return keys
+
+
+def pair_tables(relation, weights, xs, zs, K, left=None, right=None):
+    """Yield the K x K joint tables of the pairs (xs[p], zs[p]) in order,
+    one (pairs, K * K) block per chunk of pairs.
+
+    Cell (a, b) of a table is the mass of the y with left[relation[x, y]]
+    == a and right[relation[y, z]] == b; each cell sums in increasing y,
+    as joint_table does.
+    """
+    n = weights.size
+    KK = K * K
+    step, itype = _chunk_step(n, KK)
+    base = np.arange(step, dtype=itype)[:, None] * KK
+    wtile = np.tile(weights, step)
+    for s in range(0, len(xs), step):
+        keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
+                          itype, left, right)
+        C = len(keys)
+        keys += base[:C]
+        yield np.bincount(keys.ravel(), weights=wtile[:C * n],
+                          minlength=C * KK).reshape(C, KK)
+
+
 def _table_reduction(relation, weights, xs, zs, K, left=None, right=None):
     """(sum, min, max) over the pairs of their K x K joint tables.
 
     The table of (x, z) counts y at cell left[relation[x, y]] * K +
     right[relation[y, z]] (the labels themselves when left is None). Each
     pair's cells are segments summed in increasing y by one bincount:
-    numbered p * K * K + cell when K * K <= n, else cut from a stable sort
-    of each row. Min and max scatter over the touched cells only; a cell
-    some pair leaves untouched also takes that pair's 0. The sum adds the
-    pairs' cells in pair order, as h0 + h1 + ... would.
+    whole tables from pair_tables when K * K <= n, else cut from a stable
+    sort of each row. Min and max scatter over the touched cells only; a
+    cell some pair leaves untouched also takes that pair's 0. The sum adds
+    the pairs' cells in pair order, as h0 + h1 + ... would.
     """
     n = weights.size
     KK = K * K
-    dense = KK <= n
-    step = max(1, _CHUNK_ENTRIES // max(n, KK))
-    # segment ids stay below step * max(n, KK), which fits in int32
-    # unless a table alone has more than 2**31 cells
-    itype = np.int32 if step * max(n, KK) < 2**31 else np.int64
-    base = np.arange(step, dtype=itype)[:, None] * (KK if dense else 0)
-    wtile = np.tile(weights, step) if dense else None
     total = np.zeros(KK)
     lo = np.full(KK, np.inf)
     hi = np.full(KK, -np.inf)
-    hits = np.zeros(KK, dtype=np.int64)
-    for s in range(0, len(xs), step):
-        rows = relation[xs[s:s + step]]
-        cols = relation[:, zs[s:s + step]].T
-        if left is not None:
-            rows, cols = left[rows], right[cols]
-        C = len(rows)
-        keys = np.multiply(rows, K, dtype=itype)
-        keys += base[:C]
-        keys += cols
-        if dense:
-            tables = np.bincount(keys.ravel(), weights=wtile[:C * n],
-                                 minlength=C * KK).reshape(C, KK)
+    if KK <= n:
+        for tables in pair_tables(relation, weights, xs, zs, K, left, right):
             np.minimum(lo, tables.min(axis=0), out=lo)
             np.maximum(hi, tables.max(axis=0), out=hi)
-            hits += C
             # an axis-0 sum adds row after row: pair order
             tables[0] += total
             total = tables.sum(axis=0)
-            continue
+        return total.reshape(K, K), lo.reshape(K, K), hi.reshape(K, K)
+    step, itype = _chunk_step(n, KK)
+    hits = np.zeros(KK, dtype=np.int64)
+    for s in range(0, len(xs), step):
+        keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
+                          itype, left, right)
         order = np.argsort(keys, axis=1, kind="stable")
         keys.sort(axis=1)
         starts = np.ones(keys.shape, dtype=bool)
