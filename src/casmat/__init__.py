@@ -29,11 +29,11 @@ from .kernel import (IdentityReport, Kernel, check_approximate_identity,
 from .scheme import (CasReport, LabelSpace, Scheme, SurjectivityError, fiber,
                      intersection_number, read_scheme, verify_cas,
                      write_scheme)
-from .bma import (AlgebraBasis, BmaReport, RankDeficiencyError,
-                  build_approximate_identity, default_probes, hat_bump,
-                  indicator_bump, read_basis, span_expand,
-                  structure_constants, validate_closure, verify_bma,
-                  write_basis)
+from .bma import (AlgebraBasis, BmaReport, IndicatorKernels,
+                  RankDeficiencyError, build_approximate_identity,
+                  default_probes, hat_bump, indicator_bump, read_basis,
+                  span_expand, structure_constants, validate_closure,
+                  verify_bma, write_basis)
 from .correspondence import (CharacterPartition, DiagonalContaminationError,
                              GroupingBudgetError, InvolutionUndefinedError,
                              RoundtripReport, algebra_of_scheme,
@@ -59,7 +59,8 @@ __all__ = [
     "check_approximate_identity", "read_kernel", "write_kernel",
     "LabelSpace", "Scheme", "CasReport", "SurjectivityError", "fiber",
     "intersection_number", "verify_cas", "read_scheme", "write_scheme",
-    "AlgebraBasis", "BmaReport", "RankDeficiencyError", "span_expand",
+    "AlgebraBasis", "BmaReport", "IndicatorKernels", "RankDeficiencyError",
+    "span_expand",
     "structure_constants", "validate_closure", "verify_bma",
     "build_approximate_identity", "indicator_bump", "hat_bump",
     "default_probes", "read_basis", "write_basis",

@@ -7,17 +7,24 @@ constants, and builds approximate identities from bump functions on the
 label space of a scheme.
 
 A basis of adjacency indicators (0/1 kernels partitioning the node pairs
-into cells) is checked on its integer cell matrix: rank from cell masses,
-span membership from weighted cell means, J-absorption from row masses,
-and closure and commutativity from the joint label tables of
-scheme.pair_tables, whose entries are the intersection numbers. Only the
-approximate-identity probes and the symmetry check touch its dense
-kernels. Any other basis is stacked densely, so time and memory grow with
-basis_size * node_count**2 and every product costs a dense node_count**3
-matmul; intended for modest label counts.
+into cells) is held as its integer cell matrix. algebra_of_scheme builds it
+in that form (IndicatorKernels: member k is built as a dense kernel only
+when first asked for, then kept); a basis given as dense kernels has its
+cell matrix found once, when the AlgebraBasis is made. Either way it is
+checked on the cell matrix: rank from cell masses, span membership from
+weighted cell means, J-absorption from row masses, transpose closure from
+transposed cells, closure and commutativity from the joint label tables
+of scheme.pair_tables, whose entries are the intersection numbers, and
+symmetry from the cell matrix against its transpose. Only the
+approximate-identity probes read its dense kernels. Any other basis is
+stacked densely, so time and memory grow with basis_size * node_count**2
+and every product costs a dense node_count**3 matmul; intended for modest
+label counts.
 """
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -40,20 +47,66 @@ class RankDeficiencyError(ValueError):
             f"basis members {self.dependent} lie in the span of the others")
 
 
+class IndicatorKernels(Sequence):
+    """The 0/1 kernels of a cell matrix: member k indicates cell k.
+
+    A member is built as a dense Kernel when first indexed and kept, so no
+    kernel is built twice and len() builds none. Slices and concatenation
+    with another sequence give tuples of built kernels.
+    """
+
+    def __init__(self, cells, space, count: int):
+        cells = np.asarray(cells)
+        n = space.node_count
+        if cells.shape != (n, n) or not np.issubdtype(cells.dtype,
+                                                      np.integer):
+            raise ValueError(f"cell matrix must be an integer ({n}, {n}) "
+                             f"array, got {cells.dtype} {cells.shape}")
+        if count < 1:
+            raise ValueError("basis must be non-empty")
+        if cells.min() < 0 or cells.max() >= count:
+            raise ValueError(f"cell ids must lie in 0..{count - 1}")
+        self.cells = cells
+        self.space = space
+        self._built = [None] * count
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        k = range(len(self))[k]
+        if self._built[k] is None:
+            self._built[k] = Kernel(self.cells == k, self.space)
+        return self._built[k]
+
+    def __add__(self, other):
+        return tuple(self) + tuple(other)
+
+
 @dataclass(frozen=True)
 class AlgebraBasis:
     """Spanning family of kernels over one space.
 
     contains_J asserts that the constant-one kernel lies in the span;
     closure_tolerance is the numeric budget for the Hadamard-closure,
-    conjugate-closure and unitality invariants.
+    conjugate-closure and unitality invariants. basis is a tuple of
+    kernels or, in cell form, an IndicatorKernels. cells is the cell matrix
+    of an adjacency-indicator basis (in cell form, the one it was made
+    from; for dense kernels, found once here) and None for any other.
     """
 
-    basis: tuple
+    basis: Sequence
     contains_J: bool = True
     closure_tolerance: float = 0.0
+    cells: Optional[np.ndarray] = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.basis, IndicatorKernels):
+            object.__setattr__(self, "cells", self.basis.cells)
+            return
         basis = tuple(self.basis)
         if not basis:
             raise ValueError("basis must be non-empty")
@@ -62,10 +115,16 @@ class AlgebraBasis:
             if K.space is not space:
                 raise SpaceMismatchError("basis kernels must share one space")
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "cells", _cell_matrix(basis))
+
+    @property
+    def cell_form(self) -> bool:
+        """True when the basis is held as its cell matrix alone."""
+        return isinstance(self.basis, IndicatorKernels)
 
     @property
     def space(self):
-        return self.basis[0].space
+        return self.basis.space if self.cell_form else self.basis[0].space
 
     @property
     def size(self) -> int:
@@ -134,7 +193,7 @@ def check_rank(basis):
 
 def _cell_matrix(basis):
     """Cell ids of an adjacency-indicator partition basis, else None."""
-    lab = np.full(basis[0].entries.shape, -1, dtype=np.int64)
+    lab = np.full(basis[0].entries.shape, -1, dtype=np.int32)
     for k, K in enumerate(basis):
         e = K.entries
         cell = e.real == 1.0
@@ -190,27 +249,33 @@ def _commutator_residual(lab, w, L):
     worst = 0.0
     for tables in pair_tables(lab, w, xs, zs, L):
         h = tables.reshape(-1, L, L)
-        worst = max(worst, float((h - h.transpose(0, 2, 1)).max()))
+        # h - h^T in eighths of the chunk, and the chunk let go before the
+        # next is built: at most one chunk and an eighth of one are live
+        step = -(-len(h) // 8)
+        for s in range(0, len(h), step):
+            part = h[s:s + step]
+            worst = max(worst, float((part - part.transpose(0, 2, 1)).max()))
+        del tables, h, part
     return worst
 
 
-def structure_constants(alg: AlgebraBasis, cells=None):
+def structure_constants(alg: AlgebraBasis):
     """Expand every basis product A_i o A_j in the span.
 
     Returns (tensor, residual): tensor[i, j, k] is the coefficient of
     A_k, residual the worst sup-norm reconstruction error. For an
     adjacency-indicator basis the coefficients are evaluated exactly on
-    the partition cells and equal the intersection numbers. cells is the
-    basis's cell matrix when the caller has already found it.
+    the partition cells and equal the intersection numbers, and the
+    tensor is real (float64); any other basis gives a complex tensor.
     """
     basis = alg.basis
     L = len(basis)
     w = alg.space.weights
-    tensor = np.zeros((L, L, L), dtype=complex)
     residual = 0.0
 
-    lab = _cell_matrix(basis) if cells is None else cells
+    lab = alg.cells
     if lab is not None:
+        tensor = np.zeros((L, L, L))
         _cell_masses(lab, w, L)
         # A_i o A_j at (x, z) is entry [i, j] of the CAS2 table of (x, z)
         # over the cell matrix: one table reduction per cell
@@ -222,6 +287,7 @@ def structure_constants(alg: AlgebraBasis, cells=None):
                            float((first - lo).max()))
         return tensor, residual
 
+    tensor = np.zeros((L, L, L), dtype=complex)
     check_rank(basis)
     expand = _span_solver(basis)
     for i in range(L):
@@ -322,7 +388,7 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
     w = alg.space.weights
     identity_family = list(identity_family)
     probes = list(probes)
-    lab = _cell_matrix(basis)
+    lab = alg.cells
     if lab is not None:
         expand = _cell_span_solver(lab, w, L)
     else:
@@ -349,17 +415,23 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
             C = matmul(A, J).entries
             bma1b = max(bma1b, float(np.abs(C - C[0, 0]).max()))
 
-    _, bma2 = structure_constants(alg, cells=lab)
+    _, bma2 = structure_constants(alg)
 
-    bma3_res = 0.0
-    for A in basis:
-        _, resid = expand(transpose(A).entries)
-        bma3_res = max(bma3_res, resid)
-    bma3_ok = bma3_res <= tolerance + max(
-        span_membership_tolerance(A) for A in basis)
+    if lab is not None:
+        # the transpose of A_k indicates the pairs whose transpose is in
+        # cell k; every nonempty 0/1 member has sup norm 1
+        transposed = lab.T
+        bma3_res = max(expand(transposed == k)[1] for k in range(L))
+        bma3_budget = 1e-9 * (1.0 + 1.0)
+    else:
+        bma3_res = max(expand(transpose(A).entries)[1] for A in basis)
+        bma3_budget = max(span_membership_tolerance(A) for A in basis)
+    bma3_ok = bma3_res <= tolerance + bma3_budget
 
     if lab is not None:
         comm = _commutator_residual(lab, w, L)
+        # the 0/1 members are symmetric exactly when the cells are
+        sym_res = float((lab != lab.T).any())
     else:
         comm = 0.0
         for i in range(L):
@@ -367,8 +439,8 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
                 AB = matmul(basis[i], basis[j]).entries
                 BA = matmul(basis[j], basis[i]).entries
                 comm = max(comm, float(np.abs(AB - BA).max()))
-
-    sym_res = max(float(np.abs(A.entries - A.entries.T).max()) for A in basis)
+        sym_res = max(float(np.abs(A.entries - A.entries.T).max())
+                      for A in basis)
 
     probe_matmuls = 2 * len(identity_family) * len(probes)
     if lab is not None:

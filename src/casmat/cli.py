@@ -8,6 +8,7 @@ are byte-identical except for the wall_time_s field.
 import argparse
 import hashlib
 import json
+import math
 import os
 import shlex
 import sys
@@ -130,12 +131,26 @@ def _parse_family_arg(text, path_hint):
     return sets
 
 
+def _numeric_flag_error(args):
+    """The message refusing a numeric flag value no check can use, or None."""
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        return f"--tol must be finite and non-negative, got {tol!r}"
+    if getattr(args, "diagonal_slack", 0) < 0:
+        return (f"--diagonal-slack must be non-negative, "
+                f"got {args.diagonal_slack}")
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be non-negative, got {args.seed}"
+    for flag in ("max_pairs", "probes"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            return (f"--{flag.replace('_', '-')} must be at least 1, "
+                    f"got {value}")
+    return None
+
+
 def _check_verify_work(scheme, max_pairs):
     """Refuse, with exit 2, a verify whose CAS2 work exceeds the budget."""
-    if max_pairs is not None and max_pairs < 1:
-        print(f"error: --max-pairs must be at least 1, got {max_pairs}",
-              file=sys.stderr)
-        return EXIT_USAGE
     n = scheme.space.node_count
     counts = scheme.fiber_counts
     if max_pairs is not None:
@@ -404,9 +419,15 @@ def main(argv=None) -> int:
         try:
             args.seed = int(text)
         except ValueError:
-            print(f"error: CASMAT_SEED must be an integer, got {text!r}",
-                  file=sys.stderr)
+            args.seed = -1
+        if args.seed < 0:
+            print(f"error: CASMAT_SEED must be a non-negative integer, "
+                  f"got {text!r}", file=sys.stderr)
             return EXIT_USAGE
+    message = _numeric_flag_error(args)
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except OSError as exc:

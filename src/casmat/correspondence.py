@@ -6,6 +6,15 @@ point evaluations exhaust the Hadamard characters of a finite-dimensional
 span, so no other characters can occur at desk scale). roundtrip_check
 confirms that composing the two directions reproduces the original pair
 partition up to relabeling.
+
+The indicator algebra of a scheme is held in cell form, as the scheme's
+relation, so no dense kernel is built on the way there and back: the
+joint level sets of a cell basis are its cells, numbered by first
+occurrence. A basis given as dense kernels is grouped by a hash of its
+values instead; that path serves every other basis and is the oracle the
+cell path is tested against. Cells, involutions and label bijections are
+all numbered by first row-major occurrence, found by one scatter-min over
+the pairs and never by sorting them.
 """
 
 from dataclasses import dataclass
@@ -13,9 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bma import AlgebraBasis
+from .bma import AlgebraBasis, IndicatorKernels
 from .errors import CasmatError
-from .kernel import Kernel
 from .scheme import LabelSpace, Scheme
 
 
@@ -36,13 +44,12 @@ class GroupingBudgetError(CasmatError):
 
 
 def algebra_of_scheme(scheme: Scheme) -> AlgebraBasis:
-    """The adjacency-indicator basis: one 0/1 kernel per label."""
-    basis = []
-    for i in range(scheme.label_count):
-        basis.append(Kernel((scheme.relation == i).astype(float),
-                            scheme.space))
-    return AlgebraBasis(basis=tuple(basis), contains_J=True,
-                        closure_tolerance=0.0)
+    """The adjacency-indicator basis: one 0/1 kernel per label, in cell
+    form over the scheme's relation (kernels are built only on request)."""
+    return AlgebraBasis(
+        basis=IndicatorKernels(scheme.relation, scheme.space,
+                               scheme.label_count),
+        contains_J=True, closure_tolerance=0.0)
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,15 @@ class CharacterPartition:
 # the merge compares every pair of groups
 _TOLERANCE_GROUP_CAP = 4096
 _KEY_SEED = 0x5EED_CA5
+
+
+def _first_occurrence(labels: np.ndarray, count: int) -> np.ndarray:
+    """Index of the first occurrence of each of count labels in a flat
+    label array (labels.size for a label that does not occur): one
+    scatter-min over the array, O(labels.size), no sort."""
+    first = np.full(count, labels.size, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(labels.size))
+    return first
 
 
 def _key_multipliers(count: int) -> np.ndarray:
@@ -129,20 +145,14 @@ def _tolerance_components(reps: np.ndarray, tol: float) -> np.ndarray:
     return np.unique(comp, return_inverse=True)[1]
 
 
-def character_partition(alg: AlgebraBasis,
-                        grouping_tolerance: float = 0.0) -> CharacterPartition:
-    """Group node pairs into joint level sets of the basis.
+def _number_cells(firsts, values, grouping_tolerance, n):
+    """Merge exact groups within the tolerance and number the cells.
 
-    Grouping is by value for tolerance 0 (-0.0 equals 0.0): pairs are
-    hashed to one key, grouped on it, and every pair is checked against
-    its group's first member. With a positive tolerance, exact groups
-    whose representative values all agree within the tolerance are merged
-    (connected components over group representatives); more than
-    _TOLERANCE_GROUP_CAP exact groups raise GroupingBudgetError.
+    firsts[g] is the first member (row-major pair index) of exact group g,
+    values(positions) the basis values at pair indices. Returns the cell id
+    of every group and the first member of every cell, cells ordered by
+    first member.
     """
-    basis = alg.basis
-    n = alg.space.node_count
-    group_of, firsts = _exact_groups(basis)
     G = firsts.size
     comp = np.arange(G)
     if grouping_tolerance > 0 and G > 1:
@@ -151,20 +161,59 @@ def character_partition(alg: AlgebraBasis,
                 f"grouping tolerance {grouping_tolerance!r} would compare "
                 f"{G} exact groups pairwise (cap {_TOLERANCE_GROUP_CAP}); "
                 f"use tolerance 0")
-        reps = np.stack([K.entries.ravel()[firsts] for K in basis], axis=1)
-        comp = _tolerance_components(reps, grouping_tolerance)
+        comp = _tolerance_components(values(firsts), grouping_tolerance)
 
-    # deterministic ids: order cells by smallest member pair (row-major)
     cell_first = np.full(comp.max() + 1, n * n, dtype=np.int64)
     np.minimum.at(cell_first, comp, firsts)
     order = np.argsort(cell_first)
     rank = np.empty(order.size, dtype=np.int32)
     rank[order] = np.arange(order.size, dtype=np.int32)
-    cell_matrix = rank[comp][group_of].reshape(n, n)
-    rep_values = np.stack([K.entries.ravel()[cell_first[order]]
-                           for K in basis], axis=1)
+    return rank[comp], cell_first[order]
+
+
+def character_partition(alg: AlgebraBasis,
+                        grouping_tolerance: float = 0.0) -> CharacterPartition:
+    """Group node pairs into joint level sets of the basis.
+
+    Grouping is by value for tolerance 0 (-0.0 equals 0.0). A cell-form
+    basis takes its cells as the exact groups: each pair's values are the
+    identity row of its cell. A basis of dense kernels is grouped by
+    hashing: pairs are hashed to one key, grouped on it, and every pair is
+    checked against its group's first member. With a positive tolerance,
+    exact groups whose representative values all agree within the
+    tolerance are merged (connected components over group
+    representatives); more than _TOLERANCE_GROUP_CAP exact groups raise
+    GroupingBudgetError.
+    """
+    n = alg.space.node_count
+    if alg.cell_form:
+        flat = alg.cells.ravel()
+        L = alg.size
+
+        def values(pos):
+            rows = np.zeros((pos.size, L), dtype=complex)
+            rows[np.arange(pos.size), flat[pos]] = 1.0
+            return rows
+
+        first = _first_occurrence(flat, L)
+        present = np.flatnonzero(first < flat.size)
+        cell_of, cell_firsts = _number_cells(first[present], values,
+                                             grouping_tolerance, n)
+        lut = np.zeros(L, dtype=np.int32)
+        lut[present] = cell_of
+        cell_matrix = lut[alg.cells]
+    else:
+        basis = alg.basis
+
+        def values(pos):
+            return np.stack([K.entries.ravel()[pos] for K in basis], axis=1)
+
+        group_of, firsts = _exact_groups(basis)
+        cell_of, cell_firsts = _number_cells(firsts, values,
+                                             grouping_tolerance, n)
+        cell_matrix = cell_of[group_of].reshape(n, n)
     return CharacterPartition(cell_matrix=cell_matrix,
-                              representative_values=rep_values)
+                              representative_values=values(cell_firsts))
 
 
 def scheme_of_algebra(alg: AlgebraBasis,
@@ -198,8 +247,7 @@ def scheme_of_algebra(alg: AlgebraBasis,
 
     flat = cm.ravel()
     flat_t = cm.T.ravel()
-    # every cell occurs, so the first occurrences come in cell order
-    inv = flat_t[np.unique(flat, return_index=True)[1]]
+    inv = flat_t[_first_occurrence(flat, part.cell_count)]
     bad = np.nonzero(inv[flat] != flat_t)[0]
     if bad.size:
         pos = int(bad[0])
@@ -253,10 +301,9 @@ def roundtrip_check(scheme: Scheme,
                                   grouping_tolerance)
     L = scheme.label_count
     rel, rec = scheme.relation, recovered.relation
-    mapping = np.full(L, -1, dtype=np.int64)
     flat, flat_rec = rel.ravel(), rec.ravel()
-    labels, firsts = np.unique(flat, return_index=True)
-    mapping[labels] = flat_rec[firsts]
+    # a scheme's relation is surjective, so every label occurs
+    mapping = flat_rec[_first_occurrence(flat, L)]
     partition_match = (recovered.label_count == L
                        and np.array_equal(mapping[flat], flat_rec)
                        and np.unique(mapping).size == L)

@@ -9,6 +9,11 @@ corrupted schemes of test_joint_table_oracle and on the regular action of
 S4 (not commutative). Products, row masses and their differences are
 exact with integer weights; least-squares residuals never are, so they
 and everything with other weights compare within 1e-12.
+
+algebra_of_scheme holds the basis in cell form. Its dense twin, the same
+indicators given as dense kernels, has its cell matrix found when it is
+made, and must give the same report bit for bit; with that finding
+switched off the twin takes the dense path of products and solves.
 """
 
 from itertools import permutations
@@ -18,10 +23,11 @@ import pytest
 
 from casmat import (AlgebraBasis, Kernel, RankDeficiencyError,
                     algebra_of_scheme, default_probes, group_action_scheme,
-                    verify_bma)
+                    hamming_scheme, structure_constants, verify_bma)
 from casmat import bma as bma_module
 from casmat import kernel as kernel_module
 from casmat import scheme as scheme_module
+from test_character_partition_oracle import dense_twin
 from test_joint_table_oracle import CASES, random_scheme
 
 
@@ -184,3 +190,48 @@ def test_stats_count_the_dense_work_done(cells, monkeypatch):
         # against L basis members and 3 random kernels, left and right
         assert matmul.calls == 2 * (L + 3)
         assert solve.calls == 0
+
+
+# hamming32 is symmetric, so BMA5 reads 0 on it and 1 on the others
+TWIN_CASES = CASES + [pytest.param("hamming32", True, False, 8,
+                                   id="hamming32")]
+
+
+@pytest.mark.parametrize("tol", (0.0, 1e-9, 1.0))
+@pytest.mark.parametrize("seed,integer_weights,corrupt,N", TWIN_CASES)
+def test_cell_form_matches_its_dense_twin(seed, integer_weights, corrupt, N,
+                                          tol, monkeypatch):
+    if seed == "hamming32":
+        scheme = hamming_scheme(3, 2)
+    else:
+        scheme, _, _ = random_scheme(seed, integer_weights, corrupt, N)
+    cells, twin = algebra_of_scheme(scheme), dense_twin(scheme)
+    assert cells.cell_form and not twin.cell_form
+    assert np.array_equal(twin.cells, cells.cells)
+    rep, want = run_verify_bma(cells, tol), run_verify_bma(twin, tol)
+    assert rep.as_dict() == want.as_dict()
+    assert rep.bma1a_residuals.tobytes() == want.bma1a_residuals.tobytes()
+    assert rep.stats["basis_path"] == "cells"
+    tensor, residual = structure_constants(cells)
+    assert tensor.dtype == np.float64
+    want_tensor, want_residual = structure_constants(twin)
+    assert tensor.tobytes() == want_tensor.tobytes()
+    assert residual == want_residual
+
+    # without the cell matrix the twin runs dense products and solves
+    monkeypatch.setattr(bma_module, "_cell_matrix", lambda basis: None)
+    dense_alg = dense_twin(scheme)
+    dense = run_verify_bma(dense_alg, tol)
+    assert dense.stats["basis_path"] == "dense"
+    agree(rep.bma1b_deviation, dense.bma1b_deviation, integer_weights)
+    agree(rep.commutative_residual, dense.commutative_residual,
+          integer_weights)
+    agree(rep.bma3_residual, dense.bma3_residual, False)
+    assert rep.symmetric_residual == dense.symmetric_residual
+    assert rep.symmetric_residual == (0.0 if seed == "hamming32" else 1.0)
+    assert np.abs(rep.bma1a_residuals - dense.bma1a_residuals).max() <= 1e-12
+    if seed == "hamming32":
+        # constant intersection numbers: the dense expansion finds them
+        dense_tensor, _ = structure_constants(dense_alg)
+        assert np.abs(dense_tensor - tensor).max() <= 1e-12
+        assert rep.bma2_residual == 0.0 and dense.bma2_residual <= 1e-12

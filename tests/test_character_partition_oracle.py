@@ -9,6 +9,12 @@ Python: it keys each pair by the tuple of its basis values (so -0.0 and
 0.0 are one key), numbers cells by first row-major occurrence, and merges
 the connected components of groups whose values agree within the
 tolerance. Every engine must match it exactly, bit for bit.
+
+The indicator algebra of a scheme is held in cell form, so its partition
+is a first-occurrence relabel of the relation and never hashes; its dense
+twin, the same indicators given as dense kernels, takes the hash path.
+The two must agree bit for bit on the random weighted, non-symmetric and
+corrupted schemes of test_joint_table_oracle and on the catalog schemes.
 """
 
 import random
@@ -17,13 +23,15 @@ import numpy as np
 import pytest
 
 from casmat import (AlgebraBasis, DiagonalContaminationError,
-                    InvolutionUndefinedError, Kernel, LabelSpace, Scheme,
-                    algebra_of_scheme, character_partition, circle_scheme,
-                    cyclic_scheme, delsarte_scheme, dihedral_group,
+                    IndicatorKernels, InvolutionUndefinedError, Kernel,
+                    LabelSpace, Scheme, algebra_of_scheme,
+                    character_partition, circle_scheme, cyclic_scheme,
+                    delsarte_scheme, dihedral_group,
                     group_action_scheme, hamming_scheme, make_quadrature,
                     roundtrip_check, scheme_of_algebra, sphere_scheme,
                     symmetric_group)
 from casmat import correspondence
+from test_joint_table_oracle import CASES, random_scheme
 
 
 def oracle_partition(basis, tol):
@@ -301,3 +309,109 @@ def test_hash_collisions_split_and_never_merge(monkeypatch, keep):
     for name in ("cyclic12", "sphere20", "cyclic6_corrupt"):
         assert_roundtrip_matches(CATALOG[name], 0.0)
 
+
+
+def dense_twin(scheme):
+    """The scheme's indicator basis given as dense kernels."""
+    return AlgebraBasis(basis=tuple(
+        Kernel((scheme.relation == k).astype(float), scheme.space)
+        for k in range(scheme.label_count)))
+
+
+def recovered_or_refusal(alg, tol):
+    try:
+        got = scheme_of_algebra(alg, tol)
+    except (DiagonalContaminationError, InvolutionUndefinedError) as exc:
+        return type(exc), str(exc)
+    return (got.relation.tolist(), got.label_space.involution.tolist(),
+            got.label_space.identity_label)
+
+
+TWIN_SCHEMES = [pytest.param(lambda p=p: random_scheme(*p.values)[0],
+                             id="random-" + p.id) for p in CASES]
+TWIN_SCHEMES += [pytest.param(lambda name=name: CATALOG[name], id=name)
+                 for name in CATALOG]
+
+
+@pytest.mark.parametrize("tol", (0.0, 1e-9, 1.0))
+@pytest.mark.parametrize("make", TWIN_SCHEMES)
+def test_cell_partition_matches_dense_hash_path(make, tol, monkeypatch):
+    scheme = make()
+    cells, dense = algebra_of_scheme(scheme), dense_twin(scheme)
+    assert cells.cell_form and not dense.cell_form
+    hashed, exact_groups = [], correspondence._exact_groups
+    monkeypatch.setattr(correspondence, "_exact_groups",
+                        lambda basis: hashed.append(1) or exact_groups(basis))
+    got = character_partition(cells, tol)
+    assert hashed == []
+    want = character_partition(dense, tol)
+    assert hashed == [1]
+    assert got.cell_matrix.dtype == want.cell_matrix.dtype == np.int32
+    assert np.array_equal(got.cell_matrix, want.cell_matrix)
+    assert (got.representative_values.dtype
+            == want.representative_values.dtype == complex)
+    assert got.representative_values.shape == want.representative_values.shape
+    assert (got.representative_values.tobytes()
+            == want.representative_values.tobytes())
+    assert (recovered_or_refusal(cells, tol)
+            == recovered_or_refusal(dense, tol))
+    assert_roundtrip_matches(scheme, tol)
+
+
+@pytest.mark.parametrize("tol", (0.0, 1e-9, 1.0))
+def test_cell_form_with_an_unused_cell_id_matches_its_dense_twin(tol):
+    # ids 0..4 over cyclic5's relation shifted up by one: id 0 is unused,
+    # so its member is the zero kernel
+    scheme = CATALOG["cyclic5"]
+    cells = AlgebraBasis(IndicatorKernels(scheme.relation + 1, scheme.space,
+                                          scheme.label_count + 1))
+    dense = AlgebraBasis(basis=tuple(cells.basis))
+    got = character_partition(cells, tol)
+    want = character_partition(dense, tol)
+    assert np.array_equal(got.cell_matrix, want.cell_matrix)
+    assert (got.representative_values.tobytes()
+            == want.representative_values.tobytes())
+    assert not got.representative_values[:, 0].any()
+
+
+def test_cell_partition_refuses_tolerance_over_the_group_cap(monkeypatch):
+    # circle24 has more labels than the cap, so both paths refuse alike
+    scheme = CATALOG["circle24"]
+    monkeypatch.setattr(correspondence, "_TOLERANCE_GROUP_CAP",
+                        scheme.label_count - 1)
+    messages = []
+    for alg in (algebra_of_scheme(scheme), dense_twin(scheme)):
+        with pytest.raises(correspondence.GroupingBudgetError) as err:
+            character_partition(alg, 1e-9)
+        messages.append(str(err.value))
+        # tolerance 0 merges nothing, so the cap does not apply
+        character_partition(alg, 0.0)
+    assert messages[0] == messages[1]
+    assert f"{scheme.label_count} exact groups" in messages[0]
+
+
+def test_roundtrip_check_builds_no_kernel(monkeypatch):
+    built = []
+    init = Kernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Kernel, "__init__", counting_init)
+    for scheme in CATALOG.values():
+        for tol in (0.0, 1e-9, 1.0):
+            try:
+                roundtrip_check(scheme, tol)
+            except (DiagonalContaminationError, InvolutionUndefinedError):
+                pass
+    assert built == []
+    # size, space and length read the cells alone
+    alg = algebra_of_scheme(CATALOG["cyclic12"])
+    assert alg.size == len(alg.basis) == 12
+    assert alg.space is CATALOG["cyclic12"].space
+    assert built == []
+    # a kernel asked for is built once and kept
+    K = alg.basis[3]
+    assert alg.basis[3] is K and alg.basis[-9] is K and len(built) == 1
+    assert np.array_equal(K.entries, CATALOG["cyclic12"].relation == 3)

@@ -250,3 +250,47 @@ def test_correspond_refuses_tolerance_grouping_over_cap(hamming_file, capsys,
     assert run(capsys, "correspond", str(hamming_file))[0] == 0
     monkeypatch.setattr("casmat.correspondence._TOLERANCE_GROUP_CAP", 4)
     assert run(capsys, "correspond", str(hamming_file), "--tol", "1e-9")[0] == 0
+
+
+@pytest.mark.parametrize("command,flags,named", [
+    ("hypergroup", ["--probes", "0"], "--probes"),
+    ("hypergroup", ["--probes", "-3"], "--probes"),
+    ("verify", ["--tol", "nan"], "--tol"),
+    ("verify", ["--tol=-1e-12"], "--tol"),
+    ("verify", ["--tol", "inf"], "--tol"),
+    ("correspond", ["--tol", "-0.5"], "--tol"),
+    ("correspond", ["--tol", "nan"], "--tol"),
+    ("hypergroup", ["--tol=-inf"], "--tol"),
+    ("hypergroup", ["--tol", "nan"], "--tol"),
+    ("verify", ["--diagonal-slack", "-1"], "--diagonal-slack"),
+    ("verify", ["--max-pairs=-2"], "--max-pairs"),
+    ("hypergroup", ["--seed=-1"], "--seed"),
+    ("verify", ["--seed=-1"], "--seed"),
+])
+def test_bad_numeric_flags_exit_2_with_one_line(hamming_file, capsys,
+                                                 command, flags, named):
+    assert main([command, str(hamming_file), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().count("\n") == 0
+    assert captured.err.startswith("error: " + named)
+
+
+def test_bad_numeric_flag_is_refused_before_the_file_is_read(capsys):
+    assert main(["verify", "no/such.scheme", "--tol", "nan"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_edge_numeric_flags_still_run(hamming_file, capsys):
+    assert run(capsys, "verify", str(hamming_file), "--tol", "0",
+               "--diagonal-slack", "0")[0] == 0
+    assert run(capsys, "hypergroup", str(hamming_file), "--probes", "1")[0] == 0
+    assert run(capsys, "correspond", str(hamming_file), "--tol", "0")[0] == 0
+
+
+def test_negative_casmat_seed_is_usage_error(hamming_file, capsys,
+                                             monkeypatch):
+    monkeypatch.setenv("CASMAT_SEED", "-1")
+    assert main(["hypergroup", str(hamming_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0 and "CASMAT_SEED" in err
