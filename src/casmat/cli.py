@@ -328,9 +328,9 @@ def cmd_hypergroup(args) -> int:
                  "anti_automorphism"):
         checks.append(_quantitative(name, rep.residuals[name], args.tol))
     checks.append(_check("commutativity_tv", "info",
-                         rep.residuals.get("commutativity_tv"), args.tol))
+                         rep.residuals["commutativity_tv"], args.tol))
     checks.append(_check("cas4_deviation", "info",
-                         rep.residuals.get("cas4_deviation"), args.tol))
+                         rep.residuals["cas4_deviation"], args.tol))
     checks.append(_check("representative_spread", "info",
                          rep.representative_spread, args.tol))
     return _finish("hypergroup", arguments, _digest(args.scheme), checks,

@@ -476,6 +476,11 @@ def resolve_borel_family(scheme: Scheme, borel_family):
     sets = [tuple(int(i) for i in W) for W in borel_family]
     if not sets:
         raise ValueError("borel family must be non-empty")
+    for W in sets:
+        for i in W:
+            if not 0 <= i < L:
+                raise ValueError(f"unknown label {i} in borel family set "
+                                 f"{W} (labels are 0..{L - 1})")
     return sets, f"caller-supplied ({len(sets)} sets)"
 
 

@@ -294,3 +294,19 @@ def test_negative_casmat_seed_is_usage_error(hamming_file, capsys,
     assert main(["hypergroup", str(hamming_file)]) == 2
     err = capsys.readouterr().err
     assert err.strip().count("\n") == 0 and "CASMAT_SEED" in err
+
+
+@pytest.mark.parametrize("label", ["4", "-1"])
+def test_borel_family_label_out_of_range_is_usage_error(tmp_path,
+                                                        hamming_file, capsys,
+                                                        label):
+    fam = tmp_path / "family.txt"
+    fam.write_text(f"0 1\n0 {label}\n")
+    code = main(["verify", str(hamming_file), "--borel-family",
+                 f"file:{fam}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().count("\n") == 0
+    assert captured.err.startswith(f"error: unknown label {label} ")
+    assert f"(0, {label})" in captured.err

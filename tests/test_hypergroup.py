@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -202,3 +203,27 @@ def test_representative_dependence_detected_on_coarse_sphere():
         # independent; if no pair raised, the mesh was accidentally exact
         raise AssertionError(f"no representative dependence found "
                              f"(worst spread {worst})")
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_out_of_range_labels_are_refused(label):
+    hg = kernel_of_scheme(hamming_scheme(3, 2))
+    with pytest.raises(ValueError, match=f"unknown label {label}"):
+        convolve_point_masses(hg, 1, label)
+    with pytest.raises(ValueError, match=f"unknown label {label}"):
+        convolve_point_masses(hg, label, 1)
+    with pytest.raises(ValueError, match=f"unknown label {label}"):
+        hg.kappa(0, label)
+
+
+def test_verify_strong_cas_complex_probes_keep_imaginary_parts():
+    hg = kernel_of_scheme(hamming_scheme(3, 2))
+    real = random_probe_pairs(4, 6, seed=3)
+    probes = [(f + 1j * g, g - 0.5j * f) for f, g in real]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        report = verify_strong_cas(hg, probes, tolerance=1e-12,
+                                   declared_commutative=True)
+    assert report.passed()
+    for name, value in report.residuals.items():
+        assert value <= 1e-12, name

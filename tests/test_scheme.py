@@ -382,3 +382,14 @@ def test_read_scheme_matches_row_loop_on_mutated_relations(edits, blank_at):
     got = _read_lines(mutated)
     assert got[0] in ("ok", "ParseError")
     assert got == _row_loop_read(mutated)
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_borel_family_rejects_out_of_range_labels(bad):
+    scheme = cyclic_scheme(4)
+    with pytest.raises(ValueError, match=rf"unknown label {bad} .*\(2, {bad}\)"):
+        scheme_module.resolve_borel_family(scheme, [(0,), (2, bad)])
+    with pytest.raises(ValueError, match=f"unknown label {bad}"):
+        verify_cas(scheme, borel_family=[(1, bad)])
+    sets, _ = scheme_module.resolve_borel_family(scheme, [(0, 3), (1, 2)])
+    assert sets == [(0, 3), (1, 2)]
