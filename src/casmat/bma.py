@@ -142,9 +142,12 @@ def _stack(basis):
 def _span_solver(basis):
     """expand(target) -> (coefficients, sup-norm residual) for one basis.
 
-    The stacked basis and its Gram matrix under the product-measure inner
-    product are built once and serve every target.
+    The basis is rank-checked first, so a dependent member is named by a
+    RankDeficiencyError instead of a singular solve. The stacked basis and
+    its Gram matrix under the product-measure inner product are built
+    once and serve every target.
     """
+    check_rank(basis)
     B = _stack(basis)
     BW = B.conj() * _pair_weights(basis[0].space)
     G = BW @ B.T
@@ -288,7 +291,6 @@ def structure_constants(alg: AlgebraBasis):
         return tensor, residual
 
     tensor = np.zeros((L, L, L), dtype=complex)
-    check_rank(basis)
     expand = _span_solver(basis)
     for i in range(L):
         for j in range(L):

@@ -66,56 +66,42 @@ def _check_permutations(generators):
     return gens, m
 
 
+def _orbit_minima(images, size):
+    """Smallest member of each point's orbit under permutations of
+    0..size-1: pull minima along each permutation and its inverse, jump
+    pointers, and repeat until a round changes nothing."""
+    steps = [p for img in images for p in (img, np.argsort(img))]
+    low = np.arange(size)
+    while True:
+        prev = low
+        for p in steps:
+            low = np.minimum(low, low[p])
+        low = low[low]
+        if np.array_equal(low, prev):
+            return low
+
+
 def group_action_scheme(generators) -> Scheme:
     """Orbital scheme of the group generated by the given permutations.
 
     Labels are the orbits of the diagonal action on ordered pairs, the
-    measure is counting measure. The action must be transitive.
+    measure is counting measure. The action must be transitive. Orbitals
+    are numbered by their first pair in row-major order.
     """
     gens, m = _check_permutations(generators)
     if m > GROUP_DEGREE_CAP:
         raise ValueError(f"degree {m} exceeds the {GROUP_DEGREE_CAP} cap")
-    # transitivity on points
-    reach = np.zeros(m, dtype=bool)
-    stack = [0]
-    reach[0] = True
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = int(g[x])
-            if not reach[y]:
-                reach[y] = True
-                stack.append(y)
-    if not reach.all():
+    missed = np.nonzero(_orbit_minima(gens, m))[0]
+    if missed.size:
         raise ValueError("the generated group does not act transitively; "
-                         f"orbit of 0 misses {np.nonzero(~reach)[0].tolist()}")
-    labels = np.full((m, m), -1, dtype=np.int32)
-    next_label = 0
-    for x in range(m):
-        for y in range(m):
-            if labels[x, y] >= 0:
-                continue
-            lab = next_label
-            next_label += 1
-            stack = [(x, y)]
-            labels[x, y] = lab
-            while stack:
-                a, b = stack.pop()
-                for g in gens:
-                    ga, gb = int(g[a]), int(g[b])
-                    if labels[ga, gb] < 0:
-                        labels[ga, gb] = lab
-                        stack.append((ga, gb))
-    L = next_label
-    inv = np.zeros(L, dtype=np.int64)
-    seen = np.zeros(L, dtype=bool)
-    for x in range(m):
-        for y in range(m):
-            lab = labels[x, y]
-            if not seen[lab]:
-                seen[lab] = True
-                inv[lab] = labels[y, x]
-    # (0, 0) is scanned first, so the diagonal orbit is label 0
+                         f"orbit of 0 misses {missed.tolist()}")
+    # pair (a, b) is index a*m + b; g maps it to g[a]*m + g[b]
+    pair_images = [(g[:, None] * m + g).ravel() for g in gens]
+    firsts, labels = np.unique(_orbit_minima(pair_images, m * m),
+                               return_inverse=True)
+    labels = labels.reshape(m, m).astype(np.int32)
+    inv = labels.T.ravel()[firsts]
+    # (0, 0) is the first pair, so the diagonal orbit is label 0
     assert (labels.diagonal() == 0).all()
     label_space = LabelSpace(involution=inv, identity_label=0)
     return Scheme(_counting_space(m), label_space, labels)
@@ -169,45 +155,27 @@ def circle_scheme(n_nodes: int, n_bins: int, signed: bool = True) -> Scheme:
     angles = step * np.arange(n)
     space = make_quadrature(np.full(n, step), coordinates=angles)
     idx = np.arange(n)
-    diff = (idx[None, :] - idx[:, None]) % n
-
+    rel = (idx[None, :] - idx[:, None]) % n
     if signed:
-        rel = diff
-        L = n
         inv = (n - idx) % n
         # signed integer representative keeps adjacent interval
         # boundaries bitwise identical
         reps = np.where(idx <= n // 2, idx, idx - n)
-        bin_meta = tuple((float(step * (k - 0.5)), float(step * (k + 0.5)))
-                         for k in reps)
         arc = (idx * n_bins) // n
-        bins = [tuple(np.nonzero(arc == b)[0].tolist())
-                for b in range(n_bins)]
     else:
-        fold = np.minimum(diff, n - diff)
-        rel = fold
-        L = n // 2 + 1
-        inv = np.arange(L)
-        bin_meta = tuple((float(step * (c - 0.5)), float(step * (c + 0.5)))
-                         for c in range(L))
-        arc = np.minimum((np.arange(L) * 2 * n_bins) // n, n_bins - 1)
-        bins = [tuple(np.nonzero(arc == b)[0].tolist())
-                for b in range(n_bins)]
-        bins = [W for W in bins if W]
+        rel = np.minimum(rel, n - rel)
+        inv = reps = np.arange(n // 2 + 1)
+        arc = np.minimum((reps * 2 * n_bins) // n, n_bins - 1)
+    bin_meta = tuple((float(step * (k - 0.5)), float(step * (k + 0.5)))
+                     for k in reps)
+    bins = [tuple(np.nonzero(arc == b)[0].tolist()) for b in range(n_bins)]
+    bins = [W for W in bins if W]
     label_space = LabelSpace(involution=inv, identity_label=0,
                              bin_meta=bin_meta)
     return Scheme(space, label_space, rel, borel_bins=bins)
 
 
 def _sphere_nodes(node_source, seed):
-    if isinstance(node_source, (int, np.integer)):
-        if node_source < 2:
-            raise ValueError("need at least 2 sphere nodes")
-        rng = np.random.default_rng(seed)
-        coords = rng.normal(size=(int(node_source), 3))
-        coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-        weights = np.full(len(coords), 4 * np.pi / len(coords))
-        return coords, weights
     if isinstance(node_source, (str, bytes)) or hasattr(node_source, "__fspath__"):
         space = read_quadrature(node_source)
         coords = np.asarray(space.coordinates, dtype=float)
@@ -215,11 +183,34 @@ def _sphere_nodes(node_source, seed):
             raise ValueError("sphere quadrature file must carry 3 coordinates "
                              "per node")
         return coords, np.asarray(space.weights, dtype=float)
+    if isinstance(node_source, (int, np.integer)):
+        if node_source < 2:
+            raise ValueError("need at least 2 sphere nodes")
+        rng = np.random.default_rng(seed)
+        node_source = rng.normal(size=(int(node_source), 3))
+        node_source /= np.linalg.norm(node_source, axis=1, keepdims=True)
     coords = np.asarray(node_source, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError("sphere nodes must be an (n, 3) array")
-    weights = np.full(len(coords), 4 * np.pi / len(coords))
-    return coords, weights
+    return coords, np.full(len(coords), 4 * np.pi / len(coords))
+
+
+def _binned_relation(values, edges):
+    """(relation, label space) of a square table binned by edges: occupied
+    off-diagonal bins become labels 1.. in bin order, the diagonal 0."""
+    n_bins = edges.size - 1
+    binned = np.clip(np.digitize(values, edges) - 1, 0, n_bins - 1)
+    counts = (np.bincount(binned.ravel(), minlength=n_bins)
+              - np.bincount(binned.diagonal(), minlength=n_bins))
+    occupied = np.nonzero(counts)[0]
+    remap = np.full(n_bins, -1, dtype=np.int32)
+    remap[occupied] = 1 + np.arange(occupied.size)
+    rel = remap[binned]
+    np.fill_diagonal(rel, 0)
+    bin_meta = tuple([None] + [(float(edges[b]), float(edges[b + 1]))
+                               for b in occupied])
+    return rel, LabelSpace(involution=np.arange(len(bin_meta)),
+                           identity_label=0, bin_meta=bin_meta)
 
 
 def sphere_scheme(node_source, n_bins: int,
@@ -241,21 +232,9 @@ def sphere_scheme(node_source, n_bins: int,
         raise ValueError(
             f"node {int(bad[0])} is not a unit vector (|norm - 1| = "
             f"{abs(norms[bad[0]] - 1.0):.3e})")
-    n = len(coords)
     t = np.clip(coords @ coords.T, -1.0, 1.0)
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
-    binned = np.clip(np.digitize(t, edges) - 1, 0, n_bins - 1)
-    off_diag = ~np.eye(n, dtype=bool)
-    occupied = np.unique(binned[off_diag])
-    remap = np.full(n_bins, -1, dtype=np.int32)
-    remap[occupied] = 1 + np.arange(occupied.size)
-    rel = np.zeros((n, n), dtype=np.int32)
-    rel[off_diag] = remap[binned[off_diag]]
-    L = 1 + occupied.size
-    bin_meta = [None] + [(float(edges[b]), float(edges[b + 1]))
-                         for b in occupied]
-    label_space = LabelSpace(involution=np.arange(L), identity_label=0,
-                             bin_meta=tuple(bin_meta))
+    rel, label_space = _binned_relation(
+        t, np.linspace(-1.0, 1.0, n_bins + 1))
     return Scheme(make_quadrature(weights, coordinates=coords),
                   label_space, rel)
 
@@ -282,34 +261,24 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
     if (d.diagonal() != 0).any():
         x = int(np.nonzero(d.diagonal() != 0)[0][0])
         raise ValueError(f"metric[{x}, {x}] must be 0, got {d[x, x]!r}")
-    off_diag = ~np.eye(n, dtype=bool)
-    if (d[off_diag] == 0).any():
-        x, y = [int(v[0]) for v in np.nonzero((d == 0) & off_diag)]
+    zero = d == 0
+    np.fill_diagonal(zero, False)
+    if zero.any():
+        x, y = [int(v[0]) for v in np.nonzero(zero)]
         raise ValueError(f"zero distance between distinct nodes ({x}, {y})")
 
     c = d * d
-    rel = np.zeros((n, n), dtype=np.int32)
     if n_bins is None:
-        values = np.unique(c[off_diag])
-        lookup = {v: 1 + i for i, v in enumerate(values)}
-        rel[off_diag] = [lookup[v] for v in c[off_diag]]
-        L = 1 + values.size
-        bin_meta = None
+        # the diagonal holds the only zeros, so it gets label 0
+        values, rel = np.unique(c, return_inverse=True)
+        rel = rel.reshape(n, n).astype(np.int32)
+        label_space = LabelSpace(involution=np.arange(values.size),
+                                 identity_label=0)
     else:
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        cmax = float(c.max())
-        edges = np.linspace(0.0, cmax, n_bins + 1)
-        binned = np.clip(np.digitize(c, edges) - 1, 0, n_bins - 1)
-        occupied = np.unique(binned[off_diag])
-        remap = np.full(n_bins, -1, dtype=np.int32)
-        remap[occupied] = 1 + np.arange(occupied.size)
-        rel[off_diag] = remap[binned[off_diag]]
-        L = 1 + occupied.size
-        bin_meta = tuple([None] + [(float(edges[b]), float(edges[b + 1]))
-                                   for b in occupied])
-    label_space = LabelSpace(involution=np.arange(L), identity_label=0,
-                             bin_meta=bin_meta)
+        rel, label_space = _binned_relation(
+            c, np.linspace(0.0, float(c.max()), n_bins + 1))
     if weights is None:
         space = _counting_space(n)
     else:
@@ -319,6 +288,13 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
 
 # ---------------------------------------------------------------------------
 # recipe strings, e.g. "cyclic n=12" or "sphere nodes=5000 bins=40 seed=1729"
+
+
+RECIPE_PARAMETERS = {
+    "cyclic": ("n",), "hamming": ("d", "q"), "group": ("generators",),
+    "circle": ("nodes", "bins", "signed"),
+    "sphere": ("nodes", "quadrature", "bins", "seed"),
+    "delsarte": ("metric", "bins")}
 
 
 def _recipe_value(value: str) -> str:
@@ -336,10 +312,16 @@ def materialize_recipe(text: str):
     if not tokens:
         raise ValueError("empty recipe")
     kind, params = tokens[0], {}
+    if kind not in RECIPE_PARAMETERS:
+        raise ValueError(f"unknown recipe kind {kind!r}")
     for tok in tokens[1:]:
         if "=" not in tok:
             raise ValueError(f"malformed recipe parameter {tok!r}")
         key, val = tok.split("=", 1)
+        if key not in RECIPE_PARAMETERS[kind] or key in params:
+            raise ValueError(f"unknown or repeated parameter {key}= in recipe "
+                             f"{kind!r}; it takes each of "
+                             f"{'= '.join(RECIPE_PARAMETERS[kind])}= once")
         params[key] = val
 
     def need(key):
@@ -357,18 +339,21 @@ def materialize_recipe(text: str):
                 for g in need("generators").split(";")]
         scheme = group_action_scheme(gens)
     elif kind == "circle":
+        signed = params.get("signed", "true")
+        if signed not in ("true", "false"):
+            raise ValueError(f"signed= must be true or false, not {signed!r}")
         scheme = circle_scheme(int(need("nodes")), int(need("bins")),
-                               signed=params.get("signed", "true") == "true")
+                               signed=signed == "true")
     elif kind == "sphere":
+        if "nodes" in params and "quadrature" in params:
+            raise ValueError("sphere takes nodes= or quadrature=, not both")
         seed = int(params.get("seed", DEFAULT_SPHERE_SEED))
         source = (int(params["nodes"]) if "nodes" in params
                   else need("quadrature"))
         scheme = sphere_scheme(source, int(need("bins")), seed=seed)
-    elif kind == "delsarte":
+    else:
         metric = np.loadtxt(need("metric"))
         bins = int(params["bins"]) if "bins" in params else None
         scheme = delsarte_scheme(metric, n_bins=bins)
-    else:
-        raise ValueError(f"unknown recipe kind {kind!r}")
     return scheme, " ".join([kind] + [f"{k}={_recipe_value(v)}"
                                       for k, v in params.items()])

@@ -82,8 +82,9 @@ def kernel_of_scheme(scheme: Scheme, tolerance=None) -> HypergroupData:
                           row_mass_spread=spread)
 
 
-def _convolution_row(hg: HypergroupData, i: int, max_reps: int = 8):
-    """delta_i * delta_i' for every i', and the spread of each.
+def _convolution_rows(hg: HypergroupData, labels, out, max_reps: int = 8):
+    """Write delta_i * delta_i' for every i' into out[r], i = labels[r];
+    returns the spread of each, shape (len(labels), L).
 
     For a representative (x, z) of i, row i' of the joint table of
     (relation[z], relation[x]) over haar[i'] pushes kappa(z, i') forward
@@ -91,21 +92,37 @@ def _convolution_row(hg: HypergroupData, i: int, max_reps: int = 8):
     """
     scheme = hg.scheme
     rel = scheme.relation
-    xs, zs = fiber(scheme, i)
-    tables = np.stack([joint_table(rel[z], rel[x], scheme.space.weights,
-                                   hg.label_count)
-                       for x, z in zip(xs[:max_reps], zs[:max_reps])])
-    measures = tables / hg.haar_weights[:, None]
-    spread = (measures.max(axis=0) - measures.min(axis=0)).max(axis=1)
-    return measures.mean(axis=0), spread
+    L = hg.label_count
+    # a mean's sums taken in place (weights are positive, so 0 + m is m),
+    # in scratch made once: per-row temporaries freed at the top of the
+    # heap get trimmed by the allocator and faulted back in on every row
+    lo = np.empty((L, L))
+    hi = np.empty((L, L))
+    spreads = np.empty((len(labels), L))
+    for r, i in enumerate(labels):
+        xs, zs = fiber(scheme, i)
+        total = out[r]
+        total.fill(0.0)
+        lo.fill(np.inf)
+        hi.fill(-np.inf)
+        for x, z in zip(xs[:max_reps], zs[:max_reps]):
+            m = joint_table(rel[z], rel[x], scheme.space.weights, L)
+            m /= hg.haar_weights[:, None]
+            total += m
+            np.minimum(lo, m, out=lo)
+            np.maximum(hi, m, out=hi)
+        total /= min(xs.size, max_reps)
+        hi -= lo
+        spreads[r] = hi.max(axis=1)
+    return spreads
 
 
 def convolution_table(hg: HypergroupData):
     """table[i, i'] = delta_i * delta_i' for all label pairs, and the worst
     representative spread over the whole table."""
-    rows = [_convolution_row(hg, i) for i in range(hg.label_count)]
-    table = np.stack([m for m, _ in rows])
-    return table, max(float(spread.max()) for _, spread in rows)
+    L = hg.label_count
+    table = np.empty((L, L, L))
+    return table, float(_convolution_rows(hg, range(L), table).max())
 
 
 def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
@@ -121,13 +138,13 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     i, ip = int(i), int(i_prime)
     if not 0 <= ip < hg.label_count:
         raise ValueError(f"unknown label {ip}")
-    row, spreads = _convolution_row(hg, i, max_reps)
-    spread = float(spreads[ip])
+    row = np.empty((1, hg.label_count, hg.label_count))
+    spread = float(_convolution_rows(hg, [i], row, max_reps)[0, ip])
     if tolerance is not None and spread > tolerance:
         raise RepresentativeDependenceError(
             f"convolution delta_{i} * delta_{ip} varies by {spread:.3e} "
             f"across fiber representatives (tolerance {tolerance:.3e})")
-    return row[ip], spread
+    return row[0, ip], spread
 
 
 def convolve_measure_point(hg: HypergroupData, mu: np.ndarray, i_prime):

@@ -486,14 +486,13 @@ def resolve_borel_family(scheme: Scheme, borel_family):
 
 def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
                diagonal_slack: int = 0, max_pairs_per_fiber=None,
-               fiber_label_sample=None, seed: int = 0) -> CasReport:
+               seed: int = 0) -> CasReport:
     """Measure the association-scheme axioms over a generating family.
 
     borel_family: None/"singletons" (default), "pairs", "bins" (the
     scheme's stored family), or an explicit list of label sets.
     max_pairs_per_fiber caps the per-fiber pair count with a seeded
-    swap-closed sample; fiber_label_sample caps how many involution
-    orbits of labels are checked. Memory scales with label_count**2.
+    swap-closed sample. Memory scales with label_count**2.
 
     In addition to CAS1..CAS5 the report carries the fiber-transpose
     identity deviation (p_{W,W'}^k vs p_{W'^T,W^T}^{k^T}) and the
@@ -557,18 +556,8 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
                 M[f, i] = 1.0
                 MT[f, inv[i]] = 1.0
 
-    # choose which involution orbits of labels to check
-    orbits = []
-    seen = set()
-    for k in range(L):
-        if k in seen:
-            continue
-        kt = int(inv[k])
-        seen.update({k, kt})
-        orbits.append((k, kt))
-    if fiber_label_sample is not None and len(orbits) > fiber_label_sample:
-        keep = rng.choice(len(orbits), size=fiber_label_sample, replace=False)
-        orbits = [orbits[i] for i in sorted(keep)]
+    # involution orbits of labels, each led by its smaller label
+    orbits = [(k, int(inv[k])) for k in range(L) if k <= inv[k]]
 
     sampled = False
     cas2_max = 0.0

@@ -145,7 +145,7 @@ def test_criterion_5_sphere_constancy_at_mesh_scale():
     scheme = sphere_scheme(5000, 40)
     total = scheme.space.total_mass
     rep = verify_cas(scheme, tolerance=0.1 * total,
-                     max_pairs_per_fiber=50, fiber_label_sample=50, seed=7)
+                     max_pairs_per_fiber=50, seed=7)
     relative_dev = rep.cas2_max_deviation / total
 
     # transparency: the per-triple spread/mean ratio is sampling-noise

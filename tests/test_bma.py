@@ -6,8 +6,8 @@ from casmat import (AlgebraBasis, Kernel, RankDeficiencyError,
                     check_approximate_identity, circle_scheme, cyclic_scheme,
                     default_probes, diagonal_kernel, hadamard, hamming_scheme,
                     hat_bump, indicator_bump, make_quadrature, matmul,
-                    ones_kernel, structure_constants, sup_norm,
-                    validate_closure, verify_bma)
+                    ones_kernel, span_expand, structure_constants,
+                    sup_norm, validate_closure, verify_bma)
 
 
 def brute_force_hamming_tensor():
@@ -227,3 +227,22 @@ def test_matmul_documented_tolerance():
                         for z in range(50)] for x in range(50)])
     scale = sup_norm(A) * sup_norm(B) * space.total_mass
     assert np.abs(got - oracle).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("third", [
+    lambda Id, J: 2.0 * J.entries,
+    lambda Id, J: 2.0 * J.entries + 1e-13 * Id.entries,
+])
+def test_every_dense_entry_point_names_the_dependent_member(third):
+    space = make_quadrature(np.ones(3))
+    Id = diagonal_kernel(space)
+    J = ones_kernel(space)
+    alg = AlgebraBasis(basis=(Id, J, Kernel(third(Id, J), space)),
+                       contains_J=True)
+    for call in (lambda: verify_bma(alg, [Id], [Id], tolerance=1e-9),
+                 lambda: validate_closure(alg),
+                 lambda: span_expand(alg.basis, J.entries),
+                 lambda: structure_constants(alg)):
+        with pytest.raises(RankDeficiencyError) as err:
+            call()
+        assert err.value.dependent == (2,)

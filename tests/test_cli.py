@@ -310,3 +310,23 @@ def test_borel_family_label_out_of_range_is_usage_error(tmp_path,
     assert captured.err.strip().count("\n") == 0
     assert captured.err.startswith(f"error: unknown label {label} ")
     assert f"(0, {label})" in captured.err
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("circle nodes=12 bins=4 signed=True", "signed="),
+    ("circle nodes=12 bins=4 sigend=false", "sigend="),
+    ("cyclic n=6 m=3", "m="),
+    ("cyclic n=6 n=7", "n="),
+    ("sphere nodes=20 bins=4 quadrature=x.txt", "quadrature="),
+])
+def test_catalog_recipe_misread_parameter_is_usage_error(tmp_path, capsys,
+                                                          spec, named):
+    out = tmp_path / "x.scheme"
+    code = main(["catalog", "recipe", "--spec", spec, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.strip().count("\n") == 0
+    assert named in captured.err
+    assert not out.exists()
