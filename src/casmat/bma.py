@@ -262,7 +262,7 @@ def _commutator_residual(lab, w, L):
     return worst
 
 
-def structure_constants(alg: AlgebraBasis):
+def structure_constants(alg: AlgebraBasis, *, _expand=None):
     """Expand every basis product A_i o A_j in the span.
 
     Returns (tensor, residual): tensor[i, j, k] is the coefficient of
@@ -270,6 +270,8 @@ def structure_constants(alg: AlgebraBasis):
     adjacency-indicator basis the coefficients are evaluated exactly on
     the partition cells and equal the intersection numbers, and the
     tensor is real (float64); any other basis gives a complex tensor.
+    _expand is a span solver of a dense basis that verify_bma has built
+    already, so its rank check and Gram matrix are not made twice.
     """
     basis = alg.basis
     L = len(basis)
@@ -291,7 +293,7 @@ def structure_constants(alg: AlgebraBasis):
         return tensor, residual
 
     tensor = np.zeros((L, L, L), dtype=complex)
-    expand = _span_solver(basis)
+    expand = _expand or _span_solver(basis)
     for i in range(L):
         for j in range(L):
             tensor[i, j, :], resid = expand(matmul(basis[i], basis[j]).entries)
@@ -417,7 +419,8 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
             C = matmul(A, J).entries
             bma1b = max(bma1b, float(np.abs(C - C[0, 0]).max()))
 
-    _, bma2 = structure_constants(alg)
+    _, bma2 = structure_constants(alg, _expand=None if lab is not None
+                                  else expand)
 
     if lab is not None:
         # the transpose of A_k indicates the pairs whose transpose is in

@@ -195,11 +195,56 @@ def _sphere_nodes(node_source, seed):
     return coords, np.full(len(coords), 4 * np.pi / len(coords))
 
 
+# a block of rows keeps each binning temporary near this many entries
+_BIN_BLOCK_ENTRIES = 1 << 16
+
+
 def _binned_relation(values, edges):
     """(relation, label space) of a square table binned by edges: occupied
-    off-diagonal bins become labels 1.. in bin order, the diagonal 0."""
+    off-diagonal bins become labels 1.. in bin order, the diagonal 0.
+
+    A value's bin is np.clip(np.digitize(value, edges) - 1, 0, n_bins - 1):
+    half-open bins, the last one closed. It is read off the equal-width
+    scale and moved once against the exact edges, a block of rows at a
+    time; np.digitize bins what is still out of bracket after that, and
+    everything when the scale or a value is not finite.
+    """
     n_bins = edges.size - 1
-    binned = np.clip(np.digitize(values, edges) - 1, 0, n_bins - 1)
+
+    def digitized(v):
+        return np.clip(np.digitize(v, edges) - 1, 0, n_bins - 1)
+
+    lo, hi = float(edges[0]), float(edges[-1])
+    scale = n_bins / (hi - lo) if hi > lo else 0.0
+    binned = None
+    if 0.0 < scale < np.inf:
+        binned = np.empty(values.shape, dtype=np.intp)
+        # bracket bounds, the first bin open below and the last above
+        lower = np.concatenate([[-np.inf], edges[1:-1]])
+        upper = np.concatenate([edges[1:-1], [np.inf]])
+        rows = max(1, _BIN_BLOCK_ENTRIES // values.shape[1])
+        for start in range(0, values.shape[0], rows):
+            v, b = values[start:start + rows], binned[start:start + rows]
+            if not np.isfinite(v).all():
+                binned = None
+                break
+            pos = np.clip(v, lo, hi)
+            pos -= lo
+            pos *= scale
+            np.minimum(pos, n_bins - 1, out=pos)
+            b[...] = pos
+            down = v < lower[b]
+            b -= down
+            up = v >= upper[b]
+            b += up
+            # an entry that did not move is inside its bracket
+            i, j = np.nonzero(down | up)
+            vm, bm = v[i, j], b[i, j]
+            astray = (vm < lower[bm]) | (vm >= upper[bm])
+            if astray.any():
+                b[i[astray], j[astray]] = digitized(vm[astray])
+    if binned is None:
+        binned = digitized(values)
     counts = (np.bincount(binned.ravel(), minlength=n_bins)
               - np.bincount(binned.diagonal(), minlength=n_bins))
     occupied = np.nonzero(counts)[0]
@@ -227,12 +272,14 @@ def sphere_scheme(node_source, n_bins: int,
         raise ValueError("sphere scheme needs n_bins >= 2")
     coords, weights = _sphere_nodes(node_source, seed)
     norms = np.linalg.norm(coords, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > 1e-9)[0]
+    # written so that a NaN norm is refused too
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= 1e-9))[0]
     if bad.size:
         raise ValueError(
             f"node {int(bad[0])} is not a unit vector (|norm - 1| = "
             f"{abs(norms[bad[0]] - 1.0):.3e})")
-    t = np.clip(coords @ coords.T, -1.0, 1.0)
+    t = coords @ coords.T
+    np.clip(t, -1.0, 1.0, out=t)
     rel, label_space = _binned_relation(
         t, np.linspace(-1.0, 1.0, n_bins + 1))
     return Scheme(make_quadrature(weights, coordinates=coords),

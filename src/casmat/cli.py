@@ -255,8 +255,10 @@ def _catalog_recipe(args) -> str:
                 f"signed={'false' if args.unsigned else 'true'}")
     if args.kind == "sphere":
         if args.quadrature:
-            return (f"sphere quadrature={shlex.quote(args.quadrature)} "
-                    f"bins={args.bins}")
+            # with --nodes as well, the recipe refuses the pair
+            nodes = "" if args.nodes is None else f"nodes={args.nodes} "
+            return (f"sphere {nodes}quadrature="
+                    f"{shlex.quote(args.quadrature)} bins={args.bins}")
         if args.nodes is None:
             raise ValueError("sphere needs --nodes or --quadrature")
         return f"sphere nodes={args.nodes} bins={args.bins} seed={args.seed}"

@@ -649,37 +649,59 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
 # scheme file format
 
 
+# a block of relation rows keeps its gathered bytes near this size
+_WRITE_BLOCK_BYTES = 1 << 22
+
+
+def _label_bytes(L, end):
+    """(L, W) uint8 table: label i's decimal digits, then end, then zero
+    padding to the width of the widest label."""
+    text = np.array([b"%d%s" % (i, end) for i in range(L)])
+    return text.view(np.uint8).reshape(L, text.itemsize)
+
+
 def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
-    """Write the `#casmat-scheme v1` text format (bit-exact round trip)."""
+    """Write the `#casmat-scheme v1` text format (bit-exact round trip).
+
+    Relation rows are gathered from a per-label byte table in blocks of
+    rows, so entries are never formatted one by one.
+    """
     ls = scheme.label_space
-    with open(path, "w") as fh:
-        fh.write(SCHEME_HEADER + "\n")
-        if recipe:
-            fh.write(f"recipe {recipe}\n")
-        fh.write(f"nodes {scheme.space.node_count}\n")
-        fh.write("weights\n")
-        ws = [repr(float(v)) for v in scheme.space.weights]
-        for start in range(0, len(ws), 6):
-            fh.write(" ".join(ws[start:start + 6]) + "\n")
-        fh.write(f"labels {ls.size}\n")
-        for i in range(ls.size):
-            line = f"{i} {int(ls.involution[i])}"
-            if ls.bin_meta is not None and ls.bin_meta[i] is not None:
-                a, b = ls.bin_meta[i]
-                line += f" {repr(a)} {repr(b)}"
-            fh.write(line + "\n")
-        if ls.identity_label is None:
-            fh.write("identity none\n")
-        else:
-            fh.write(f"identity {ls.identity_label}\n")
-        if scheme.borel_bins is not None:
-            fh.write(f"binfamily {len(scheme.borel_bins)}\n")
-            for W in scheme.borel_bins:
-                fh.write(" ".join(str(i) for i in W) + "\n")
-        fh.write("relation\n")
-        fmt = " ".join(["%d"] * scheme.space.node_count) + "\n"
-        for row in scheme.relation:
-            fh.write(fmt % tuple(row.tolist()))
+    lines = [SCHEME_HEADER]
+    if recipe:
+        lines.append(f"recipe {recipe}")
+    lines.append(f"nodes {scheme.space.node_count}")
+    lines.append("weights")
+    ws = [repr(float(v)) for v in scheme.space.weights]
+    for start in range(0, len(ws), 6):
+        lines.append(" ".join(ws[start:start + 6]))
+    lines.append(f"labels {ls.size}")
+    for i in range(ls.size):
+        line = f"{i} {int(ls.involution[i])}"
+        if ls.bin_meta is not None and ls.bin_meta[i] is not None:
+            a, b = ls.bin_meta[i]
+            line += f" {repr(a)} {repr(b)}"
+        lines.append(line)
+    if ls.identity_label is None:
+        lines.append("identity none")
+    else:
+        lines.append(f"identity {ls.identity_label}")
+    if scheme.borel_bins is not None:
+        lines.append(f"binfamily {len(scheme.borel_bins)}")
+        for W in scheme.borel_bins:
+            lines.append(" ".join(str(i) for i in W))
+    lines.append("relation")
+    rel = scheme.relation
+    spaced, ended = _label_bytes(ls.size, b" "), _label_bytes(ls.size, b"\n")
+    rows = max(1, _WRITE_BLOCK_BYTES // (rel.shape[1] * spaced.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        for start in range(0, rel.shape[0], rows):
+            block = rel[start:start + rows]
+            text = np.take(spaced, block, axis=0)
+            text[:, -1] = ended[block[:, -1]]
+            # the padding is the only zero byte
+            fh.write(text[text != 0])
 
 
 class _LineReader:

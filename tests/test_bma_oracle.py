@@ -235,3 +235,28 @@ def test_cell_form_matches_its_dense_twin(seed, integer_weights, corrupt, N,
         dense_tensor, _ = structure_constants(dense_alg)
         assert np.abs(dense_tensor - tensor).max() <= 1e-12
         assert rep.bma2_residual == 0.0 and dense.bma2_residual <= 1e-12
+
+
+def test_dense_verify_bma_builds_one_span_solver(monkeypatch):
+    scheme, _, _ = random_scheme(3, False, False, 20)
+    dense = AlgebraBasis(basis=algebra_of_scheme(scheme).basis[:3])
+    probes, policy = default_probes(dense, count=3, seed=0)
+    # the report as it was when structure_constants built its own solver
+    own = bma_module.structure_constants
+    with monkeypatch.context() as m:
+        m.setattr(bma_module, "structure_constants",
+                  lambda alg, _expand=None: own(alg))
+        before = verify_bma(dense, [dense.basis[0]], probes, 1e-9, policy)
+    solver = CallCounter(bma_module._span_solver)
+    rank = CallCounter(bma_module.check_rank)
+    monkeypatch.setattr(bma_module, "_span_solver", solver)
+    monkeypatch.setattr(bma_module, "check_rank", rank)
+    rep = verify_bma(dense, [dense.basis[0]], probes, 1e-9, policy)
+    assert rep.stats["basis_path"] == "dense"
+    assert (solver.calls, rank.calls) == (1, 1)
+    # the shared solver changes no number of the report
+    assert np.array_equal(rep.bma1a_residuals, before.bma1a_residuals)
+    assert repr(rep.as_dict()) == repr(before.as_dict())
+    # structure_constants on its own still builds its solver
+    bma_module.structure_constants(dense)
+    assert (solver.calls, rank.calls) == (2, 2)

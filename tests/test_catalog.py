@@ -217,3 +217,13 @@ def test_materialize_recipes():
     assert s.space.node_count == 40
     with pytest.raises(ValueError, match="unknown recipe"):
         materialize_recipe("klein bottles=2")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sphere_rejects_non_finite_nodes(bad):
+    nodes = np.vstack([np.eye(3), -np.eye(3)])
+    nodes[4, 2] = bad
+    with pytest.raises(ValueError,
+                       match=r"node 4 is not a unit vector \(\|norm - 1\| = "
+                             r"(nan|inf)\)"):
+        sphere_scheme(nodes, 3)

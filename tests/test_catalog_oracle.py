@@ -13,7 +13,7 @@ relation, involution, bin_meta and error text must agree exactly.
 import numpy as np
 import pytest
 
-from casmat import (cyclic_group, delsarte_scheme, dihedral_group,
+from casmat import (catalog, cyclic_group, delsarte_scheme, dihedral_group,
                     group_action_scheme, sphere_scheme, symmetric_group)
 
 
@@ -188,5 +188,101 @@ def test_sphere_whose_diagonal_bin_is_empty_matches_oracle(n_bins):
 def test_random_sphere_matches_oracle(n, n_bins):
     scheme = sphere_scheme(n, n_bins, seed=n)
     rel, bin_meta = sphere_oracle(scheme.space.coordinates, n_bins)
+    assert np.array_equal(scheme.relation, rel)
+    assert scheme.label_space.bin_meta == bin_meta
+
+
+def adversarial_table(edges, rng, inside=False):
+    """A square table holding every edge, its float neighbours on both
+    sides, +-1.0, +-0.0 and the ends of the float range, off the diagonal
+    and on it, in random order. inside keeps only values in
+    [edges[0], edges[-1]), which repeated edges need: a value outside
+    would fall into an empty end bin, which no label space holds."""
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                             np.nextafter(edges, np.inf),
+                             [1.0, -1.0, 0.0, -0.0, -np.finfo(float).max,
+                              np.finfo(float).max]])
+    if inside:
+        values = values[(edges[0] <= values) & (values < edges[-1])]
+    n = next(m for m in range(2, values.size + 2) if m * m - m >= values.size)
+    table = rng.choice(values, size=(n, n))
+    off_diag = ~np.eye(n, dtype=bool)
+    table[off_diag] = rng.permutation(np.resize(values, n * n - n))
+    return table
+
+
+def assert_binned_like_oracle(values, edges):
+    expected_rel, expected_meta = oracle_binned(values, edges)
+    rel, label_space = catalog._binned_relation(values, edges)
+    assert rel.dtype == np.int32
+    assert np.array_equal(rel, expected_rel)
+    assert label_space.bin_meta == expected_meta
+
+
+# a range a few ulps wide far from 0: its edges repeat, and the scale
+# misplaces values by more than one bin
+NARROW = (1.0, 1.0 + 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("lo, hi, n_bins", [
+    (-1.0, 1.0, 2), (-1.0, 1.0, 3), (-1.0, 1.0, 7), (-1.0, 1.0, 40),
+    (-1.0, 1.0, 97),
+    # Delsarte bins run over (0, max] with max near 1e-300 and 1e300
+    (0.0, 1e-300, 1), (0.0, 1e-300, 3), (0.0, 3.7e-300, 25),
+    (0.0, 1e300, 1), (0.0, 1e300, 3), (0.0, 1.7e300, 25)])
+def test_adversarial_values_bin_like_oracle(lo, hi, n_bins):
+    rng = np.random.default_rng(n_bins)
+    edges = np.linspace(lo, hi, n_bins + 1)
+    assert_binned_like_oracle(adversarial_table(edges, rng), edges)
+
+
+@pytest.mark.parametrize("lo, hi, n_bins", [
+    NARROW + (25,), NARROW + (7,),
+    # a range too fine for its scale to be finite
+    (0.0, 5e-324, 25)])
+def test_repeated_edges_bin_like_oracle(lo, hi, n_bins):
+    rng = np.random.default_rng(n_bins)
+    edges = np.linspace(lo, hi, n_bins + 1)
+    assert np.unique(edges).size < edges.size
+    assert_binned_like_oracle(adversarial_table(edges, rng, inside=True),
+                              edges)
+
+
+def test_digitize_runs_only_where_the_scale_cannot_bin(monkeypatch):
+    calls = []
+    digitize = np.digitize
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return digitize(*args, **kwargs)
+
+    rng = np.random.default_rng(4)
+    sphere_edges = np.linspace(-1.0, 1.0, 41)
+    narrow_edges = np.linspace(*NARROW, 26)
+    sphere_table = adversarial_table(sphere_edges, rng)
+    narrow_table = adversarial_table(narrow_edges, rng, inside=True)
+    monkeypatch.setattr(np, "digitize", counted)
+    sphere_scheme(200, 40, seed=3)
+    catalog._binned_relation(sphere_table, sphere_edges)
+    assert calls == []
+    # repeated edges: the entries left out of bracket are digitized once
+    catalog._binned_relation(narrow_table, narrow_edges)
+    assert len(calls) == 1 and 0 < calls[0] <= narrow_table.size
+    calls.clear()
+    # a 1-node metric has no scale at all
+    delsarte_scheme(np.zeros((1, 1)), n_bins=3)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("n_bins", [1, 3, 25])
+def test_delsarte_at_extreme_scales_matches_oracle(scale, n_bins):
+    # squared distances near 1e-300 and 1e300
+    rng = np.random.default_rng(n_bins)
+    d = random_metric(rng, 17, integer=False) * scale
+    scheme = delsarte_scheme(d, n_bins=n_bins)
+    c = d * d
+    rel, bin_meta = oracle_binned(
+        c, np.linspace(0.0, float(c.max()), n_bins + 1))
     assert np.array_equal(scheme.relation, rel)
     assert scheme.label_space.bin_meta == bin_meta

@@ -330,3 +330,49 @@ def test_catalog_recipe_misread_parameter_is_usage_error(tmp_path, capsys,
     assert captured.err.strip().count("\n") == 0
     assert named in captured.err
     assert not out.exists()
+
+
+def _tetrahedron_quadrature(path, bad=None):
+    """A 4-node quadrature file of unit 3-vectors; bad replaces one
+    coordinate of the last node."""
+    nodes = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+                     dtype=float) / np.sqrt(3.0)
+    rows = [" ".join(["1.0"] + [repr(float(v)) for v in node])
+            for node in nodes]
+    if bad is not None:
+        rows[-1] = " ".join(rows[-1].split()[:-1] + [bad])
+    path.write_text("#casmat-quadrature v1\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_catalog_sphere_nodes_with_quadrature_is_usage_error(tmp_path,
+                                                             capsys):
+    quad = _tetrahedron_quadrature(tmp_path / "q.txt")
+    out = tmp_path / "x.scheme"
+    code = main(["catalog", "sphere", "--nodes", "20", "--quadrature",
+                 str(quad), "--bins", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.strip().count("\n") == 0
+    assert "nodes=" in captured.err and "quadrature=" in captured.err
+    assert not out.exists()
+    # either flag alone still builds
+    assert main(["catalog", "sphere", "--quadrature", str(quad), "--bins",
+                 "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_catalog_sphere_refuses_non_finite_quadrature_node(tmp_path, capsys,
+                                                           bad):
+    quad = _tetrahedron_quadrature(tmp_path / "q.txt", bad=bad)
+    out = tmp_path / "x.scheme"
+    code = main(["catalog", "sphere", "--quadrature", str(quad), "--bins",
+                 "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: node 3 is not a unit vector")
+    assert captured.err.strip().count("\n") == 0
+    assert not out.exists()
