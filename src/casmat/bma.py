@@ -13,13 +13,13 @@ when first asked for, then kept); a basis given as dense kernels has its
 cell matrix found once, when the AlgebraBasis is made. Either way it is
 checked on the cell matrix: rank from cell masses, span membership from
 weighted cell means, J-absorption from row masses, transpose closure from
-transposed cells, closure and commutativity from the joint label tables
-of scheme.pair_tables, whose entries are the intersection numbers, and
-symmetry from the cell matrix against its transpose. Only the
-approximate-identity probes read its dense kernels. Any other basis is
-stacked densely, so time and memory grow with basis_size * node_count**2
-and every product costs a dense node_count**3 matmul; intended for modest
-label counts.
+one joint count of cells and transposed cells, closure and commutativity
+from one reduction per cell of the joint label tables (their entries are
+the intersection numbers), and symmetry from the cell matrix against its
+transpose. Only the approximate-identity probes read its dense kernels.
+Any other basis is stacked densely, so time and memory grow with
+basis_size * node_count**2 and every product costs a dense node_count**3
+matmul; intended for modest label counts.
 """
 
 from collections.abc import Sequence
@@ -33,7 +33,7 @@ from .kernel import (KERNEL_HEADER, Kernel, IdentityReport,
                      check_approximate_identity, matmul, ones_kernel,
                      parse_row, sup_norm, transpose, write_dump)
 from .measure import product_integrate
-from .scheme import Scheme, pair_table_stats, pair_tables
+from .scheme import Scheme, _table_reduction, joint_table
 
 BASIS_HEADER = "#casmat-basis v1"
 
@@ -135,10 +135,6 @@ def _pair_weights(space):
     return np.outer(space.weights, space.weights).ravel()
 
 
-def _stack(basis):
-    return np.stack([K.entries.ravel() for K in basis])
-
-
 def _span_solver(basis):
     """expand(target) -> (coefficients, sup-norm residual) for one basis.
 
@@ -148,7 +144,7 @@ def _span_solver(basis):
     once and serve every target.
     """
     check_rank(basis)
-    B = _stack(basis)
+    B = np.stack([K.entries.ravel() for K in basis])
     BW = B.conj() * _pair_weights(basis[0].space)
     G = BW @ B.T
 
@@ -240,29 +236,69 @@ def _cell_span_solver(lab, w, L):
     return expand
 
 
-def _commutator_residual(lab, w, L):
-    """sup |A_i o A_j - A_j o A_i| over all i, j for a cell basis.
+def _transpose_residual(lab, w, L):
+    """BMA3 on a cell basis, from one joint count of (cells, cells^T).
 
-    (A_i o A_j)[x, z] is entry [i, j] of the joint table h of (x, z), so
-    this is the largest entry of h - h^T over all pairs; h - h^T is
-    antisymmetric, so its maximum is its largest absolute value.
+    The cell solver gives A_k^T the coefficient c_jk = m_jk / mass_j on
+    A_j, m_jk the mass of cell j on cell k of the transpose. A pair of
+    cell j misses by |1 - c_jk| if its transpose is in cell k, else c_jk.
     """
-    n = w.size
-    xs, zs = np.divmod(np.arange(n * n), n)
-    worst = 0.0
-    for tables in pair_tables(lab, w, xs, zs, L):
-        h = tables.reshape(-1, L, L)
-        # h - h^T in eighths of the chunk, and the chunk let go before the
-        # next is built: at most one chunk and an eighth of one are live
-        step = -(-len(h) // 8)
-        for s in range(0, len(h), step):
-            part = h[s:s + step]
-            worst = max(worst, float((part - part.transpose(0, 2, 1)).max()))
-        del tables, h, part
-    return worst
+    mass = _cell_masses(lab, w, L)
+    keys = (lab.astype(np.int64) * L + lab.T).ravel()
+    m = np.bincount(keys, weights=np.outer(w, w).ravel(), minlength=L * L)
+    meets = np.bincount(keys, minlength=L * L).reshape(L, L)
+    # the complex division the cell solver does, so the last bit agrees
+    c = ((m.reshape(L, L) + 0j) / mass[:, None]).real
+    outside = meets < meets.sum(axis=1, keepdims=True)
+    return max(float(np.abs(1.0 - c[meets > 0]).max()),
+               float(c[outside].max(initial=0.0)))
 
 
-def structure_constants(alg: AlgebraBasis, *, _expand=None):
+def _products(alg: AlgebraBasis, expand=None):
+    """structure_constants' (tensor, residual), and the commutator
+    residual sup |A_i o A_j - A_j o A_i| over all i, j.
+
+    On a cell basis (A_i o A_j)[x, z] is entry [i, j] of the joint table
+    h of (x, z): one reduction per cell gives the coefficients, their
+    spread and the largest entry of h - h^T. Any other basis forms the
+    two products of each pair {i, j} once and expands them with expand
+    (built here when not given).
+    """
+    basis = alg.basis
+    L = len(basis)
+    w = alg.space.weights
+    residual = comm = 0.0
+
+    lab = alg.cells
+    if lab is not None:
+        tensor = np.zeros((L, L, L))
+        _cell_masses(lab, w, L)
+        for k in range(L):
+            xs, zs = np.nonzero(lab == k)
+            _, lo, hi, skew = _table_reduction(lab, w, xs, zs, L, skew=True)
+            first = joint_table(lab[xs[0]], lab[:, zs[0]], w, L)
+            tensor[:, :, k] = first
+            residual = max(residual, float((hi - first).max()),
+                           float((first - lo).max()))
+            comm = max(comm, skew)
+        return tensor, residual, comm
+
+    tensor = np.zeros((L, L, L), dtype=complex)
+    expand = expand or _span_solver(basis)
+    for i in range(L):
+        for j in range(i, L):
+            P = matmul(basis[i], basis[j]).entries
+            tensor[i, j, :], resid = expand(P)
+            residual = max(residual, resid)
+            if j > i:
+                Q = matmul(basis[j], basis[i]).entries
+                tensor[j, i, :], resid = expand(Q)
+                residual = max(residual, resid)
+                comm = max(comm, float(np.abs(P - Q).max()))
+    return tensor, residual, comm
+
+
+def structure_constants(alg: AlgebraBasis):
     """Expand every basis product A_i o A_j in the span.
 
     Returns (tensor, residual): tensor[i, j, k] is the coefficient of
@@ -270,35 +306,8 @@ def structure_constants(alg: AlgebraBasis, *, _expand=None):
     adjacency-indicator basis the coefficients are evaluated exactly on
     the partition cells and equal the intersection numbers, and the
     tensor is real (float64); any other basis gives a complex tensor.
-    _expand is a span solver of a dense basis that verify_bma has built
-    already, so its rank check and Gram matrix are not made twice.
     """
-    basis = alg.basis
-    L = len(basis)
-    w = alg.space.weights
-    residual = 0.0
-
-    lab = alg.cells
-    if lab is not None:
-        tensor = np.zeros((L, L, L))
-        _cell_masses(lab, w, L)
-        # A_i o A_j at (x, z) is entry [i, j] of the CAS2 table of (x, z)
-        # over the cell matrix: one table reduction per cell
-        for k in range(L):
-            xs, zs = np.nonzero(lab == k)
-            _, lo, hi, first = pair_table_stats(lab, w, L, xs, zs)
-            tensor[:, :, k] = first
-            residual = max(residual, float((hi - first).max()),
-                           float((first - lo).max()))
-        return tensor, residual
-
-    tensor = np.zeros((L, L, L), dtype=complex)
-    expand = _expand or _span_solver(basis)
-    for i in range(L):
-        for j in range(L):
-            tensor[i, j, :], resid = expand(matmul(basis[i], basis[j]).entries)
-            residual = max(residual, resid)
-    return tensor, residual
+    return _products(alg)[:2]
 
 
 def validate_closure(alg: AlgebraBasis) -> float:
@@ -393,10 +402,8 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
     identity_family = list(identity_family)
     probes = list(probes)
     lab = alg.cells
-    if lab is not None:
-        expand = _cell_span_solver(lab, w, L)
-    else:
-        expand = _span_solver(basis)
+    expand = (_span_solver(basis) if lab is None
+              else _cell_span_solver(lab, w, L))
     for I_N in identity_family:
         _, resid = expand(I_N.entries)
         if resid > tolerance + span_membership_tolerance(I_N):
@@ -406,56 +413,36 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
 
     ident = check_approximate_identity(identity_family, probes, tolerance)
     bma1a = np.maximum(ident.left_residuals, ident.right_residuals)
+    _, bma2, comm = _products(alg, expand)
+    probe_matmuls = 2 * len(identity_family) * len(probes)
 
     if lab is not None:
         # (A_k o J)[x, z] is the mass of row x on cell k
         rows = np.stack([np.bincount(r, weights=w, minlength=L)
                          for r in lab])
         bma1b = float(np.abs(rows - rows[0]).max())
+        bma3_res = _transpose_residual(lab, w, L)
+        # every nonempty 0/1 member has sup norm 1
+        bma3_budget = 1e-9 * (1.0 + 1.0)
+        # the 0/1 members are symmetric exactly when the cells are
+        sym_res = float((lab != lab.T).any())
+        stats = {"basis_path": "cells", "dense_matmuls": probe_matmuls,
+                 "span_solves": 0}
     else:
         J = ones_kernel(alg.space)
         bma1b = 0.0
         for A in basis:
             C = matmul(A, J).entries
             bma1b = max(bma1b, float(np.abs(C - C[0, 0]).max()))
-
-    _, bma2 = structure_constants(alg, _expand=None if lab is not None
-                                  else expand)
-
-    if lab is not None:
-        # the transpose of A_k indicates the pairs whose transpose is in
-        # cell k; every nonempty 0/1 member has sup norm 1
-        transposed = lab.T
-        bma3_res = max(expand(transposed == k)[1] for k in range(L))
-        bma3_budget = 1e-9 * (1.0 + 1.0)
-    else:
         bma3_res = max(expand(transpose(A).entries)[1] for A in basis)
         bma3_budget = max(span_membership_tolerance(A) for A in basis)
-    bma3_ok = bma3_res <= tolerance + bma3_budget
-
-    if lab is not None:
-        comm = _commutator_residual(lab, w, L)
-        # the 0/1 members are symmetric exactly when the cells are
-        sym_res = float((lab != lab.T).any())
-    else:
-        comm = 0.0
-        for i in range(L):
-            for j in range(i + 1, L):
-                AB = matmul(basis[i], basis[j]).entries
-                BA = matmul(basis[j], basis[i]).entries
-                comm = max(comm, float(np.abs(AB - BA).max()))
         sym_res = max(float(np.abs(A.entries - A.entries.T).max())
                       for A in basis)
-
-    probe_matmuls = 2 * len(identity_family) * len(probes)
-    if lab is not None:
-        stats = {"basis_path": "cells", "dense_matmuls": probe_matmuls,
-                 "span_solves": 0}
-    else:
-        # J-absorption L, structure constants L * L, commutators L * (L - 1)
+        # J-absorption L, then each product A_i o A_j once: L * L
         stats = {"basis_path": "dense",
-                 "dense_matmuls": probe_matmuls + L + L * L + L * (L - 1),
+                 "dense_matmuls": probe_matmuls + L + L * L,
                  "span_solves": len(identity_family) + L * L + L}
+    bma3_ok = bma3_res <= tolerance + bma3_budget
 
     return BmaReport(
         bma1a_residuals=bma1a, bma1b_deviation=bma1b, bma2_residual=bma2,

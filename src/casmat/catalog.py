@@ -190,8 +190,8 @@ def _sphere_nodes(node_source, seed):
         node_source = rng.normal(size=(int(node_source), 3))
         node_source /= np.linalg.norm(node_source, axis=1, keepdims=True)
     coords = np.asarray(node_source, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise ValueError("sphere nodes must be an (n, 3) array")
+    if coords.ndim != 2 or coords.shape[1] != 3 or not len(coords):
+        raise ValueError("sphere nodes must be a non-empty (n, 3) array")
     return coords, np.full(len(coords), 4 * np.pi / len(coords))
 
 
@@ -314,6 +314,9 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
         x, y = [int(v[0]) for v in np.nonzero(zero)]
         raise ValueError(f"zero distance between distinct nodes ({x}, {y})")
 
+    if d.max() > np.sqrt(np.finfo(float).max):
+        raise ValueError(f"squared distance {float(d.max())!r}**2 "
+                         f"overflows float64")
     c = d * d
     if n_bins is None:
         # the diagonal holds the only zeros, so it gets label 0

@@ -148,12 +148,19 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
 
 
 def convolve_measure_point(hg: HypergroupData, mu: np.ndarray, i_prime):
-    """Bilinear extension: convolve a label measure with a point mass."""
-    out = np.zeros(hg.label_count)
-    for i in range(hg.label_count):
-        if mu[i] != 0:
-            m, _ = convolve_point_masses(hg, i, i_prime)
-            out += mu[i] * m
+    """Bilinear extension: convolve a label measure with a point mass. The
+    rows of mu's support are built in one pass and added in label order."""
+    L = hg.label_count
+    mu = np.asarray(mu)
+    if not 0 <= i_prime < L or mu.shape != (L,):
+        raise ValueError(f"need a label in 0..{L - 1} and one mass per "
+                         f"label, got {i_prime} and shape {mu.shape}")
+    support = np.flatnonzero(mu)
+    rows = np.empty((support.size, L, L))
+    _convolution_rows(hg, support, rows)
+    out = np.zeros(L)
+    for i, row in zip(support, rows):
+        out += mu[i] * row[i_prime]
     return out
 
 

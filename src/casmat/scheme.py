@@ -260,57 +260,51 @@ def _cell_keys(relation, xs, zs, K, itype, left, right):
     return keys
 
 
-def pair_tables(relation, weights, xs, zs, K, left=None, right=None):
-    """Yield the K x K joint tables of the pairs (xs[p], zs[p]) in order,
-    one (pairs, K * K) block per chunk of pairs.
-
-    Cell (a, b) of a table is the mass of the y with left[relation[x, y]]
-    == a and right[relation[y, z]] == b; each cell sums in increasing y,
-    as joint_table does.
-    """
-    n = weights.size
-    KK = K * K
-    step, itype = _chunk_step(n, KK)
-    base = np.arange(step, dtype=itype)[:, None] * KK
-    wtile = np.tile(weights, step)
-    for s in range(0, len(xs), step):
-        keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
-                          itype, left, right)
-        C = len(keys)
-        keys += base[:C]
-        yield np.bincount(keys.ravel(), weights=wtile[:C * n],
-                          minlength=C * KK).reshape(C, KK)
-
-
-def _table_reduction(relation, weights, xs, zs, K, left=None, right=None):
-    """(sum, min, max) over the pairs of their K x K joint tables.
+def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
+                     skew=False):
+    """(sum, min, max) over the pairs of their K x K joint tables h, and
+    with skew the largest entry of h - h^T.
 
     The table of (x, z) counts y at cell left[relation[x, y]] * K +
     right[relation[y, z]] (the labels themselves when left is None). Each
     pair's cells are segments summed in increasing y by one bincount:
-    whole tables from pair_tables when K * K <= n, else cut from a stable
-    sort of each row. Min and max scatter over the touched cells only; a
-    cell some pair leaves untouched also takes that pair's 0. The sum adds
-    the pairs' cells in pair order, as h0 + h1 + ... would.
+    whole tables per chunk of pairs when K * K <= n, else cut from a
+    stable sort of each row. Min and max scatter over the touched cells
+    only; a cell some pair leaves untouched also takes that pair's 0. The
+    sum adds the pairs' cells in pair order, as h0 + h1 + ... would. The
+    skew compares a touched cell with its transpose in the same pair (0
+    if untouched), which is enough: h - h^T is antisymmetric.
     """
     n = weights.size
     KK = K * K
     total = np.zeros(KK)
     lo = np.full(KK, np.inf)
     hi = np.full(KK, -np.inf)
-    if KK <= n:
-        for tables in pair_tables(relation, weights, xs, zs, K, left, right):
-            np.minimum(lo, tables.min(axis=0), out=lo)
-            np.maximum(hi, tables.max(axis=0), out=hi)
-            # an axis-0 sum adds row after row: pair order
-            tables[0] += total
-            total = tables.sum(axis=0)
-        return total.reshape(K, K), lo.reshape(K, K), hi.reshape(K, K)
+    worst = 0.0
     step, itype = _chunk_step(n, KK)
-    hits = np.zeros(KK, dtype=np.int64)
+    if KK <= n:
+        base = np.arange(step, dtype=itype)[:, None] * KK
+        wtile = np.tile(weights, step)
+    else:
+        hits = np.zeros(KK, dtype=np.int64)
+        flip = np.arange(KK).reshape(K, K).T.ravel()
     for s in range(0, len(xs), step):
         keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
                           itype, left, right)
+        C = len(keys)
+        if KK <= n:
+            keys += base[:C]
+            tables = np.bincount(keys.ravel(), weights=wtile[:C * n],
+                                 minlength=C * KK).reshape(C, KK)
+            np.minimum(lo, tables.min(axis=0), out=lo)
+            np.maximum(hi, tables.max(axis=0), out=hi)
+            if skew:
+                h = tables.reshape(C, K, K)
+                worst = max(worst, float((h - h.transpose(0, 2, 1)).max()))
+            # an axis-0 sum adds row after row: pair order
+            tables[0] += total
+            total = tables.sum(axis=0)
+            continue
         order = np.argsort(keys, axis=1, kind="stable")
         keys.sort(axis=1)
         starts = np.ones(keys.shape, dtype=bool)
@@ -322,10 +316,19 @@ def _table_reduction(relation, weights, xs, zs, K, left=None, right=None):
         np.maximum.at(hi, cells, values)
         np.add.at(hits, cells, 1)
         np.add.at(total, cells, values)
-    partial = hits < len(xs)
-    np.minimum(lo, 0.0, out=lo, where=partial)
-    np.maximum(hi, 0.0, out=hi, where=partial)
-    return total.reshape(K, K), lo.reshape(K, K), hi.reshape(K, K)
+        if skew:
+            # segment ids pair * KK + cell run in increasing order
+            pair = np.repeat(np.arange(C) * KK, starts.sum(axis=1))
+            seg, mate = pair + cells, pair + flip[cells]
+            at = np.minimum(np.searchsorted(seg, mate), len(seg) - 1)
+            mirror = np.where(seg[at] == mate, values[at], 0.0)
+            worst = max(worst, float((values - mirror).max()))
+    if KK > n:
+        partial = hits < len(xs)
+        np.minimum(lo, 0.0, out=lo, where=partial)
+        np.maximum(hi, 0.0, out=hi, where=partial)
+    stats = total.reshape(K, K), lo.reshape(K, K), hi.reshape(K, K)
+    return stats + (worst,) if skew else stats
 
 
 def _label_map(A):
@@ -550,11 +553,10 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     M = MT = None
     if not singleton:
         M = np.zeros((F, L))
-        MT = np.zeros((F, L))
         for f, W in enumerate(family):
-            for i in W:
-                M[f, i] = 1.0
-                MT[f, inv[i]] = 1.0
+            M[f, list(W)] = 1.0
+        # W^T holds j exactly when W holds inv[j]
+        MT = M[:, inv]
 
     # involution orbits of labels, each led by its smaller label
     orbits = [(k, int(inv[k])) for k in range(L) if k <= inv[k]]

@@ -227,3 +227,28 @@ def test_sphere_rejects_non_finite_nodes(bad):
                        match=r"node 4 is not a unit vector \(\|norm - 1\| = "
                              r"(nan|inf)\)"):
         sphere_scheme(nodes, 3)
+
+
+HUGE_METRIC = np.array([[0.0, 1e200, 2e200], [1e200, 0.0, 3e200],
+                        [2e200, 3e200, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_bins", [None, 3])
+def test_delsarte_refuses_squares_that_overflow(n_bins):
+    # squaring would merge the three distances into one inf label
+    with pytest.raises(ValueError, match=r"3e\+200\*\*2 overflows float64"):
+        delsarte_scheme(HUGE_METRIC, n_bins=n_bins)
+
+
+@pytest.mark.filterwarnings("error")
+def test_delsarte_keeps_the_largest_square_that_fits():
+    top = float(np.sqrt(np.finfo(float).max))
+    assert np.isfinite(top * top)
+    s = delsarte_scheme(np.array([[0.0, top], [top, 0.0]]))
+    assert s.label_count == 2
+
+
+def test_sphere_refuses_an_empty_node_array():
+    with pytest.raises(ValueError, match=r"non-empty \(n, 3\) array"):
+        sphere_scheme(np.zeros((0, 3)), 3)

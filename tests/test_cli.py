@@ -376,3 +376,20 @@ def test_catalog_sphere_refuses_non_finite_quadrature_node(tmp_path, capsys,
     assert captured.err.startswith("error: node 3 is not a unit vector")
     assert captured.err.strip().count("\n") == 0
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bins", [[], ["--bins", "3"]])
+def test_catalog_delsarte_refuses_overflowing_squares(tmp_path, capsys, bins):
+    metric = tmp_path / "metric.txt"
+    np.savetxt(metric, [[0.0, 1e200, 2e200], [1e200, 0.0, 3e200],
+                        [2e200, 3e200, 0.0]])
+    out = tmp_path / "x.scheme"
+    code = main(["catalog", "delsarte", "--metric", str(metric), *bins,
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: squared distance 3e+200**2 ")
+    assert captured.err.strip().count("\n") == 0
+    assert not out.exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casmat import (LabelSpace, RepresentativeDependenceError, Scheme,
-                    convolve_functions, convolve_measure_point,
+                    circle_scheme, convolve_functions, convolve_measure_point,
                     convolve_point_masses, cyclic_scheme, hamming_scheme,
                     kernel_of_scheme, make_quadrature, random_probe_pairs,
                     sphere_scheme, verify_strong_cas)
@@ -227,3 +227,48 @@ def test_verify_strong_cas_complex_probes_keep_imaginary_parts():
     assert report.passed()
     for name, value in report.residuals.items():
         assert value <= 1e-12, name
+
+
+def per_label_measure_point(hg, mu, i_prime):
+    """convolve_measure_point as one convolve_point_masses per label."""
+    out = np.zeros(hg.label_count)
+    for i in range(hg.label_count):
+        if mu[i] != 0:
+            m, _ = convolve_point_masses(hg, i, i_prime)
+            out += mu[i] * m
+    return out
+
+
+@pytest.mark.parametrize("build", [lambda: hamming_scheme(3, 2),
+                                   lambda: circle_scheme(24, 6),
+                                   lambda: circle_scheme(30, 10, False)],
+                         ids=["hamming32", "circle24", "circle30u"])
+def test_measure_point_builds_its_rows_in_one_call(build, monkeypatch):
+    from casmat import hypergroup as hypergroup_module
+    hg = kernel_of_scheme(build())
+    L = hg.label_count
+    rng = np.random.default_rng(L)
+    mu = rng.uniform(-1.0, 1.0, L)
+    mu[rng.permutation(L)[:L // 2]] = 0.0
+    calls = []
+    own = hypergroup_module._convolution_rows
+
+    def counted(hg, labels, *args, **kwargs):
+        calls.append(list(labels))
+        return own(hg, labels, *args, **kwargs)
+    for ip in range(L):
+        want = per_label_measure_point(hg, mu, ip)
+        calls.clear()
+        monkeypatch.setattr(hypergroup_module, "_convolution_rows", counted)
+        got = convolve_measure_point(hg, mu, ip)
+        monkeypatch.undo()
+        assert calls == [np.flatnonzero(mu).tolist()]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_measure_point_refuses_bad_label_and_shape():
+    hg = kernel_of_scheme(hamming_scheme(3, 2))
+    with pytest.raises(ValueError, match=r"0\.\.3 .* got 4 and shape \(4,\)"):
+        convolve_measure_point(hg, np.ones(4), 4)
+    with pytest.raises(ValueError, match=r"got 0 and shape \(5,\)"):
+        convolve_measure_point(hg, np.ones(5), 0)
