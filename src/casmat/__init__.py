@@ -27,8 +27,8 @@ from .kernel import (IdentityReport, Kernel, check_approximate_identity,
                      ones_kernel, read_kernel, sup_norm, transpose,
                      write_kernel)
 from .scheme import (CasReport, LabelSpace, Scheme, SurjectivityError, fiber,
-                     intersection_number, read_scheme, verify_cas,
-                     write_scheme)
+                     intersection_number, label_dtype, read_scheme,
+                     verify_cas, write_scheme)
 from .bma import (AlgebraBasis, BmaReport, IndicatorKernels,
                   RankDeficiencyError, build_approximate_identity,
                   default_probes, hat_bump, indicator_bump, read_basis,
@@ -58,7 +58,8 @@ __all__ = [
     "conjugate", "sup_norm", "ones_kernel", "diagonal_kernel",
     "check_approximate_identity", "read_kernel", "write_kernel",
     "LabelSpace", "Scheme", "CasReport", "SurjectivityError", "fiber",
-    "intersection_number", "verify_cas", "read_scheme", "write_scheme",
+    "intersection_number", "label_dtype", "verify_cas", "read_scheme",
+    "write_scheme",
     "AlgebraBasis", "BmaReport", "IndicatorKernels", "RankDeficiencyError",
     "span_expand",
     "structure_constants", "validate_closure", "verify_bma",

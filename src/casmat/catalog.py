@@ -13,15 +13,30 @@ from itertools import product
 import numpy as np
 
 from .measure import MeasureSpace, make_quadrature, read_quadrature
-from .scheme import LabelSpace, Scheme
+from .scheme import LabelSpace, Scheme, label_dtype
 
 HAMMING_NODE_CAP = 4096
 GROUP_DEGREE_CAP = 1024
 DEFAULT_SPHERE_SEED = 1729
+# a block of rows keeps each relation-building temporary near this many
+# entries
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _counting_space(n: int, coordinates=None) -> MeasureSpace:
     return make_quadrature(np.ones(n), coordinates=coordinates)
+
+
+def _difference_table(n: int, fold: bool = False) -> np.ndarray:
+    """(y - x) mod n at (x, y), folded to min(d, n - d) when fold, in the
+    label dtype; built a block of rows at a time."""
+    rel = np.empty((n, n), dtype=label_dtype(n // 2 + 1 if fold else n))
+    idx = np.arange(n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        d = (idx - idx[start:start + rows, None]) % n
+        rel[start:start + rows] = np.minimum(d, n - d) if fold else d
+    return rel
 
 
 def cyclic_scheme(n: int) -> Scheme:
@@ -29,9 +44,9 @@ def cyclic_scheme(n: int) -> Scheme:
     if n < 2:
         raise ValueError("cyclic scheme needs n >= 2")
     idx = np.arange(n)
-    rel = (idx[None, :] - idx[:, None]) % n
     label_space = LabelSpace(involution=(n - idx) % n, identity_label=0)
-    return Scheme(_counting_space(n), label_space, rel)
+    return Scheme._adopt(_counting_space(n), label_space,
+                         _difference_table(n))
 
 
 def hamming_scheme(d: int, q: int) -> Scheme:
@@ -44,14 +59,15 @@ def hamming_scheme(d: int, q: int) -> Scheme:
         raise ValueError(
             f"q^d = {n} exceeds the {HAMMING_NODE_CAP}-node cap")
     words = np.array(list(product(range(q), repeat=d)), dtype=np.int16)
-    rel = np.zeros((n, n), dtype=np.int32)
+    rel = np.empty((n, n), dtype=label_dtype(d + 1))
     block = max(1, (1 << 22) // (n * d))
     for start in range(0, n, block):
         stop = min(n, start + block)
         rel[start:stop] = (words[start:stop, None, :]
                            != words[None, :, :]).sum(axis=2)
     label_space = LabelSpace(involution=np.arange(d + 1), identity_label=0)
-    return Scheme(_counting_space(n, coordinates=words), label_space, rel)
+    return Scheme._adopt(_counting_space(n, coordinates=words), label_space,
+                         rel)
 
 
 def _check_permutations(generators):
@@ -99,12 +115,12 @@ def group_action_scheme(generators) -> Scheme:
     pair_images = [(g[:, None] * m + g).ravel() for g in gens]
     firsts, labels = np.unique(_orbit_minima(pair_images, m * m),
                                return_inverse=True)
-    labels = labels.reshape(m, m).astype(np.int32)
+    labels = labels.reshape(m, m).astype(label_dtype(firsts.size))
     inv = labels.T.ravel()[firsts]
     # (0, 0) is the first pair, so the diagonal orbit is label 0
     assert (labels.diagonal() == 0).all()
     label_space = LabelSpace(involution=inv, identity_label=0)
-    return Scheme(_counting_space(m), label_space, labels)
+    return Scheme._adopt(_counting_space(m), label_space, labels)
 
 
 def symmetric_group(m: int):
@@ -155,7 +171,7 @@ def circle_scheme(n_nodes: int, n_bins: int, signed: bool = True) -> Scheme:
     angles = step * np.arange(n)
     space = make_quadrature(np.full(n, step), coordinates=angles)
     idx = np.arange(n)
-    rel = (idx[None, :] - idx[:, None]) % n
+    rel = _difference_table(n, fold=not signed)
     if signed:
         inv = (n - idx) % n
         # signed integer representative keeps adjacent interval
@@ -163,7 +179,6 @@ def circle_scheme(n_nodes: int, n_bins: int, signed: bool = True) -> Scheme:
         reps = np.where(idx <= n // 2, idx, idx - n)
         arc = (idx * n_bins) // n
     else:
-        rel = np.minimum(rel, n - rel)
         inv = reps = np.arange(n // 2 + 1)
         arc = np.minimum((reps * 2 * n_bins) // n, n_bins - 1)
     bin_meta = tuple((float(step * (k - 0.5)), float(step * (k + 0.5)))
@@ -172,7 +187,7 @@ def circle_scheme(n_nodes: int, n_bins: int, signed: bool = True) -> Scheme:
     bins = [W for W in bins if W]
     label_space = LabelSpace(involution=inv, identity_label=0,
                              bin_meta=bin_meta)
-    return Scheme(space, label_space, rel, borel_bins=bins)
+    return Scheme._adopt(space, label_space, rel, borel_bins=bins)
 
 
 def _sphere_nodes(node_source, seed):
@@ -193,10 +208,6 @@ def _sphere_nodes(node_source, seed):
     if coords.ndim != 2 or coords.shape[1] != 3 or not len(coords):
         raise ValueError("sphere nodes must be a non-empty (n, 3) array")
     return coords, np.full(len(coords), 4 * np.pi / len(coords))
-
-
-# a block of rows keeps each binning temporary near this many entries
-_BIN_BLOCK_ENTRIES = 1 << 16
 
 
 def _binned_relation(values, edges):
@@ -222,7 +233,7 @@ def _binned_relation(values, edges):
         # bracket bounds, the first bin open below and the last above
         lower = np.concatenate([[-np.inf], edges[1:-1]])
         upper = np.concatenate([edges[1:-1], [np.inf]])
-        rows = max(1, _BIN_BLOCK_ENTRIES // values.shape[1])
+        rows = max(1, _BLOCK_ENTRIES // values.shape[1])
         for start in range(0, values.shape[0], rows):
             v, b = values[start:start + rows], binned[start:start + rows]
             if not np.isfinite(v).all():
@@ -248,7 +259,9 @@ def _binned_relation(values, edges):
     counts = (np.bincount(binned.ravel(), minlength=n_bins)
               - np.bincount(binned.diagonal(), minlength=n_bins))
     occupied = np.nonzero(counts)[0]
-    remap = np.full(n_bins, -1, dtype=np.int32)
+    # a bin with no off-diagonal entry holds diagonal entries only, and
+    # those become label 0 below
+    remap = np.zeros(n_bins, dtype=label_dtype(occupied.size + 1))
     remap[occupied] = 1 + np.arange(occupied.size)
     rel = remap[binned]
     np.fill_diagonal(rel, 0)
@@ -282,8 +295,8 @@ def sphere_scheme(node_source, n_bins: int,
     np.clip(t, -1.0, 1.0, out=t)
     rel, label_space = _binned_relation(
         t, np.linspace(-1.0, 1.0, n_bins + 1))
-    return Scheme(make_quadrature(weights, coordinates=coords),
-                  label_space, rel)
+    return Scheme._adopt(make_quadrature(weights, coordinates=coords),
+                         label_space, rel)
 
 
 def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
@@ -321,7 +334,7 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
     if n_bins is None:
         # the diagonal holds the only zeros, so it gets label 0
         values, rel = np.unique(c, return_inverse=True)
-        rel = rel.reshape(n, n).astype(np.int32)
+        rel = rel.reshape(n, n).astype(label_dtype(values.size))
         label_space = LabelSpace(involution=np.arange(values.size),
                                  identity_label=0)
     else:
@@ -333,7 +346,7 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
         space = _counting_space(n)
     else:
         space = make_quadrature(weights)
-    return Scheme(space, label_space, rel)
+    return Scheme._adopt(space, label_space, rel)
 
 
 # ---------------------------------------------------------------------------

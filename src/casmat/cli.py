@@ -30,6 +30,14 @@ BMA_AUTO_LABEL_CAP = 64
 BMA_AUTO_NODE_CAP = 1024
 # fiber pairs evaluated x nodes: about a minute of CAS2 work
 VERIFY_WORK_BUDGET = 10**9
+# the BMA checks' full-fiber pair x node steps plus n**3 per dense probe
+# product: some tens of seconds. Kept apart from the CAS2 budget, since
+# --max-pairs samples none of the fibers the BMA checks reduce.
+BMA_WORK_BUDGET = 10**10
+# seeded random probes next to the basis members
+BMA_RANDOM_PROBES = 3
+# a block of a file read for its digest
+_DIGEST_BLOCK_BYTES = 1 << 20
 
 
 def _jsonify(obj):
@@ -47,8 +55,12 @@ def _jsonify(obj):
 
 
 def _digest(path) -> str:
+    """sha256 of the file, read a block at a time."""
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        while block := fh.read(_DIGEST_BLOCK_BYTES):
+            h.update(block)
+    return "sha256:" + h.hexdigest()
 
 
 def _check(name, status, residual=None, tolerance=None, witnesses=()):
@@ -149,19 +161,33 @@ def _numeric_flag_error(args):
     return None
 
 
-def _check_verify_work(scheme, max_pairs):
-    """Refuse, with exit 2, a verify whose CAS2 work exceeds the budget."""
+def _check_verify_work(scheme, max_pairs, run_bma):
+    """Refuse, with exit 2, a verify whose CAS2 work or, when the BMA
+    checks run, whose BMA work exceeds its budget."""
     n = scheme.space.node_count
+    L = scheme.label_count
     counts = scheme.fiber_counts
     if max_pairs is not None:
         counts = np.minimum(counts, max_pairs)
     work = int(counts.sum()) * n
-    if work <= VERIFY_WORK_BUDGET:
+    if work > VERIFY_WORK_BUDGET:
+        suggest = max(1, VERIFY_WORK_BUDGET // (n * L))
+        print(f"error: verify would evaluate {work:.1e} fiber-pair x node "
+              f"steps (budget {VERIFY_WORK_BUDGET:.0e}); sample the fibers "
+              f"with --max-pairs {suggest}", file=sys.stderr)
+        return EXIT_USAGE
+    if not run_bma:
         return None
-    suggest = max(1, VERIFY_WORK_BUDGET // (n * scheme.label_count))
-    print(f"error: verify would evaluate {work:.1e} fiber-pair x node steps "
-          f"(budget {VERIFY_WORK_BUDGET:.0e}); sample the fibers with "
-          f"--max-pairs {suggest}", file=sys.stderr)
+    # the structure constants reduce every full fiber; the identity is
+    # composed on both sides with each basis member and random probe
+    products = 2 * (L + BMA_RANDOM_PROBES)
+    work = n * int(scheme.fiber_counts.sum()) + products * n**3
+    if work <= BMA_WORK_BUDGET:
+        return None
+    print(f"error: the BMA checks would take {work:.1e} steps (budget "
+          f"{BMA_WORK_BUDGET:.0e}): {L} full-fiber reductions and "
+          f"{products} dense products over {n} nodes; skip them with "
+          f"--bma off", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -170,7 +196,11 @@ def cmd_verify(args) -> int:
     scheme, err = _load_scheme(args.scheme)
     if err is not None:
         return err
-    err = _check_verify_work(scheme, args.max_pairs)
+    run_bma = args.bma == "on" or (
+        args.bma == "auto"
+        and scheme.label_count <= BMA_AUTO_LABEL_CAP
+        and scheme.space.node_count <= BMA_AUTO_NODE_CAP)
+    err = _check_verify_work(scheme, args.max_pairs, run_bma)
     if err is not None:
         return err
     try:
@@ -198,16 +228,13 @@ def cmd_verify(args) -> int:
         _check("cas5_symmetry", "info", 0.0 if cas.symmetric else 1.0),
     ]
 
-    run_bma = args.bma == "on" or (
-        args.bma == "auto"
-        and scheme.label_count <= BMA_AUTO_LABEL_CAP
-        and scheme.space.node_count <= BMA_AUTO_NODE_CAP)
     if run_bma:
         try:
             alg = algebra_of_scheme(scheme)
             bump, nbhd = indicator_bump(scheme.label_space)
             identity = build_approximate_identity(scheme, nbhd, bump)
-            probes, policy = default_probes(alg, count=3, seed=args.seed)
+            probes, policy = default_probes(alg, count=BMA_RANDOM_PROBES,
+                                            seed=args.seed)
             bma = verify_bma(alg, [identity], probes, tolerance=args.tol,
                              probe_policy=policy)
         except ValueError as exc:

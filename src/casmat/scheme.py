@@ -94,12 +94,32 @@ class LabelSpace:
         return bool(np.array_equal(self.involution, np.arange(self.size)))
 
 
+def label_dtype(label_count: int) -> np.dtype:
+    """The narrowest dtype that holds the labels 0..label_count-1: uint8
+    up to 256 labels, uint16 up to 65 536, int32 beyond."""
+    if label_count <= 1 << 8:
+        return np.dtype(np.uint8)
+    if label_count <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int32)
+
+
+# a block of relation rows counted at once stays near this many entries
+_COUNT_BLOCK_ENTRIES = 1 << 16
+
+
 class Scheme:
     """MeasureSpace + LabelSpace + surjective relation matrix.
 
     Construction enforces shape, label range and surjectivity. The deeper
     axioms are measured by verify_cas, never assumed, so invalid relation
     tables (for negative controls or corrupted files) stay representable.
+
+    The relation is kept read-only in label_dtype(label_count): uint8 up
+    to 256 labels, uint16 up to 65 536, int32 beyond. Its range is checked
+    before it is narrowed, and the constructor always copies it, so a
+    caller's array is never frozen or aliased. Arithmetic on label values
+    must widen first (numpy 2 keeps uint8 * int in uint8).
 
     borel_bins optionally stores a generating family of label sets used as
     the default CAS2 checking family for continuum-derived schemes.
@@ -110,7 +130,19 @@ class Scheme:
 
     def __init__(self, space: MeasureSpace, label_space: LabelSpace,
                  relation, borel_bins=None):
-        rel = np.asarray(relation)
+        self._setup(space, label_space, np.asarray(relation), borel_bins,
+                    copy=True)
+
+    @classmethod
+    def _adopt(cls, space, label_space, relation, borel_bins=None):
+        """A Scheme over a relation array that nothing else holds: it is
+        narrowed without a copy when already in label_dtype, and frozen
+        in place. For readers and builders that made the array."""
+        scheme = cls.__new__(cls)
+        scheme._setup(space, label_space, relation, borel_bins, copy=False)
+        return scheme
+
+    def _setup(self, space, label_space, rel, borel_bins, copy):
         n = space.node_count
         if rel.shape != (n, n):
             raise ValueError(f"relation has shape {rel.shape}, expected ({n}, {n})")
@@ -120,14 +152,15 @@ class Scheme:
         if rel.size and (rel.min() < 0 or rel.max() >= L):
             raise ValueError("relation entries must lie in 0..label_count-1")
         # counted in blocks of rows: one bincount over all n * n entries
-        # of an int32 relation would first copy them to int64
+        # would first copy them to intp
         counts = np.zeros(L, dtype=np.int64)
-        for r in range(0, n, 256):
-            counts += np.bincount(rel[r:r + 256].ravel(), minlength=L)
+        rows = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
+        for r in range(0, n, rows):
+            counts += np.bincount(rel[r:r + rows].ravel(), minlength=L)
         missing = np.nonzero(counts == 0)[0]
         if missing.size:
             raise SurjectivityError(missing.tolist())
-        rel = rel.astype(np.int32)
+        rel = rel.astype(label_dtype(L), copy=copy)
         rel.setflags(write=False)
         self.space = space
         self.label_space = label_space
@@ -531,7 +564,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             witnesses["cas1"] = items
 
     # CAS3: relation transpose matches the involution table
-    # in the relation's int32, so the n x n temporary takes half the memory
+    # in the relation's dtype, so the n x n temporary is no wider than it
     mism_x, mism_y = np.nonzero(inv.astype(rel.dtype)[rel] != rel.T)
     cas3_ok = mism_x.size == 0
     if not cas3_ok:
@@ -707,45 +740,92 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
 
 
 class _LineReader:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
+    """The lines of a text file as str.splitlines() of its whole text
+    would give them, numbered from 1, read one physical line at a time."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.lineno = 0
+        # the rest of the last physical line, split at \f, \v and the
+        # other breaks that splitlines() knows beyond \n, in reverse
+        self.pending = []
 
     def next_content(self):
-        while self.pos < len(self.lines):
-            lineno = self.pos + 1
-            text = self.lines[self.pos].strip()
-            self.pos += 1
+        """(line number, stripped text) of the next non-blank line, or
+        (None, None) at the end of the file."""
+        while True:
+            if not self.pending:
+                line = self.fh.readline()
+                if not line:
+                    return None, None
+                self.pending = line.splitlines()[::-1]
+            self.lineno += 1
+            text = self.pending.pop().strip()
             if text:
-                return lineno, text
-        return None, None
+                return self.lineno, text
+
+    def relation_block(self, n, dtype):
+        """The next n lines as an n x n relation from one np.loadtxt call,
+        or None with the reader left where it was."""
+        if self.pending:
+            return None
+        start = self.fh.tell()
+        rel = _load_relation_block(self.fh, n, dtype)
+        if rel is None:
+            self.fh.seek(start)
+        return rel
 
 
-def _parse_relation_block(rows, n):
-    """The n x n relation from its n lines in one call, or None when they
-    are not n lines of n plain int32 entries each (blank lines included)."""
-    if n <= 0 or len(rows) != n or any(not r or r.isspace() for r in rows):
+# line breaks of str.splitlines() that np.loadtxt reads as spaces
+_ASCII_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e")
+
+
+def _load_relation_block(fh, n, dtype):
+    """n x n relation of dtype streamed from the next n lines of fh, or
+    None when they are not n lines of n plain entries each.
+
+    np.loadtxt holds only its result, never the text. A blank line, a
+    line that splitlines() would break, or a value out of dtype's range
+    refuses the block rather than let loadtxt skip or read it differently
+    from the row loop.
+    """
+    def rows():
+        for _ in range(n):
+            line = fh.readline()
+            if (not line or line.isspace() or not line.isascii()
+                    or any(c in line for c in _ASCII_BREAKS)):
+                raise ValueError("not a plain relation row")
+            yield line
+
+    if n <= 0:
         return None
     try:
-        rel = np.loadtxt(rows, dtype=np.int32, comments=None, ndmin=2)
+        rel = np.loadtxt(rows(), dtype=dtype, comments=None, ndmin=2,
+                         max_rows=n)
     except (ValueError, OverflowError):
         return None
     return rel if rel.shape == (n, n) else None
 
 
 def read_scheme(path) -> Scheme:
-    """Parse a `#casmat-scheme v1` file; errors carry the line number."""
+    """Parse a `#casmat-scheme v1` file; errors carry the line number.
+
+    The file is streamed: header lines are read one at a time and the
+    relation block goes straight into label_dtype, so no copy of the
+    file's text is held. A block the one-call parse refuses is read
+    again, row by row, to name the faulty line.
+    """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != SCHEME_HEADER:
-        raise ParseError(f"expected header {SCHEME_HEADER!r}", line=1)
-    reader = _LineReader(lines[1:])
-    reader_offset = 1
+        return _read_scheme(_LineReader(fh))
 
+
+def _read_scheme(reader) -> Scheme:
     def fail(msg, lineno):
-        raise ParseError(msg, line=None if lineno is None
-                         else lineno + reader_offset)
+        raise ParseError(msg, line=lineno)
 
+    lineno, text = reader.next_content()
+    if lineno != 1 or text != SCHEME_HEADER:
+        fail(f"expected header {SCHEME_HEADER!r}", 1)
     lineno, text = reader.next_content()
     if text is not None and text.startswith("recipe"):
         lineno, text = reader.next_content()
@@ -835,7 +915,11 @@ def read_scheme(path) -> Scheme:
         lineno, text = reader.next_content()
     if text != "relation":
         fail("expected 'relation' section", lineno)
-    rel = _parse_relation_block(reader.lines[reader.pos:reader.pos + n], n)
+    rel = reader.relation_block(n, label_dtype(L))
+    if rel is None:
+        # a label beyond the narrow dtype is refused there; in int64 it
+        # reaches Scheme's range check, as it would from the row loop
+        rel = reader.relation_block(n, np.int64)
     if rel is None:
         # the row loop finds the exact line and message of the fault
         rel = np.zeros((n, n), dtype=np.int64)
@@ -851,13 +935,13 @@ def read_scheme(path) -> Scheme:
                 rel[r] = [int(t) for t in parts]
             except ValueError:
                 fail(f"malformed relation entry in row {r}", lineno)
+            except OverflowError:
+                fail("relation entries must lie in 0..label_count-1", lineno)
 
-    # free the file's lines before Scheme copies the relation
-    del lines, reader
     try:
         space = make_quadrature(weights)
         label_space = LabelSpace(involution=involution, identity_label=identity,
                                  bin_meta=tuple(bin_meta) if any_bins else None)
-        return Scheme(space, label_space, rel, borel_bins=borel_bins)
+        return Scheme._adopt(space, label_space, rel, borel_bins=borel_bins)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from casmat import (catalog, cyclic_group, delsarte_scheme, dihedral_group,
-                    group_action_scheme, sphere_scheme, symmetric_group)
+                    group_action_scheme, label_dtype, sphere_scheme,
+                    symmetric_group)
 
 
 def oracle_orbitals(generators):
@@ -98,7 +99,7 @@ def assert_same_orbitals(generators):
         assert str(err.value) == str(exc)
         return False
     scheme = group_action_scheme(generators)
-    assert scheme.relation.dtype == np.int32
+    assert scheme.relation.dtype == label_dtype(scheme.label_count)
     assert np.array_equal(scheme.relation, expected[0])
     assert np.array_equal(scheme.label_space.involution, expected[1])
     return True
@@ -162,7 +163,7 @@ def test_random_metrics_match_oracle(n_bins, integer):
                 c, np.linspace(0.0, float(c.max()), n_bins + 1))
             L = len(bin_meta)
             assert scheme.label_space.bin_meta == bin_meta
-        assert scheme.relation.dtype == np.int32
+        assert scheme.relation.dtype == label_dtype(L)
         assert np.array_equal(scheme.relation, rel)
         assert np.array_equal(scheme.label_space.involution, np.arange(L))
 
@@ -214,7 +215,7 @@ def adversarial_table(edges, rng, inside=False):
 def assert_binned_like_oracle(values, edges):
     expected_rel, expected_meta = oracle_binned(values, edges)
     rel, label_space = catalog._binned_relation(values, edges)
-    assert rel.dtype == np.int32
+    assert rel.dtype == label_dtype(label_space.size)
     assert np.array_equal(rel, expected_rel)
     assert label_space.bin_meta == expected_meta
 

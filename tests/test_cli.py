@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from casmat import Scheme, read_scheme, write_scheme
+from casmat import (Scheme, circle_scheme, read_scheme, sphere_scheme,
+                    write_scheme)
+from casmat import cli
 from casmat.cli import main
 
 
@@ -235,6 +238,69 @@ def test_verify_refuses_work_over_budget(hamming_file, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["verify", str(hamming_file), "--max-pairs", "0"]) == 2
     assert "--max-pairs must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
+                                             monkeypatch):
+    # h32 with auto BMA: 8 nodes x 64 full-fiber pairs, and 2 x (4 basis
+    # members + 3 random probes) dense products of 8**3 steps: 7 680
+    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 7679)
+    assert main(["verify", str(hamming_file), "--max-pairs", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.strip().count("\n") == 0
+    assert "7.7e+03" in captured.err and "--bma off" in captured.err
+    # the CAS2 work alone fits its own budget
+    assert main(["verify", str(hamming_file), "--max-pairs", "3",
+                 "--bma", "off"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 7680)
+    code, report = run(capsys, "verify", str(hamming_file), "--max-pairs", "3")
+    assert code == 0
+    assert "bma2_composition_closure" in [c["name"] for c in report["checks"]]
+
+
+def test_bma_budget_refuses_before_any_check(tmp_path, capsys, monkeypatch):
+    # sphere(1000, 20) with --bma on: about 5e10 steps of BMA work
+    path = tmp_path / "s1000.scheme"
+    write_scheme(sphere_scheme(1000, 20), path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused verify ran a check")
+
+    for name in ("verify_cas", "algebra_of_scheme", "default_probes"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(["verify", str(path), "--max-pairs", "50", "--bma", "on"]) \
+        == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the BMA checks would take ")
+    assert captured.err.strip().count("\n") == 0
+
+
+def test_bma_budget_admits_unsigned_circle_at_the_auto_caps():
+    # 61 labels, just under the auto label cap
+    scheme = circle_scheme(120, 30, signed=False)
+    assert scheme.label_count <= cli.BMA_AUTO_LABEL_CAP
+    assert cli._check_verify_work(scheme, None, True) is None
+
+
+def test_digest_streams_the_file_in_blocks(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "blob"
+    monkeypatch.setattr("casmat.cli._DIGEST_BLOCK_BYTES", 7)
+    for data in (b"", b"abcdefg", bytes(range(256)) * 3):
+        path.write_bytes(data)
+        assert cli._digest(path) == \
+            "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    monkeypatch.undo()
+    # cyclic(600) is a file of more than one default block
+    path = tmp_path / "z600.scheme"
+    code, report = run(capsys, "catalog", "cyclic", "--n", "600",
+                       "--out", str(path))
+    assert code == 0 and path.stat().st_size > cli._DIGEST_BLOCK_BYTES
+    assert report["input_digest"] == \
+        "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_correspond_refuses_tolerance_grouping_over_cap(hamming_file, capsys,

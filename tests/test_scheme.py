@@ -302,7 +302,7 @@ def _read_lines(lines):
 
 def _row_loop_read(lines):
     """The same read with the one-call parse switched off."""
-    with mock.patch.object(scheme_module, "_parse_relation_block",
+    with mock.patch.object(scheme_module, "_load_relation_block",
                            return_value=None):
         return _read_lines(lines)
 
@@ -353,10 +353,16 @@ def test_read_scheme_relation_error_contract(name):
     assert got == _row_loop_read(lines[:start] + edit(lines[start:]))
 
 
-def test_relation_block_parses_in_one_call():
+def test_relation_block_parses_in_one_call(tmp_path):
     lines, start = _cyclic5_lines()
-    rel = scheme_module._parse_relation_block(lines[start:start + 5], 5)
-    assert rel.dtype == np.int32
+    path = tmp_path / "c5.scheme"
+    path.write_text("\n".join(lines))
+    with open(path) as fh:
+        for _ in range(start):
+            fh.readline()
+        rel = scheme_module._load_relation_block(
+            fh, 5, scheme_module.label_dtype(5))
+    assert rel.dtype == np.uint8
     assert np.array_equal(rel, cyclic_scheme(5).relation)
 
 
