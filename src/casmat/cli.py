@@ -30,10 +30,12 @@ BMA_AUTO_LABEL_CAP = 64
 BMA_AUTO_NODE_CAP = 1024
 # fiber pairs evaluated x nodes: about a minute of CAS2 work
 VERIFY_WORK_BUDGET = 10**9
-# the BMA checks' full-fiber pair x node steps plus n**3 per dense probe
-# product: some tens of seconds. Kept apart from the CAS2 budget, since
-# --max-pairs samples none of the fibers the BMA checks reduce.
-BMA_WORK_BUDGET = 10**10
+# the BMA checks' steps, (2 * labels + 7) * n**3 (see _bma_work):
+# measured on one core at 0.6 ns (hamming(10,2), 3.1e10 in 18.5 s) to
+# 2 ns a step (sphere(800,40), 4.6e10 in 94 s), so at most about 80 s.
+# Kept apart from the CAS2 budget, since --max-pairs samples none of the
+# fibers the BMA checks reduce.
+BMA_WORK_BUDGET = 4 * 10**10
 # seeded random probes next to the basis members
 BMA_RANDOM_PROBES = 3
 # a block of a file read for its digest
@@ -161,9 +163,17 @@ def _numeric_flag_error(args):
     return None
 
 
-def _check_verify_work(scheme, max_pairs, run_bma):
-    """Refuse, with exit 2, a verify whose CAS2 work or, when the BMA
-    checks run, whose BMA work exceeds its budget."""
+def _bma_work(scheme):
+    """Steps of the BMA checks: the structure constants reduce every full
+    fiber, n * n**2 pair x node steps, and the identity is composed on both
+    sides with each basis member and random probe, n**3 per product."""
+    products = 2 * (scheme.label_count + BMA_RANDOM_PROBES)
+    return (products + 1) * scheme.space.node_count**3
+
+
+def _check_verify_work(scheme, max_pairs, bma_on):
+    """Refuse, with exit 2, a verify whose CAS2 work or, under --bma on,
+    whose BMA work exceeds its budget."""
     n = scheme.space.node_count
     L = scheme.label_count
     counts = scheme.fiber_counts
@@ -176,14 +186,12 @@ def _check_verify_work(scheme, max_pairs, run_bma):
               f"steps (budget {VERIFY_WORK_BUDGET:.0e}); sample the fibers "
               f"with --max-pairs {suggest}", file=sys.stderr)
         return EXIT_USAGE
-    if not run_bma:
+    if not bma_on:
         return None
-    # the structure constants reduce every full fiber; the identity is
-    # composed on both sides with each basis member and random probe
-    products = 2 * (L + BMA_RANDOM_PROBES)
-    work = n * int(scheme.fiber_counts.sum()) + products * n**3
+    work = _bma_work(scheme)
     if work <= BMA_WORK_BUDGET:
         return None
+    products = 2 * (L + BMA_RANDOM_PROBES)
     print(f"error: the BMA checks would take {work:.1e} steps (budget "
           f"{BMA_WORK_BUDGET:.0e}): {L} full-fiber reductions and "
           f"{products} dense products over {n} nodes; skip them with "
@@ -196,11 +204,14 @@ def cmd_verify(args) -> int:
     scheme, err = _load_scheme(args.scheme)
     if err is not None:
         return err
+    # --bma auto skips the BMA checks outside its caps or over their
+    # budget; --bma on refuses a run over that budget
     run_bma = args.bma == "on" or (
         args.bma == "auto"
         and scheme.label_count <= BMA_AUTO_LABEL_CAP
-        and scheme.space.node_count <= BMA_AUTO_NODE_CAP)
-    err = _check_verify_work(scheme, args.max_pairs, run_bma)
+        and scheme.space.node_count <= BMA_AUTO_NODE_CAP
+        and _bma_work(scheme) <= BMA_WORK_BUDGET)
+    err = _check_verify_work(scheme, args.max_pairs, args.bma == "on")
     if err is not None:
         return err
     try:

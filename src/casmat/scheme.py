@@ -917,10 +917,6 @@ def _read_scheme(reader) -> Scheme:
         fail("expected 'relation' section", lineno)
     rel = reader.relation_block(n, label_dtype(L))
     if rel is None:
-        # a label beyond the narrow dtype is refused there; in int64 it
-        # reaches Scheme's range check, as it would from the row loop
-        rel = reader.relation_block(n, np.int64)
-    if rel is None:
         # the row loop finds the exact line and message of the fault
         rel = np.zeros((n, n), dtype=np.int64)
         for r in range(n):

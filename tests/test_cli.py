@@ -242,27 +242,35 @@ def test_verify_refuses_work_over_budget(hamming_file, capsys, monkeypatch):
 
 def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
                                              monkeypatch):
-    # h32 with auto BMA: 8 nodes x 64 full-fiber pairs, and 2 x (4 basis
-    # members + 3 random probes) dense products of 8**3 steps: 7 680
+    # h32: 8 nodes x 64 full-fiber pairs, and 2 x (4 basis members + 3
+    # random probes) dense products of 8**3 steps: 7 680
     monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 7679)
-    assert main(["verify", str(hamming_file), "--max-pairs", "3"]) == 2
+    assert main(["verify", str(hamming_file), "--max-pairs", "3",
+                 "--bma", "on"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.strip().count("\n") == 0
     assert "7.7e+03" in captured.err and "--bma off" in captured.err
-    # the CAS2 work alone fits its own budget
+    # --bma auto skips them, as outside its caps
+    code, report = run(capsys, "verify", str(hamming_file), "--max-pairs", "3")
+    assert code == 0
+    assert [c["status"] for c in report["checks"]
+            if c["name"].startswith("bma")] == ["skipped"]
     assert main(["verify", str(hamming_file), "--max-pairs", "3",
                  "--bma", "off"]) == 0
     capsys.readouterr()
     monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 7680)
-    code, report = run(capsys, "verify", str(hamming_file), "--max-pairs", "3")
-    assert code == 0
-    assert "bma2_composition_closure" in [c["name"] for c in report["checks"]]
+    for flag in ("auto", "on"):
+        code, report = run(capsys, "verify", str(hamming_file),
+                           "--max-pairs", "3", "--bma", flag)
+        assert code == 0
+        assert "bma2_composition_closure" in \
+            [c["name"] for c in report["checks"]]
 
 
 def test_bma_budget_refuses_before_any_check(tmp_path, capsys, monkeypatch):
-    # sphere(1000, 20) with --bma on: about 5e10 steps of BMA work
+    # sphere(1000, 20) with --bma on: 4.9e10 steps of BMA work
     path = tmp_path / "s1000.scheme"
     write_scheme(sphere_scheme(1000, 20), path)
 
