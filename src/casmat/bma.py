@@ -28,10 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, SpaceMismatchError
-from .kernel import (KERNEL_HEADER, Kernel, IdentityReport,
-                     check_approximate_identity, matmul, ones_kernel,
-                     parse_row, sup_norm, transpose, write_dump)
+from .errors import ParseError, SpaceMismatchError, _LineReader
+from .kernel import (Kernel, IdentityReport, check_approximate_identity,
+                     matmul, ones_kernel, _read_dump, sup_norm,
+                     transpose, write_dump)
 from .measure import product_integrate
 from .scheme import Scheme, _table_reduction, joint_table
 
@@ -478,45 +478,33 @@ def write_basis(alg: AlgebraBasis, path) -> None:
 
 def read_basis(path, space) -> AlgebraBasis:
     """Read a basis bundle over an existing space (n must match)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(BASIS_HEADER):
-        raise ParseError(f"expected header {BASIS_HEADER!r}", line=1)
-    meta = {}
-    for tok in lines[0].split()[2:]:
-        key, eq, value = tok.partition("=")
-        if not eq:
-            raise ParseError(f"basis header field {tok!r} is not key=value",
+    with _LineReader(path) as reader:
+        lineno, text = reader.next_content()
+        if (lineno != 1 or text is None
+                or not text.startswith(BASIS_HEADER)):
+            raise ParseError(f"expected header {BASIS_HEADER!r}", line=1)
+        meta = {}
+        for tok in text.split()[2:]:
+            key, eq, value = tok.partition("=")
+            if not eq:
+                raise ParseError(
+                    f"basis header field {tok!r} is not key=value", line=1)
+            meta[key] = value
+        try:
+            count = int(meta["count"])
+        except (KeyError, ValueError):
+            raise ParseError("basis header is missing count=<n>", line=1)
+        if count < 1:
+            raise ParseError(f"basis count must be at least 1, got {count}",
                              line=1)
-        meta[key] = value
-    try:
-        count = int(meta["count"])
-    except (KeyError, ValueError):
-        raise ParseError("basis header is missing count=<n>", line=1)
-    if count < 1:
-        raise ParseError(f"basis count must be at least 1, got {count}",
-                         line=1)
-    contains_j = meta.get("contains_j", "true") == "true"
-    try:
-        closure_tol = float(meta.get("closure_tolerance", "0.0"))
-    except ValueError:
-        raise ParseError("basis header has a malformed closure_tolerance",
-                         line=1)
-    n = space.node_count
-    basis = []
-    pos = 1
-    for _ in range(count):
-        if pos >= len(lines) or not lines[pos].startswith(KERNEL_HEADER):
-            raise ParseError("expected a kernel dump header", line=pos + 1)
-        rows = []
-        pos += 1
-        while len(rows) < n:
-            if pos >= len(lines):
-                raise ParseError("kernel dump ended early", line=pos)
-            rows.append(parse_row(lines[pos].strip(), n, pos + 1))
-            pos += 1
-        basis.append(Kernel(np.asarray(rows), space))
-    return AlgebraBasis(basis=tuple(basis), contains_J=contains_j,
+        contains_j = meta.get("contains_j", "true") == "true"
+        try:
+            closure_tol = float(meta.get("closure_tolerance", "0.0"))
+        except ValueError:
+            raise ParseError("basis header has a malformed closure_tolerance",
+                             line=1)
+        basis = tuple(_read_dump(reader, space) for _ in range(count))
+    return AlgebraBasis(basis=basis, contains_J=contains_j,
                         closure_tolerance=closure_tol)
 
 

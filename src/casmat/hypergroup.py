@@ -156,18 +156,18 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
 
 def convolve_measure_point(hg: HypergroupData, mu: np.ndarray, i_prime):
     """Bilinear extension: convolve a label measure with a point mass. The
-    rows of mu's support are built in one pass and added in label order."""
+    rows of mu's support are built one at a time, in one buffer, and added
+    in label order."""
     L = hg.label_count
     mu = np.asarray(mu)
     if not 0 <= i_prime < L or mu.shape != (L,):
         raise ValueError(f"need a label in 0..{L - 1} and one mass per "
                          f"label, got {i_prime} and shape {mu.shape}")
-    support = np.flatnonzero(mu)
-    rows = np.empty((support.size, L, L))
-    _convolution_rows(hg, support, rows)
+    row = np.empty((1, L, L))
     out = np.zeros(L)
-    for i, row in zip(support, rows):
-        out += mu[i] * row[i_prime]
+    for i in np.flatnonzero(mu):
+        _convolution_rows(hg, [i], row)
+        out += mu[i] * row[0, i_prime]
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _LineReader
 
 QUADRATURE_HEADER = "#casmat-quadrature v1"
 
@@ -118,35 +118,38 @@ def write_quadrature(space: MeasureSpace, path) -> None:
 
 def read_quadrature(path) -> MeasureSpace:
     """Read a `#casmat-quadrature v1` file back into a MeasureSpace."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != QUADRATURE_HEADER:
-        raise ParseError(f"expected header {QUADRATURE_HEADER!r}", line=1)
     weights = []
     coords = []
     width: Optional[int] = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split()
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ParseError(
-                f"expected {width} fields per record, got {len(fields)}",
-                line=lineno)
-        try:
-            values = [float(t) for t in fields]
-        except ValueError:
-            raise ParseError(f"malformed float in {text!r}", line=lineno)
-        if not 0.0 < values[0] < np.inf:
-            raise ParseError(
-                f"weight must be finite and strictly positive, got "
-                f"{fields[0]!r}", line=lineno)
-        weights.append(values[0])
-        if width > 1:
-            coords.append(values[1:])
+    with _LineReader(path) as reader:
+        lineno, text = reader.next_content()
+        if lineno != 1 or text != QUADRATURE_HEADER:
+            raise ParseError(f"expected header {QUADRATURE_HEADER!r}",
+                             line=1)
+        while True:
+            lineno, text = reader.next_content()
+            if text is None:
+                break
+            if text.startswith("#"):
+                continue
+            fields = text.split()
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ParseError(
+                    f"expected {width} fields per record, got {len(fields)}",
+                    line=lineno)
+            try:
+                values = [float(t) for t in fields]
+            except ValueError:
+                raise ParseError(f"malformed float in {text!r}", line=lineno)
+            if not 0.0 < values[0] < np.inf:
+                raise ParseError(
+                    f"weight must be finite and strictly positive, got "
+                    f"{fields[0]!r}", line=lineno)
+            weights.append(values[0])
+            if width > 1:
+                coords.append(values[1:])
     if not weights:
         raise ParseError("no node records found")
     coordinates = np.asarray(coords) if coords else None

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _LineReader
 from .measure import MeasureSpace, make_quadrature
 
 SCHEME_HEADER = "#casmat-scheme v1"
@@ -739,84 +739,31 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
             fh.write(text[text != 0])
 
 
-class _LineReader:
-    """The lines of a text file as str.splitlines() of its whole text
-    would give them, numbered from 1, read one physical line at a time."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.lineno = 0
-        # the rest of the last physical line, split at \f, \v and the
-        # other breaks that splitlines() knows beyond \n, in reverse
-        self.pending = []
-
-    def next_content(self):
-        """(line number, stripped text) of the next non-blank line, or
-        (None, None) at the end of the file."""
-        while True:
-            if not self.pending:
-                line = self.fh.readline()
-                if not line:
-                    return None, None
-                self.pending = line.splitlines()[::-1]
-            self.lineno += 1
-            text = self.pending.pop().strip()
-            if text:
-                return self.lineno, text
-
-    def relation_block(self, n, dtype):
-        """The next n lines as an n x n relation from one np.loadtxt call,
-        or None with the reader left where it was."""
-        if self.pending:
-            return None
-        start = self.fh.tell()
-        rel = _load_relation_block(self.fh, n, dtype)
-        if rel is None:
-            self.fh.seek(start)
-        return rel
-
-
-# line breaks of str.splitlines() that np.loadtxt reads as spaces
-_ASCII_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e")
-
-
-def _load_relation_block(fh, n, dtype):
-    """n x n relation of dtype streamed from the next n lines of fh, or
-    None when they are not n lines of n plain entries each.
-
-    np.loadtxt holds only its result, never the text. A blank line, a
-    line that splitlines() would break, or a value out of dtype's range
-    refuses the block rather than let loadtxt skip or read it differently
-    from the row loop.
-    """
-    def rows():
-        for _ in range(n):
-            line = fh.readline()
-            if (not line or line.isspace() or not line.isascii()
-                    or any(c in line for c in _ASCII_BREAKS)):
-                raise ValueError("not a plain relation row")
-            yield line
-
-    if n <= 0:
-        return None
+def _load_relation_rows(texts, n, L):
+    """The relation rows in texts as a (len(texts), n) array of
+    label_dtype(L) from one np.loadtxt call, or None when loadtxt refuses
+    them, they are not n entries each or a label lies outside 0..L-1."""
     try:
-        rel = np.loadtxt(rows(), dtype=dtype, comments=None, ndmin=2,
-                         max_rows=n)
+        rows = np.loadtxt(texts, dtype=label_dtype(L), comments=None,
+                          ndmin=2)
     except (ValueError, OverflowError):
         return None
-    return rel if rel.shape == (n, n) else None
+    if rows.shape != (len(texts), n) or rows.min() < 0 or rows.max() >= L:
+        return None
+    return rows
 
 
 def read_scheme(path) -> Scheme:
     """Parse a `#casmat-scheme v1` file; errors carry the line number.
 
-    The file is streamed: header lines are read one at a time and the
-    relation block goes straight into label_dtype, so no copy of the
-    file's text is held. A block the one-call parse refuses is read
-    again, row by row, to name the faulty line.
+    The file is streamed: lines are read one at a time and the relation
+    goes into label_dtype a block of rows at a time, one np.loadtxt call
+    per block, so no copy of the file's text is held. A block that call
+    refuses is parsed again row by row, from its lines, to name the
+    faulty line.
     """
-    with open(path) as fh:
-        return _read_scheme(_LineReader(fh))
+    with _LineReader(path) as reader:
+        return _read_scheme(reader)
 
 
 def _read_scheme(reader) -> Scheme:
@@ -915,12 +862,17 @@ def _read_scheme(reader) -> Scheme:
         lineno, text = reader.next_content()
     if text != "relation":
         fail("expected 'relation' section", lineno)
-    rel = reader.relation_block(n, label_dtype(L))
-    if rel is None:
-        # the row loop finds the exact line and message of the fault
-        rel = np.zeros((n, n), dtype=np.int64)
-        for r in range(n):
-            lineno, text = reader.next_content()
+    rel = np.empty((n, n), dtype=label_dtype(L))
+    step = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
+    for start in range(0, n, step):
+        lines = [reader.next_content() for _ in range(min(step, n - start))]
+        texts = [text for _, text in lines]
+        rows = None if None in texts else _load_relation_rows(texts, n, L)
+        if rows is not None:
+            rel[start:start + len(rows)] = rows
+            continue
+        # row by row: the oracle for relation-fault messages and lines
+        for r, (lineno, text) in enumerate(lines, start):
             if text is None:
                 fail(f"relation matrix ended early at row {r}", lineno)
             parts = text.split()
@@ -928,11 +880,12 @@ def _read_scheme(reader) -> Scheme:
                 fail(f"relation row {r} has {len(parts)} entries, "
                      f"expected {n}", lineno)
             try:
-                rel[r] = [int(t) for t in parts]
+                row = [int(t) for t in parts]
             except ValueError:
                 fail(f"malformed relation entry in row {r}", lineno)
-            except OverflowError:
+            if min(row) < 0 or max(row) >= L:
                 fail("relation entries must lie in 0..label_count-1", lineno)
+            rel[r] = row
 
     try:
         space = make_quadrature(weights)

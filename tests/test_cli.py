@@ -75,6 +75,24 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["nodes", "relation"])
+def test_non_utf8_byte_exits_2_naming_its_line(hamming_file, capsys, where):
+    data = hamming_file.read_bytes()
+    if where == "nodes":
+        data, line = data.replace(b"nodes 8", b"nodes \xff8"), 3
+    else:
+        head, _, rows = data.partition(b"relation\n")
+        data = head + b"relation\n" + rows.replace(b"\n", b"\xff\n", 1)
+        line = head.count(b"\n") + 2
+    hamming_file.write_bytes(data)
+    assert main(["verify", str(hamming_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().count("\n") == 0
+    assert captured.err.startswith(f"error: {hamming_file}: line {line}: "
+                                   f"byte 0xff is not valid UTF-8")
+
+
 def test_bad_flags_exit_2(capsys):
     assert main(["verify"]) == 2
     assert main(["frobnicate"]) == 2

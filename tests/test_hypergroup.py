@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -243,7 +244,7 @@ def per_label_measure_point(hg, mu, i_prime):
                                    lambda: circle_scheme(24, 6),
                                    lambda: circle_scheme(30, 10, False)],
                          ids=["hamming32", "circle24", "circle30u"])
-def test_measure_point_builds_its_rows_in_one_call(build, monkeypatch):
+def test_measure_point_builds_one_row_per_label(build, monkeypatch):
     from casmat import hypergroup as hypergroup_module
     hg = kernel_of_scheme(build())
     L = hg.label_count
@@ -262,8 +263,22 @@ def test_measure_point_builds_its_rows_in_one_call(build, monkeypatch):
         monkeypatch.setattr(hypergroup_module, "_convolution_rows", counted)
         got = convolve_measure_point(hg, mu, ip)
         monkeypatch.undo()
-        assert calls == [np.flatnonzero(mu).tolist()]
+        assert calls == [[i] for i in np.flatnonzero(mu)]
         assert got.tobytes() == want.tobytes()
+
+
+def test_measure_point_holds_one_row_at_a_time():
+    hg = kernel_of_scheme(circle_scheme(240, 60))
+    mu = np.ones(hg.label_count)
+    tracemalloc.start()
+    try:
+        got = convolve_measure_point(hg, mu, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the support's rows side by side would be 240 * 240 * 240 * 8 B
+    assert peak < 5 * 10**6
+    assert got.tobytes() == per_label_measure_point(hg, mu, 3).tobytes()
 
 
 def test_measure_point_refuses_bad_label_and_shape():

@@ -11,12 +11,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from casmat import (AlgebraBasis, Kernel, MeasureSpace, ParseError,
                     algebra_of_scheme, cyclic_scheme, make_quadrature,
-                    read_basis, read_kernel, read_quadrature, write_basis,
-                    write_kernel, write_quadrature)
+                    read_basis, read_kernel, read_quadrature, read_scheme,
+                    write_basis, write_kernel, write_quadrature,
+                    write_scheme)
 
 TOKENS = st.one_of(
     st.sampled_from(["0", "-1", "1.5", "-0.0", "nan", "inf", "-inf",
@@ -85,6 +87,7 @@ KERNEL_LINES = valid_lines(
     write_kernel, Kernel(np.arange(9.0).reshape(3, 3) * (1 - 0.5j), SPACE))
 SCHEME = cyclic_scheme(3)
 BASIS_LINES = valid_lines(write_basis, algebra_of_scheme(SCHEME))
+SCHEME_LINES = valid_lines(write_scheme, SCHEME)
 
 
 @settings(deadline=None, max_examples=150)
@@ -127,3 +130,31 @@ def test_read_basis_on_mutated_files(edits, split_header):
         assert isinstance(alg.contains_J, bool)
         for K in alg.basis:
             assert_valid_kernel(K, SCHEME.space)
+
+
+# (reader, its file's lines, the 0-based line that gets the byte, args)
+NON_UTF8 = {
+    "scheme header line": (read_scheme, SCHEME_LINES,
+                           SCHEME_LINES.index("nodes 3"), ()),
+    "scheme relation row": (read_scheme, SCHEME_LINES,
+                            SCHEME_LINES.index("relation") + 2, ()),
+    "kernel row": (read_kernel, KERNEL_LINES, 2, (SPACE,)),
+    "basis row": (read_basis, BASIS_LINES, 3, (SCHEME.space,)),
+    "quadrature record": (read_quadrature, QUADRATURE_LINES, 1, ()),
+}
+
+
+@pytest.mark.parametrize("name", NON_UTF8)
+@pytest.mark.parametrize("byte", [b"\xff", b"\xc3", b"\xed\xa0\x80"])
+def test_non_utf8_byte_is_refused_at_its_line(name, byte):
+    reader, lines, at, args = NON_UTF8[name]
+    data = [line.encode() for line in lines]
+    data[at] = data[at][:1] + byte + data[at][1:]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "bad.txt"
+        path.write_bytes(b"\n".join(data) + b"\n")
+        with pytest.raises(ParseError) as exc:
+            reader(path, *args)
+    assert exc.value.line == at + 1
+    assert str(exc.value) == (f"line {at + 1}: byte {byte[0]:#04x} is not "
+                              f"valid UTF-8")

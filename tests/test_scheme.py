@@ -302,7 +302,7 @@ def _read_lines(lines):
 
 def _row_loop_read(lines):
     """The same read with the one-call parse switched off."""
-    with mock.patch.object(scheme_module, "_load_relation_block",
+    with mock.patch.object(scheme_module, "_load_relation_rows",
                            return_value=None):
         return _read_lines(lines)
 
@@ -315,8 +315,8 @@ def _edit_row(r, old, new):
     return edit
 
 
-RANGE_ERROR = ("ParseError", "relation entries must lie in "
-                             "0..label_count-1", None)
+RANGE_ERROR = ("ParseError", "line 13: relation entries must lie in "
+                             "0..label_count-1", 13)
 # rows of cyclic(5) are "0 1 2 3 4", "4 0 1 2 3", ... at lines 13-17
 RELATION_FAULTS = {
     "short row": (_edit_row(1, " 3", ""), (
@@ -353,15 +353,9 @@ def test_read_scheme_relation_error_contract(name):
     assert got == _row_loop_read(lines[:start] + edit(lines[start:]))
 
 
-def test_relation_block_parses_in_one_call(tmp_path):
+def test_relation_block_parses_in_one_call():
     lines, start = _cyclic5_lines()
-    path = tmp_path / "c5.scheme"
-    path.write_text("\n".join(lines))
-    with open(path) as fh:
-        for _ in range(start):
-            fh.readline()
-        rel = scheme_module._load_relation_block(
-            fh, 5, scheme_module.label_dtype(5))
+    rel = scheme_module._load_relation_rows(lines[start:start + 5], 5, 5)
     assert rel.dtype == np.uint8
     assert np.array_equal(rel, cyclic_scheme(5).relation)
 

@@ -42,7 +42,7 @@ def read_bytes(data: bytes):
 
 
 def row_loop_bytes(data: bytes):
-    with mock.patch.object(scheme_module, "_load_relation_block",
+    with mock.patch.object(scheme_module, "_load_relation_rows",
                            return_value=None):
         return read_bytes(data)
 
@@ -93,9 +93,9 @@ FAULTY = {
     "paragraph separator splits a row": (relation_row(1, " ", "\u2029"),
                                          14),
     "nul in an entry": (relation_row(0, "1", "1\x00"), 13),
-    "negative entry": (relation_row(0, "1", "-1"), None),
-    "entry beyond uint8": (relation_row(0, "1", "300"), None),
-    "entry that wraps to 0 in uint8": (relation_row(0, "1", "256"), None),
+    "negative entry": (relation_row(0, "1", "-1"), 13),
+    "entry beyond uint8": (relation_row(0, "1", "300"), 13),
+    "entry that wraps to 0 in uint8": (relation_row(0, "1", "256"), 13),
     "entry beyond int64": (relation_row(0, "1", "1" * 30), 13),
     "float entry": (relation_row(0, "1", "1.0"), 13),
     "row short at the end of the file": (CLEAN.rstrip("\n")[:-2], 17),
@@ -156,3 +156,48 @@ def test_read_scheme_holds_no_copy_of_the_text(tmp_path):
     # less than one copy of the file's text beside the relation
     assert peak < rel.nbytes + path.stat().st_size
     assert rel.dtype == np.uint8
+
+
+def faulty_sphere600(tmp_path, token):
+    """sphere(600,20) written with the last entry of its last relation row
+    replaced by token: (path, the line of that row)."""
+    path = tmp_path / "s600.scheme"
+    scheme_module.write_scheme(sphere_scheme(600, 20), path)
+    lines = path.read_text().split("\n")
+    last = lines.index("relation") + 600
+    lines[last] = lines[last].rsplit(" ", 1)[0] + " " + token
+    path.write_text("\n".join(lines))
+    return path, last + 1
+
+
+@pytest.mark.parametrize("token", ["300", "x", "21"])
+def test_a_fault_in_the_last_row_rereads_only_its_block(tmp_path, token):
+    path, line = faulty_sphere600(tmp_path, token)
+    refused = []
+    own = scheme_module._load_relation_rows
+
+    def counted(texts, n, L):
+        rows = own(texts, n, L)
+        if rows is None:
+            refused.append(len(texts))
+        return rows
+    with mock.patch.object(scheme_module, "_load_relation_rows", counted):
+        with pytest.raises(ParseError) as exc:
+            read_scheme(path)
+    assert exc.value.line == line
+    # the rows handed to the row loop: the last block of several
+    step = scheme_module._COUNT_BLOCK_ENTRIES // 600
+    assert 600 // step >= 2 and refused == [600 % step]
+
+
+def test_a_faulty_file_is_refused_without_a_wide_copy(tmp_path):
+    path, line = faulty_sphere600(tmp_path, "x")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"line {line}: malformed"):
+            read_scheme(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the uint8 relation and a block of row texts, far from 8 * n * n
+    assert peak < 600 * 600 + 10**6
