@@ -21,6 +21,7 @@ from .bma import build_approximate_identity, default_probes, indicator_bump, ver
 from .catalog import DEFAULT_SPHERE_SEED, materialize_recipe
 from .correspondence import (GroupingBudgetError, algebra_of_scheme,
                              roundtrip_check)
+from .errors import ParseError, _LineReader
 from .hypergroup import kernel_of_scheme, random_probe_pairs, verify_strong_cas
 from .scheme import read_scheme, verify_cas, write_scheme
 
@@ -31,8 +32,8 @@ BMA_AUTO_NODE_CAP = 1024
 # fiber pairs evaluated x nodes: about a minute of CAS2 work
 VERIFY_WORK_BUDGET = 10**9
 # the BMA checks' steps, (2 * labels + 7) * n**3 (see _bma_work):
-# measured on one core at 0.6 ns (hamming(10,2), 3.1e10 in 18.5 s) to
-# 2 ns a step (sphere(800,40), 4.6e10 in 94 s), so at most about 80 s.
+# measured on one core at 0.7 ns (hamming(10,2), 3.1e10 in 20 s) to
+# 0.8 ns a step (sphere(800,40), 4.6e10 in 38 s), so at most about 35 s.
 # Kept apart from the CAS2 budget, since --max-pairs samples none of the
 # fibers the BMA checks reduce.
 BMA_WORK_BUDGET = 4 * 10**10
@@ -122,24 +123,30 @@ def _load_scheme(path):
         return None, EXIT_USAGE
 
 
-def _parse_family_arg(text, path_hint):
+def _parse_family_arg(text):
     if text in ("singletons", "pairs", "bins"):
         return text
-    if text.startswith("file:"):
-        fam_path = text[len("file:"):]
-    elif text == "file":
-        fam_path = path_hint
-    else:
+    if not text.startswith("file:"):
         raise ValueError(f"unknown borel family {text!r}")
-    if fam_path is None or not os.path.exists(fam_path):
+    fam_path = text[len("file:"):]
+    if not os.path.exists(fam_path):
         raise ValueError(f"borel family file not found: {fam_path}")
     sets = []
-    with open(fam_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            sets.append(tuple(int(t) for t in line.split()))
+    try:
+        with _LineReader(fam_path) as reader:
+            while True:
+                lineno, line = reader.next_content()
+                if line is None:
+                    break
+                if line.startswith("#"):
+                    continue
+                try:
+                    sets.append(tuple(int(t) for t in line.split()))
+                except ValueError:
+                    raise ParseError(f"malformed label set {line!r}",
+                                     line=lineno) from None
+    except ParseError as exc:
+        raise ParseError(f"{fam_path}: {exc}") from None
     if not sets:
         raise ValueError(f"borel family file {fam_path} has no sets")
     return sets
@@ -215,7 +222,7 @@ def cmd_verify(args) -> int:
     if err is not None:
         return err
     try:
-        family = _parse_family_arg(args.borel_family, None)
+        family = _parse_family_arg(args.borel_family)
         cas = verify_cas(scheme, borel_family=family, tolerance=args.tol,
                          diagonal_slack=args.diagonal_slack,
                          max_pairs_per_fiber=args.max_pairs, seed=args.seed)

@@ -272,11 +272,11 @@ _CHUNK_ENTRIES = 1 << 20
 
 
 def _chunk_step(n, KK):
-    """(pairs per chunk, segment id dtype) for tables of KK cells over n
+    """(pairs per chunk, column id dtype) for tables of KK cells over n
     nodes: a chunk's (pairs, n) and (pairs, KK) temporaries stay near
     _CHUNK_ENTRIES entries."""
     step = max(1, _CHUNK_ENTRIES // max(n, KK))
-    # segment ids stay below step * max(n, KK), which fits in int32
+    # column ids stay below step * max(n, KK), which fits in int32
     # unless a table alone has more than 2**31 cells
     return step, np.int32 if step * max(n, KK) < 2**31 else np.int64
 
@@ -299,67 +299,59 @@ def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
     with skew the largest entry of h - h^T.
 
     The table of (x, z) counts y at cell left[relation[x, y]] * K +
-    right[relation[y, z]] (the labels themselves when left is None). Each
-    pair's cells are segments summed in increasing y by one bincount:
-    whole tables per chunk of pairs when K * K <= n, else cut from a
-    stable sort of each row. Min and max scatter over the touched cells
-    only; a cell some pair leaves untouched also takes that pair's 0. The
-    sum adds the pairs' cells in pair order, as h0 + h1 + ... would. The
-    skew compares a touched cell with its transpose in the same pair (0
-    if untouched), which is enough: h - h^T is antisymmetric.
+    right[relation[y, z]] (the labels themselves when left is None). One
+    bincount per chunk of pairs sums each pair's cells in increasing y,
+    with one column per cell: all K * K cells when K * K <= n, else only
+    the cells the chunk touches, numbered through slot (-1 for a cell the
+    chunk leaves out). A cell some chunk leaves out also takes that
+    chunk's 0 in min and max. The sum adds the pairs' cells in pair
+    order, as h0 + h1 + ... would. The skew reads each cell's transpose
+    from the same chunk's tables (0 if the chunk leaves it out).
     """
     n = weights.size
     KK = K * K
     total = np.zeros(KK)
     lo = np.full(KK, np.inf)
     hi = np.full(KK, -np.inf)
+    chunks = np.zeros(KK, dtype=np.intp)
     worst = 0.0
     step, itype = _chunk_step(n, KK)
-    if KK <= n:
-        base = np.arange(step, dtype=itype)[:, None] * KK
-        wtile = np.tile(weights, step)
-    else:
-        hits = np.zeros(KK, dtype=np.int64)
-        flip = np.arange(KK).reshape(K, K).T.ravel()
+    wtile = np.tile(weights, min(step, len(xs)))
+    compact = KK > n
+    seen = np.zeros(KK, dtype=bool)
+    slot = (np.full(KK, -1, dtype=itype) if compact
+            else np.arange(KK, dtype=itype))
+    cells = slot
     for s in range(0, len(xs), step):
         keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
                           itype, left, right)
         C = len(keys)
-        if KK <= n:
-            keys += base[:C]
-            tables = np.bincount(keys.ravel(), weights=wtile[:C * n],
-                                 minlength=C * KK).reshape(C, KK)
-            np.minimum(lo, tables.min(axis=0), out=lo)
-            np.maximum(hi, tables.max(axis=0), out=hi)
-            if skew:
-                h = tables.reshape(C, K, K)
-                worst = max(worst, float((h - h.transpose(0, 2, 1)).max()))
-            # an axis-0 sum adds row after row: pair order
-            tables[0] += total
-            total = tables.sum(axis=0)
-            continue
-        order = np.argsort(keys, axis=1, kind="stable")
-        keys.sort(axis=1)
-        starts = np.ones(keys.shape, dtype=bool)
-        starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
-        values = np.bincount(np.cumsum(starts.ravel(), dtype=itype) - 1,
-                             weights=weights.take(order).ravel())
-        cells = keys[starts]
-        np.minimum.at(lo, cells, values)
-        np.maximum.at(hi, cells, values)
-        np.add.at(hits, cells, 1)
-        np.add.at(total, cells, values)
+        if compact:
+            seen[keys] = True
+            cells = np.flatnonzero(seen)
+            seen[cells] = False
+            slot[cells] = np.arange(cells.size, dtype=itype)
+            keys = slot[keys]
+        M = cells.size
+        keys += np.arange(C, dtype=itype)[:, None] * M
+        tables = np.bincount(keys.ravel(), weights=wtile[:C * n],
+                             minlength=C * M).reshape(C, M)
+        lo[cells] = np.minimum(lo[cells], tables.min(axis=0))
+        hi[cells] = np.maximum(hi[cells], tables.max(axis=0))
+        chunks[cells] += 1
         if skew:
-            # segment ids pair * KK + cell run in increasing order
-            pair = np.repeat(np.arange(C) * KK, starts.sum(axis=1))
-            seg, mate = pair + cells, pair + flip[cells]
-            at = np.minimum(np.searchsorted(seg, mate), len(seg) - 1)
-            mirror = np.where(seg[at] == mate, values[at], 0.0)
-            worst = max(worst, float((values - mirror).max()))
-    if KK > n:
-        partial = hits < len(xs)
-        np.minimum(lo, 0.0, out=lo, where=partial)
-        np.maximum(hi, 0.0, out=hi, where=partial)
+            mate = slot[cells % K * K + cells // K]
+            mirror = np.where(mate >= 0, tables[:, mate], 0.0)
+            worst = max(worst, float((tables - mirror).max()))
+        if compact:
+            slot[cells] = -1
+        # an axis-0 sum adds row after row (pair order), except over one
+        # column, which numpy sums pairwise
+        tables[0] += total[cells]
+        total[cells] = tables.sum(axis=0) if M > 1 else tables.cumsum()[-1]
+    left_out = chunks < len(range(0, len(xs), step))
+    np.minimum(lo, 0.0, out=lo, where=left_out)
+    np.maximum(hi, 0.0, out=hi, where=left_out)
     stats = total.reshape(K, K), lo.reshape(K, K), hi.reshape(K, K)
     return stats + (worst,) if skew else stats
 

@@ -108,12 +108,12 @@ def check_against_oracle(rep, rel, w, exact, tolerance=1e-9, kernels=None):
     assert rep.bma3_ok == (bma3 <= tolerance + 2e-9)
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("chunk", [None, 64, 1])
 @pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)
 def test_cell_basis_matches_dense_oracle(seed, integer_weights, corrupt, N,
                                          chunk, monkeypatch):
     if chunk is not None:
-        # a chunk of 64 entries holds 3 or 4 pairs
+        # a chunk of 64 entries holds 3 or 4 pairs, a chunk of 1 one pair
         monkeypatch.setattr(scheme_module, "_CHUNK_ENTRIES", chunk)
     scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
     rep = run_verify_bma(algebra_of_scheme(scheme))
@@ -122,7 +122,7 @@ def test_cell_basis_matches_dense_oracle(seed, integer_weights, corrupt, N,
     assert rep.bma3_ok is not corrupt
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("chunk", [None, 64, 1])
 def test_s4_regular_action_is_not_commutative(chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(scheme_module, "_CHUNK_ENTRIES", chunk)

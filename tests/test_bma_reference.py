@@ -91,7 +91,7 @@ def check_against_references(scheme):
     assert residual == want_residual
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("chunk", [None, 64, 1])
 @pytest.mark.parametrize("seed,integer_weights,corrupt,N", SIZED_CASES)
 def test_random_schemes_match_references(seed, integer_weights, corrupt, N,
                                          chunk, monkeypatch):
@@ -101,7 +101,7 @@ def test_random_schemes_match_references(seed, integer_weights, corrupt, N,
     check_against_references(scheme)
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("chunk", [None, 64, 1])
 @pytest.mark.parametrize("name", sorted(EXTRA_SCHEMES))
 def test_catalog_schemes_match_references(name, chunk, monkeypatch):
     if chunk is not None:

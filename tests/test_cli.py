@@ -139,10 +139,35 @@ def test_hypergroup_hamming(hamming_file, capsys):
 
 def test_borel_family_from_file(tmp_path, hamming_file, capsys):
     fam = tmp_path / "family.txt"
-    fam.write_text("# one set per line\n0 1\n2 3\n1\n")
+    fam.write_text("# one set per line\n0 1\n\n  # indented\n2 3\n\n1\n")
     code, report = run(capsys, "verify", str(hamming_file),
                        "--borel-family", f"file:{fam}")
     assert code == 0
+    assert report["arguments"]["borel_family"] == f"file:{fam}"
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["cas2_intersection_constancy"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"0 1\n\n# sets\nx\n", "line 4: malformed label set 'x'"),
+    (b"0 1\n1 \xff\n", "line 2: byte 0xff is not valid UTF-8"),
+])
+def test_malformed_borel_family_file_names_file_and_line(
+        tmp_path, hamming_file, capsys, body, message):
+    fam = tmp_path / "family.txt"
+    fam.write_bytes(body)
+    code = main(["verify", str(hamming_file), "--borel-family",
+                 f"file:{fam}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {fam}: {message}\n"
+
+
+def test_bare_file_borel_family_is_unknown(hamming_file, capsys):
+    code = main(["verify", str(hamming_file), "--borel-family", "file"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown borel family 'file'\n"
 
 
 def test_verify_circle_with_stored_bins(tmp_path, capsys):

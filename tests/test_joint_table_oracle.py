@@ -9,9 +9,9 @@ one relation entry corrupted. Integer weights make every sum exact, so the
 results must agree bit for bit; other weights allow 1e-12, because a
 fiber's mean may be summed in another pair order.
 
-Schemes come in two sizes, so the engine's segment numbering runs both
-ways: dense per-pair ids where L * L <= n (N = 20), a sort of each pair's
-cells otherwise (N = 7).
+Schemes come in two sizes, so the engine's table columns take both
+rules: every cell where L * L <= n (N = 20), only the cells a chunk of
+pairs touches otherwise (N = 7).
 """
 
 import random
@@ -254,12 +254,12 @@ def reference_pair_stats(rel, w, L, xs, zs, A=None, B=None):
     return total, np.min(values, axis=0), np.max(values, axis=0), first
 
 
-@pytest.mark.parametrize("chunk", [64, None])
+@pytest.mark.parametrize("chunk", [64, 1, None])
 @pytest.mark.parametrize("N", SIZES)
 def test_pair_table_stats_matches_loop_across_chunks(N, chunk, monkeypatch):
     # float weights: any change in summation order shows in the last bits
     if chunk is not None:
-        # a chunk of 64 entries holds 3 or 4 pairs
+        # a chunk of 64 entries holds 3 or 4 pairs, a chunk of 1 one pair
         monkeypatch.setattr(scheme_module, "_CHUNK_ENTRIES", chunk)
     scheme, _, _ = random_scheme(5, False, True, N)
     rel, w = scheme.relation, scheme.space.weights
@@ -317,3 +317,21 @@ def test_fiber_transpose_checks_both_labels_of_an_orbit():
     transpose = oracle_cas(rel, w, family)[2]
     assert round(transpose, 3) == 0.771
     agree(rep.involution_identity_max_deviation, transpose, False)
+
+
+def test_one_column_tables_sum_in_pair_order():
+    # with one label each table is one cell, which numpy's axis-0 sum
+    # would add pairwise: the raw tables (K = 1 <= n) and the two-set
+    # tables of intersection_number (K * K = 4 > n) keep pair order
+    w = np.random.default_rng(0).uniform(0.5, 2.0, 3)
+    rel = np.zeros((3, 3), dtype=np.uint8)
+    xs, zs = np.nonzero(rel == 0)
+    got = pair_table_stats(rel, w, 1, xs, zs)
+    want = reference_pair_stats(rel, w, 1, xs, zs)
+    for g, e in zip(got, want):
+        assert np.array_equal(g, e), (g, e)
+    scheme = Scheme(make_quadrature(w),
+                    LabelSpace(involution=np.array([0]), identity_label=0),
+                    rel)
+    mean = float(want[0][0, 0] / 9)
+    assert intersection_number(scheme, [0], [0], 0) == (mean, 0.0)
