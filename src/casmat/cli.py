@@ -23,7 +23,8 @@ from .correspondence import (GroupingBudgetError, algebra_of_scheme,
                              roundtrip_check)
 from .errors import ParseError, _LineReader
 from .hypergroup import kernel_of_scheme, random_probe_pairs, verify_strong_cas
-from .scheme import read_scheme, verify_cas, write_scheme
+from .scheme import (_label_map, read_scheme, resolve_borel_family,
+                     verify_cas, write_scheme)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -178,20 +179,26 @@ def _bma_work(scheme):
     return (products + 1) * scheme.space.node_count**3
 
 
-def _check_verify_work(scheme, max_pairs, bma_on):
+def _check_verify_work(scheme, max_pairs, bma_on, family):
     """Refuse, with exit 2, a verify whose CAS2 work or, under --bma on,
-    whose BMA work exceeds its budget."""
+    whose BMA work exceeds its budget. A fiber pair costs n steps, plus
+    F**2 for its projected table when the F label sets of family overlap."""
     n = scheme.space.node_count
     L = scheme.label_count
+    per_pair = n
+    if _label_map(family, L) is None:
+        per_pair += len(family) ** 2
     counts = scheme.fiber_counts
     if max_pairs is not None:
         counts = np.minimum(counts, max_pairs)
-    work = int(counts.sum()) * n
+    work = int(counts.sum()) * per_pair
     if work > VERIFY_WORK_BUDGET:
-        suggest = max(1, VERIFY_WORK_BUDGET // (n * L))
-        print(f"error: verify would evaluate {work:.1e} fiber-pair x node "
-              f"steps (budget {VERIFY_WORK_BUDGET:.0e}); sample the fibers "
-              f"with --max-pairs {suggest}", file=sys.stderr)
+        suggest = VERIFY_WORK_BUDGET // (per_pair * L)
+        fix = (f"sample the fibers with --max-pairs {suggest}" if suggest
+               else "no sample fits; use a smaller borel family")
+        print(f"error: verify would evaluate {work:.1e} CAS2 steps, "
+              f"{per_pair} per fiber pair (budget {VERIFY_WORK_BUDGET:.0e}); "
+              f"{fix}", file=sys.stderr)
         return EXIT_USAGE
     if not bma_on:
         return None
@@ -218,17 +225,19 @@ def cmd_verify(args) -> int:
         and scheme.label_count <= BMA_AUTO_LABEL_CAP
         and scheme.space.node_count <= BMA_AUTO_NODE_CAP
         and _bma_work(scheme) <= BMA_WORK_BUDGET)
-    err = _check_verify_work(scheme, args.max_pairs, args.bma == "on")
-    if err is not None:
-        return err
     try:
         family = _parse_family_arg(args.borel_family)
-        cas = verify_cas(scheme, borel_family=family, tolerance=args.tol,
-                         diagonal_slack=args.diagonal_slack,
-                         max_pairs_per_fiber=args.max_pairs, seed=args.seed)
+        sets, _ = resolve_borel_family(scheme, family)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    err = _check_verify_work(scheme, args.max_pairs, args.bma == "on", sets)
+    if err is not None:
+        return err
+    # verify_cas refuses only a bad family or tolerance, both checked above
+    cas = verify_cas(scheme, borel_family=family, tolerance=args.tol,
+                     diagonal_slack=args.diagonal_slack,
+                     max_pairs_per_fiber=args.max_pairs, seed=args.seed)
     checks = [
         _structural("cas1_diagonal", cas.cas1_ok,
                     cas.witnesses.get("cas1", [])),

@@ -17,6 +17,7 @@ raised, so corrupted inputs can be diagnosed.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -356,54 +357,32 @@ def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
     return stats + (worst,) if skew else stats
 
 
-def _label_map(A):
-    """label -> set index when the rows of A are disjoint 0/1 label sets
-    (labels in no set go to len(A)); None when some label is in two."""
-    if not (np.isin(A, (0.0, 1.0)).all() and (A.sum(axis=0) <= 1).all()):
-        return None
-    return np.where(A.any(axis=0), A.argmax(axis=0), len(A))
+def _label_map(sets, L):
+    """label -> set index when the label sets are disjoint (labels in no
+    set go to len(sets)); None when some label is in two sets."""
+    index = np.full(L, len(sets))
+    for f, W in enumerate(sets):
+        if (index[list(W)] < len(sets)).any():
+            return None
+        index[list(W)] = f
+    return index
 
 
-def pair_table_stats(relation, weights, L, xs, zs, A=None, B=None):
-    """Reduce the CAS2 tables of the pairs (xs[p], zs[p]).
-
-    The table of (x, z) is joint_table(relation[x, :], relation[:, z]),
-    so entry [i, j] is the mass of the y with relation[x, y] == i and
-    relation[y, z] == j. Returns (sum, min, max, first): the sum of the
-    raw tables and the entrywise min, max and first value of the tables
-    projected as A @ h @ B.T (unprojected when A is None).
-
-    Disjoint label sets project by mapping each label to its set (the
-    rest to one more set), so a projected cell sums its y in increasing
-    order; overlapping sets project each pair's table densely.
-    """
-    if A is not None:
-        left, right = _label_map(A), _label_map(B)
-        if left is None or right is None:
-            return _projected_pair_stats(relation, weights, L, xs, zs, A, B)
-    first = joint_table(relation[xs[0]], relation[:, zs[0]], weights, L)
-    total, lo, hi = _table_reduction(relation, weights, xs, zs, L)
-    if A is None:
-        return total, lo, hi, first
-    K = max(len(A), len(B)) + 1
-    _, lo, hi = _table_reduction(relation, weights, xs, zs, K, left, right)
-    return total, lo[:len(A), :len(B)], hi[:len(A), :len(B)], A @ first @ B.T
-
-
-def _projected_pair_stats(relation, weights, L, xs, zs, A, B):
-    """pair_table_stats for overlapping label sets: one dense table and
-    projection per pair."""
+def _projected_pair_stats(relation, weights, L, xs, zs, M):
+    """(sum, min, max) over the pairs of their L x L joint tables h, the
+    sum raw and min, max of the projections M @ h @ M.T: one dense table
+    and projection per pair, for label sets that overlap."""
     h = joint_table(relation[xs[0]], relation[:, zs[0]], weights, L)
     total = h.copy()
-    first = A @ h @ B.T
-    lo, hi = first.copy(), first.copy()
+    lo = M @ h @ M.T
+    hi = lo.copy()
     for x, z in zip(xs[1:], zs[1:]):
         h = joint_table(relation[x], relation[:, z], weights, L)
         total += h
-        v = A @ h @ B.T
+        v = M @ h @ M.T
         np.minimum(lo, v, out=lo)
         np.maximum(hi, v, out=hi)
-    return total, lo, hi, first
+    return total, lo, hi
 
 
 def row_masses(scheme: Scheme, weights=None) -> np.ndarray:
@@ -488,28 +467,33 @@ class CasReport:
 
 
 def resolve_borel_family(scheme: Scheme, borel_family):
-    """Normalize a family spec to a list of label tuples plus a descriptor."""
+    """Normalize a family spec to a list of label tuples plus a descriptor,
+    refusing a family whose F x F deviation tables would not fit in memory."""
     L = scheme.label_count
     if borel_family is None or borel_family == "singletons":
-        return [(i,) for i in range(L)], f"singletons ({L} sets)"
-    if borel_family == "pairs":
-        sets = [(i,) for i in range(L)]
-        sets += [(i, j) for i in range(L) for j in range(i + 1, L)]
-        return sets, f"singletons and pairs ({len(sets)} sets)"
-    if borel_family == "bins":
+        sets, kind = [(i,) for i in range(L)], "singletons"
+    elif borel_family == "pairs":
+        sets = [(i,) for i in range(L)] + list(combinations(range(L), 2))
+        kind = "singletons and pairs"
+    elif borel_family == "bins":
         if scheme.borel_bins is None:
             raise ValueError("scheme carries no stored bin family")
-        return [tuple(W) for W in scheme.borel_bins], \
-            f"stored bins ({len(scheme.borel_bins)} sets)"
-    sets = [tuple(int(i) for i in W) for W in borel_family]
-    if not sets:
-        raise ValueError("borel family must be non-empty")
-    for W in sets:
-        for i in W:
-            if not 0 <= i < L:
-                raise ValueError(f"unknown label {i} in borel family set "
-                                 f"{W} (labels are 0..{L - 1})")
-    return sets, f"caller-supplied ({len(sets)} sets)"
+        sets, kind = [tuple(W) for W in scheme.borel_bins], "stored bins"
+    else:
+        sets = [tuple(int(i) for i in W) for W in borel_family]
+        kind = "caller-supplied"
+        if not sets:
+            raise ValueError("borel family must be non-empty")
+        for W in sets:
+            for i in W:
+                if not 0 <= i < L:
+                    raise ValueError(f"unknown label {i} in borel family "
+                                     f"set {W} (labels are 0..{L - 1})")
+    F = len(sets)
+    if F * F > 50_000_000:
+        raise ValueError(f"borel family has {F} sets; the {F}x{F} deviation "
+                         f"tables would not fit in memory")
+    return sets, f"{kind} ({F} sets)"
 
 
 def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
@@ -568,20 +552,16 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     symmetric = scheme.label_space.is_symmetric()
 
     family, descriptor = resolve_borel_family(scheme, borel_family)
-    singleton = (len(family) == L
-                 and all(family[i] == (i,) for i in range(L)))
+    singleton = family == [(i,) for i in range(L)]
     F = len(family)
-    if F * F > 50_000_000:
-        raise ValueError(
-            f"borel family has {F} sets; the {F}x{F} deviation tables "
-            f"would not fit in memory")
-    M = MT = None
+    M = MT = index = None
     if not singleton:
         M = np.zeros((F, L))
         for f, W in enumerate(family):
             M[f, list(W)] = 1.0
         # W^T holds j exactly when W holds inv[j]
         MT = M[:, inv]
+        index = _label_map(family, L)
 
     # involution orbits of labels, each led by its smaller label
     orbits = [(k, int(inv[k])) for k in range(L) if k <= inv[k]]
@@ -600,7 +580,16 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         return xs, zs
 
     def stats(xs, zs):
-        total, lo, hi, _ = pair_table_stats(rel, w, L, xs, zs, M, M)
+        # raw tables for singletons; disjoint sets map each label to its
+        # set (the rest to set F); overlapping sets project each table
+        if singleton:
+            total, lo, hi = _table_reduction(rel, w, xs, zs, L)
+        elif index is None:
+            total, lo, hi = _projected_pair_stats(rel, w, L, xs, zs, M)
+        else:
+            total, _, _ = _table_reduction(rel, w, xs, zs, L)
+            _, lo, hi = _table_reduction(rel, w, xs, zs, F + 1, index, index)
+            lo, hi = lo[:F, :F], hi[:F, :F]
         return total / xs.size, lo, hi
 
     for k, kt in orbits:

@@ -2,14 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from casmat import (Scheme, circle_scheme, read_scheme, sphere_scheme,
-                    write_scheme)
+from casmat import (Scheme, circle_scheme, cyclic_scheme, read_scheme,
+                    sphere_scheme, write_scheme)
 from casmat import cli
 from casmat.cli import main
+from casmat.scheme import resolve_borel_family
 
 
 def run(capsys, *argv):
@@ -283,6 +285,70 @@ def test_verify_refuses_work_over_budget(hamming_file, capsys, monkeypatch):
     assert "--max-pairs must be at least 1" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_verify_run(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused verify ran a check")
+
+    for name in ("verify_cas", "algebra_of_scheme", "default_probes"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+def test_overlapping_family_work_is_refused_up_front(tmp_path, capsys,
+                                                     no_verify_run):
+    # cyclic(100) pairs: 5 050 overlapping sets, so each fiber pair fills
+    # and scans a 5 050 x 5 050 table: 100 + 5 050**2 steps a pair
+    path = tmp_path / "c100.scheme"
+    write_scheme(cyclic_scheme(100), path)
+    for sample, work in (([], "2.6e+11"), (["--max-pairs", "1"], "2.6e+09")):
+        started = time.perf_counter()
+        code = main(["verify", str(path), "--borel-family", "pairs",
+                     *sample])
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: verify would evaluate {work} ")
+        assert captured.err.strip().count("\n") == 0
+        assert "use a smaller borel family" in captured.err
+        assert elapsed < 1.0
+
+
+def test_overlapping_family_work_suggests_a_sample_that_fits(capsys):
+    # cyclic(48) pairs: 2 304 pairs x (48 + 1 176**2) = 3.2e9 steps
+    scheme = cyclic_scheme(48)
+    sets, _ = resolve_borel_family(scheme, "pairs")
+    assert cli._check_verify_work(scheme, None, False, sets) == 2
+    assert "--max-pairs 15" in capsys.readouterr().err
+    assert cli._check_verify_work(scheme, 15, False, sets) is None
+    assert cli._check_verify_work(scheme, 16, False, sets) == 2
+    # disjoint sets and singletons count n steps a pair
+    assert cli._check_verify_work(scheme, None, False, sets[:48]) is None
+    assert cli._check_verify_work(scheme, None, False,
+                                  [(i, i + 1) for i in range(0, 48, 2)]) \
+        is None
+
+
+def test_small_pairs_family_runs_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "c5.scheme"
+    write_scheme(cyclic_scheme(5), path)
+    code, report = run(capsys, "verify", str(path), "--borel-family", "pairs")
+    assert code == 0
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["cas2_intersection_constancy"]["residual"] == 0.0
+
+
+def test_family_too_large_for_memory_exits_2(tmp_path, capsys,
+                                             no_verify_run):
+    path = tmp_path / "c120.scheme"
+    write_scheme(circle_scheme(120, 30), path)
+    assert main(["verify", str(path), "--borel-family", "pairs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: borel family has 7260 sets; the "
+                            "7260x7260 deviation tables would not fit in "
+                            "memory\n")
+
+
 def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
                                              monkeypatch):
     # h32: 8 nodes x 64 full-fiber pairs, and 2 x (4 basis members + 3
@@ -312,16 +378,11 @@ def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
             [c["name"] for c in report["checks"]]
 
 
-def test_bma_budget_refuses_before_any_check(tmp_path, capsys, monkeypatch):
+def test_bma_budget_refuses_before_any_check(tmp_path, capsys,
+                                             no_verify_run):
     # sphere(1000, 20) with --bma on: 4.9e10 steps of BMA work
     path = tmp_path / "s1000.scheme"
     write_scheme(sphere_scheme(1000, 20), path)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("a refused verify ran a check")
-
-    for name in ("verify_cas", "algebra_of_scheme", "default_probes"):
-        monkeypatch.setattr(cli, name, no_work)
     assert main(["verify", str(path), "--max-pairs", "50", "--bma", "on"]) \
         == 2
     captured = capsys.readouterr()
@@ -334,7 +395,8 @@ def test_bma_budget_admits_unsigned_circle_at_the_auto_caps():
     # 61 labels, just under the auto label cap
     scheme = circle_scheme(120, 30, signed=False)
     assert scheme.label_count <= cli.BMA_AUTO_LABEL_CAP
-    assert cli._check_verify_work(scheme, None, True) is None
+    singletons, _ = resolve_borel_family(scheme, None)
+    assert cli._check_verify_work(scheme, None, True, singletons) is None
 
 
 def test_digest_streams_the_file_in_blocks(tmp_path, capsys, monkeypatch):

@@ -19,12 +19,13 @@ import random
 import numpy as np
 import pytest
 
-from casmat import (LabelSpace, Scheme, algebra_of_scheme,
+from casmat import (LabelSpace, Scheme, algebra_of_scheme, circle_scheme,
                     convolve_point_masses, intersection_number,
                     kernel_of_scheme, make_quadrature, structure_constants,
                     verify_cas)
 from casmat import scheme as scheme_module
-from casmat.scheme import _sample_fiber, joint_table, pair_table_stats
+from casmat.scheme import (_label_map, _projected_pair_stats, _sample_fiber,
+                           _table_reduction, joint_table)
 
 # label 0 is the diagonal, 1 and 2 are involution partners, 3 is symmetric
 INVOLUTION = [0, 2, 1, 3]
@@ -172,9 +173,10 @@ def test_verify_cas_matches_oracle(seed, integer_weights, corrupt, N):
 def test_verify_cas_projected_family_matches_oracle(seed, integer_weights,
                                                    corrupt, N):
     scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
-    # overlapping sets, disjoint sets, disjoint sets that miss a label
+    # overlapping sets, disjoint sets, disjoint sets that miss a label,
+    # disjoint sets that the involution does not map onto the family
     for family in ([(1, 2), (3,), (0, 3), (1,)], [(1, 2), (3,), (0,)],
-                   [(3,), (1, 2)]):
+                   [(3,), (1, 2)], [(2,), (1, 3)]):
         rep = verify_cas(scheme, borel_family=family, tolerance=0.0)
         cas2, cas4, transpose = oracle_cas(rel, w, family)
         agree(rep.cas2_max_deviation, cas2, integer_weights)
@@ -228,35 +230,29 @@ def test_point_mass_convolution_matches_oracle(seed, integer_weights,
                 agree(spread, want_spread, integer_weights)
 
 
-def reference_pair_stats(rel, w, L, xs, zs, A=None, B=None):
+def reference_pair_stats(rel, w, L, xs, zs, A=None):
     """The per-pair loop: one table per pair, summed in pair order. A
-    projection by disjoint label sets maps each label to its set (the rest
-    to one more) and sums each cell in increasing y."""
+    projection by disjoint label sets, the rows of A, maps each label to
+    its set (the rest to one more) and sums each cell in increasing y."""
     values = []
     total = np.zeros((L, L))
     if A is not None:
-        left = np.array([A[:, i].argmax() if A[:, i].any() else len(A)
-                         for i in range(L)])
-        right = np.array([B[:, j].argmax() if B[:, j].any() else len(B)
-                          for j in range(L)])
-        K = max(len(A), len(B)) + 1
+        index = np.array([A[:, i].argmax() if A[:, i].any() else len(A)
+                          for i in range(L)])
     for x, z in zip(xs, zs):
         h = joint_table(rel[x], rel[:, z], w, L)
         total += h
         if A is None:
             values.append(h)
         else:
-            values.append(joint_table(left[rel[x]], right[rel[:, z]], w,
-                                      K)[:len(A), :len(B)])
-    first = joint_table(rel[xs[0]], rel[:, zs[0]], w, L)
-    if A is not None:
-        first = A @ first @ B.T
-    return total, np.min(values, axis=0), np.max(values, axis=0), first
+            values.append(joint_table(index[rel[x]], index[rel[:, z]], w,
+                                      len(A) + 1)[:len(A), :len(A)])
+    return total, np.min(values, axis=0), np.max(values, axis=0)
 
 
 @pytest.mark.parametrize("chunk", [64, 1, None])
 @pytest.mark.parametrize("N", SIZES)
-def test_pair_table_stats_matches_loop_across_chunks(N, chunk, monkeypatch):
+def test_table_reduction_matches_loop_across_chunks(N, chunk, monkeypatch):
     # float weights: any change in summation order shows in the last bits
     if chunk is not None:
         # a chunk of 64 entries holds 3 or 4 pairs, a chunk of 1 one pair
@@ -265,12 +261,49 @@ def test_pair_table_stats_matches_loop_across_chunks(N, chunk, monkeypatch):
     rel, w = scheme.relation, scheme.space.weights
     rng = np.random.default_rng(N)
     xs, zs = rng.integers(0, N, 300), rng.integers(0, N, 300)
+    got = _table_reduction(rel, w, xs, zs, L)
+    want = reference_pair_stats(rel, w, L, xs, zs)
+    for g, e in zip(got, want):
+        assert np.array_equal(g, e), (g, e)
+    # verify_cas's disjoint route: raw sums, lo and hi of the mapped
+    # tables without the row and column of the labels in no set
     partition = np.array([[0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
-    for A in (None, partition):
-        got = pair_table_stats(rel, w, L, xs, zs, A, A)
-        want = reference_pair_stats(rel, w, L, xs, zs, A, A)
+    index = _label_map([(1, 2), (3,)], L)
+    _, lo, hi = _table_reduction(rel, w, xs, zs, 3, index, index)
+    want = reference_pair_stats(rel, w, L, xs, zs, partition)
+    for g, e in zip((got[0], lo[:2, :2], hi[:2, :2]), want):
+        assert np.array_equal(g, e), (g, e)
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_projected_pair_stats_matches_loop(N):
+    # overlapping sets: every pair's table projected densely, the first
+    # pair included, also when it is the only one
+    scheme, _, _ = random_scheme(5, False, True, N)
+    rel, w = scheme.relation, scheme.space.weights
+    rng = np.random.default_rng(N)
+    xs, zs = rng.integers(0, N, 300), rng.integers(0, N, 300)
+    M = np.array([[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]], dtype=float)
+    for pairs in (1, 2, 300):
+        got = _projected_pair_stats(rel, w, L, xs[:pairs], zs[:pairs], M)
+        values = [M @ joint_table(rel[x], rel[:, z], w, L) @ M.T
+                  for x, z in zip(xs[:pairs], zs[:pairs])]
+        want = (reference_pair_stats(rel, w, L, xs[:pairs], zs[:pairs])[0],
+                np.min(values, axis=0), np.max(values, axis=0))
         for g, e in zip(got, want):
             assert np.array_equal(g, e), (g, e)
+
+
+def test_verify_cas_fixes_the_family_route_once(monkeypatch):
+    # circle(120, 30) bins: 30 disjoint sets, 120 fibers
+    calls = {"_label_map": 0, "joint_table": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(scheme_module, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(scheme_module, name, counted)
+    verify_cas(circle_scheme(120, 30), borel_family="bins")
+    assert calls == {"_label_map": 1, "joint_table": 0}
 
 
 def reference_sample(scheme, k, max_pairs, rng):
@@ -326,7 +359,7 @@ def test_one_column_tables_sum_in_pair_order():
     w = np.random.default_rng(0).uniform(0.5, 2.0, 3)
     rel = np.zeros((3, 3), dtype=np.uint8)
     xs, zs = np.nonzero(rel == 0)
-    got = pair_table_stats(rel, w, 1, xs, zs)
+    got = _table_reduction(rel, w, xs, zs, 1)
     want = reference_pair_stats(rel, w, 1, xs, zs)
     for g, e in zip(got, want):
         assert np.array_equal(g, e), (g, e)

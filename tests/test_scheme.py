@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casmat import scheme as scheme_module
-from casmat import (LabelSpace, Scheme, SurjectivityError, cyclic_scheme,
-                    fiber, hamming_scheme, intersection_number,
+from casmat import (LabelSpace, Scheme, SurjectivityError, circle_scheme,
+                    cyclic_scheme, fiber, hamming_scheme, intersection_number,
                     make_quadrature, read_scheme, verify_cas, write_scheme)
 from casmat.errors import ParseError
 
@@ -393,3 +393,17 @@ def test_borel_family_rejects_out_of_range_labels(bad):
         verify_cas(scheme, borel_family=[(1, bad)])
     sets, _ = scheme_module.resolve_borel_family(scheme, [(0, 3), (1, 2)])
     assert sets == [(0, 3), (1, 2)]
+
+
+def test_family_too_large_for_its_tables_is_refused_before_reducing(
+        monkeypatch):
+    # circle(120, 30): 120 singletons and 7 140 pairs, 7 260**2 > 5e7
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused family reduced a fiber")
+
+    for name in ("_sample_fiber", "_table_reduction",
+                 "_projected_pair_stats", "joint_table"):
+        monkeypatch.setattr(scheme_module, name, no_work)
+    with pytest.raises(ValueError, match="borel family has 7260 sets; "
+                                         "the 7260x7260 deviation tables"):
+        verify_cas(circle_scheme(120, 30), borel_family="pairs")
