@@ -410,9 +410,11 @@ def materialize_recipe(text: str):
     elif kind == "sphere":
         if "nodes" in params and "quadrature" in params:
             raise ValueError("sphere takes nodes= or quadrature=, not both")
+        if "nodes" not in params and "quadrature" not in params:
+            raise ValueError("sphere needs nodes= or quadrature=")
         seed = int(params.get("seed", DEFAULT_SPHERE_SEED))
         source = (int(params["nodes"]) if "nodes" in params
-                  else need("quadrature"))
+                  else params["quadrature"])
         scheme = sphere_scheme(source, int(need("bins")), seed=seed)
     else:
         metric = np.loadtxt(need("metric"))

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .bma import build_approximate_identity, default_probes, indicator_bump, verify_bma
-from .catalog import DEFAULT_SPHERE_SEED, materialize_recipe
+from .catalog import (DEFAULT_SPHERE_SEED, RECIPE_PARAMETERS,
+                      materialize_recipe)
 from .correspondence import (GroupingBudgetError, algebra_of_scheme,
                              roundtrip_check)
 from .errors import ParseError, _LineReader
@@ -38,24 +39,12 @@ VERIFY_WORK_BUDGET = 10**9
 # Kept apart from the CAS2 budget, since --max-pairs samples none of the
 # fibers the BMA checks reduce.
 BMA_WORK_BUDGET = 4 * 10**10
+# the hypergroup's (L, L, L) float64 convolution table
+HYPERGROUP_TABLE_BYTES = 1 << 30
 # seeded random probes next to the basis members
 BMA_RANDOM_PROBES = 3
 # a block of a file read for its digest
 _DIGEST_BLOCK_BYTES = 1 << 20
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
 
 
 def _digest(path) -> str:
@@ -71,7 +60,7 @@ def _check(name, status, residual=None, tolerance=None, witnesses=()):
     return {"name": name, "status": status,
             "residual": None if residual is None else float(residual),
             "tolerance": None if tolerance is None else float(tolerance),
-            "witnesses": _jsonify(list(witnesses))}
+            "witnesses": list(witnesses)}
 
 
 def _quantitative(name, residual, tolerance, witnesses=()):
@@ -103,7 +92,7 @@ def _finish(command, arguments, input_digest, checks, started, report_path):
         "schema": "casmat-report v1",
         "tool_version": __version__,
         "command": command,
-        "arguments": _jsonify(arguments),
+        "arguments": arguments,
         "input_digest": input_digest,
         "checks": checks,
         "wall_time_s": time.perf_counter() - started,
@@ -182,18 +171,23 @@ def _bma_work(scheme):
 def _check_verify_work(scheme, max_pairs, bma_on, family):
     """Refuse, with exit 2, a verify whose CAS2 work or, under --bma on,
     whose BMA work exceeds its budget. A fiber pair costs n steps, plus
-    F**2 for its projected table when the F label sets of family overlap."""
+    F**2 for its projected table when the F label sets of family overlap.
+    A sample of max_pairs holds up to twice as many pairs on a self-paired
+    label, whose sample is closed under swaps."""
     n = scheme.space.node_count
     L = scheme.label_count
     per_pair = n
     if _label_map(family, L) is None:
         per_pair += len(family) ** 2
+    self_paired = scheme.label_space.involution == np.arange(L)
     counts = scheme.fiber_counts
     if max_pairs is not None:
-        counts = np.minimum(counts, max_pairs)
+        counts = np.minimum(counts, np.where(self_paired, 2 * max_pairs,
+                                             max_pairs))
     work = int(counts.sum()) * per_pair
     if work > VERIFY_WORK_BUDGET:
-        suggest = VERIFY_WORK_BUDGET // (per_pair * L)
+        suggest = VERIFY_WORK_BUDGET // (
+            per_pair * (L + int(self_paired.sum())))
         fix = (f"sample the fibers with --max-pairs {suggest}" if suggest
                else "no sample fits; use a smaller borel family")
         print(f"error: verify would evaluate {work:.1e} CAS2 steps, "
@@ -293,32 +287,21 @@ def cmd_verify(args) -> int:
 
 
 def _catalog_recipe(args) -> str:
-    """The recipe string that rebuilds what `catalog <kind>` asks for."""
+    """The recipe string that rebuilds what `catalog <kind>` asks for: each
+    flag is stored under its recipe parameter, and those set are joined."""
     if args.kind == "recipe":
         return args.spec
-    if args.kind == "cyclic":
-        return f"cyclic n={args.n}"
-    if args.kind == "hamming":
-        return f"hamming d={args.d} q={args.q}"
+    params = {key: getattr(args, key) for key in RECIPE_PARAMETERS[args.kind]}
     if args.kind == "group":
-        return "group generators=" + ";".join(
+        params["generators"] = ";".join(
             ",".join(str(int(v)) for v in g.split(","))
-            for g in args.generator)
-    if args.kind == "circle":
-        return (f"circle nodes={args.nodes} bins={args.bins} "
-                f"signed={'false' if args.unsigned else 'true'}")
-    if args.kind == "sphere":
-        if args.quadrature:
-            # with --nodes as well, the recipe refuses the pair
-            nodes = "" if args.nodes is None else f"nodes={args.nodes} "
-            return (f"sphere {nodes}quadrature="
-                    f"{shlex.quote(args.quadrature)} bins={args.bins}")
-        if args.nodes is None:
-            raise ValueError("sphere needs --nodes or --quadrature")
-        return f"sphere nodes={args.nodes} bins={args.bins} seed={args.seed}"
-    # delsarte
-    return f"delsarte metric={shlex.quote(args.metric)}" + (
-        f" bins={args.bins}" if args.bins is not None else "")
+            for g in args.generators)
+    if args.kind == "sphere" and args.nodes is None:
+        # the seed places random nodes only
+        params["seed"] = None
+    return shlex.join([args.kind] + [f"{key}={value}"
+                                     for key, value in params.items()
+                                     if value is not None])
 
 
 def cmd_catalog(args) -> int:
@@ -369,6 +352,14 @@ def cmd_hypergroup(args) -> int:
     scheme, err = _load_scheme(args.scheme)
     if err is not None:
         return err
+    n, L = scheme.space.node_count, scheme.label_count
+    # the table, and the unsampled verify_cas behind cas4_deviation
+    if L**3 * 8 > HYPERGROUP_TABLE_BYTES or n**3 > VERIFY_WORK_BUDGET:
+        print(f"error: hypergroup would build a {L}x{L}x{L} convolution "
+              f"table of {L**3 * 8:.1e} bytes (cap "
+              f"{HYPERGROUP_TABLE_BYTES:.1e}) and run {n**3:.1e} CAS2 steps "
+              f"(budget {VERIFY_WORK_BUDGET:.0e})", file=sys.stderr)
+        return EXIT_USAGE
     arguments = {"probes": args.probes, "tol": args.tol, "seed": args.seed}
     try:
         hg = kernel_of_scheme(scheme)
@@ -423,12 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--d", type=int, required=True)
     k.add_argument("--q", type=int, required=True)
     k = kinds.add_parser("group")
-    k.add_argument("--generator", action="append", required=True,
+    k.add_argument("--generator", dest="generators", action="append",
+                   required=True, metavar="GENERATOR",
                    help="permutation as comma-separated images, repeatable")
     k = kinds.add_parser("circle")
     k.add_argument("--nodes", type=int, required=True)
     k.add_argument("--bins", type=int, required=True)
-    k.add_argument("--unsigned", action="store_true")
+    k.add_argument("--unsigned", dest="signed", action="store_const",
+                   const="false", default="true")
     k = kinds.add_parser("sphere")
     k.add_argument("--nodes", type=int, default=None)
     k.add_argument("--quadrature", default=None,

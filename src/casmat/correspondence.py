@@ -17,7 +17,7 @@ all numbered by first row-major occurrence, found by one scatter-min over
 the pairs and never by sorting them.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -277,16 +277,10 @@ class RoundtripReport:
                 and self.identity_consistent)
 
     def as_dict(self) -> dict:
-        return {
-            "partition_match": self.partition_match,
-            "involution_consistent": self.involution_consistent,
-            "identity_consistent": self.identity_consistent,
-            "label_bijection": {str(k): v for k, v in
-                                self.label_bijection.items()},
-            "original_labels": self.original_labels,
-            "recovered_labels": self.recovered_labels,
-            "witness": self.witness,
-        }
+        out = asdict(self)
+        out["label_bijection"] = {str(k): v for k, v in
+                                  self.label_bijection.items()}
+        return out
 
 
 def roundtrip_check(scheme: Scheme,

@@ -16,7 +16,7 @@ Structural failures (CAS1/CAS3) are reported with witnesses rather than
 raised, so corrupted inputs can be diagnosed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -446,24 +446,7 @@ class CasReport:
                 and self.pushforward_max_deviation <= self.tolerance)
 
     def as_dict(self) -> dict:
-        return {
-            "cas1_ok": self.cas1_ok,
-            "cas3_ok": self.cas3_ok,
-            "cas2_max_deviation": self.cas2_max_deviation,
-            "cas4_max_deviation": self.cas4_max_deviation,
-            "symmetric": self.symmetric,
-            "commutative": self.commutative,
-            "borel_family_descriptor": self.borel_family_descriptor,
-            "involution_identity_max_deviation":
-                self.involution_identity_max_deviation,
-            "row_valency_max_deviation": self.row_valency_max_deviation,
-            "pushforward_max_deviation": self.pushforward_max_deviation,
-            "tolerance": self.tolerance,
-            "diagonal_slack": self.diagonal_slack,
-            "labels_checked": self.labels_checked,
-            "sampled": self.sampled,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
 
 def resolve_borel_family(scheme: Scheme, borel_family):

@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from casmat import (Scheme, circle_scheme, cyclic_scheme, read_scheme,
-                    sphere_scheme, write_scheme)
+from casmat import (Scheme, circle_scheme, cyclic_scheme, hamming_scheme,
+                    read_scheme, sphere_scheme, write_scheme)
 from casmat import cli
 from casmat.cli import main
-from casmat.scheme import resolve_borel_family
+from casmat.scheme import _sample_fiber, resolve_borel_family
 
 
 def run(capsys, *argv):
@@ -63,6 +63,15 @@ def test_verify_corrupted_relation_fails_with_witness(tmp_path, hamming_file,
     assert failing
     assert any(c["name"].startswith(("cas2", "cas3")) for c in failing)
     assert all(c["witnesses"] for c in failing)
+    # no Markov kernel exists, and the round trip induces no involution
+    for command, name in (("hypergroup", "markov_kernel"),
+                          ("correspond", "roundtrip")):
+        code, report = run(capsys, command, str(bad_path))
+        assert code == 1
+        (check,) = report["checks"]
+        assert check["name"] == name and check["status"] == "fail"
+        (witness,) = check["witnesses"]
+        assert list(witness) == ["detail"] and witness["detail"]
 
 
 def test_missing_file_exits_2(capsys):
@@ -234,9 +243,10 @@ def test_catalog_recipe_missing_parameter_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.scheme").exists()
 
 
-def test_catalog_kinds_write_their_recipe_files(tmp_path, capsys):
-    # each kind goes through the recipe dispatch; the file records the
-    # recipe that rebuilds it byte for byte, input paths with spaces too
+@pytest.fixture
+def catalog_inputs(tmp_path):
+    """A directory, with a space in its name, holding an octahedron
+    quadrature file q.txt and a 3-point metric file metric.txt."""
     from casmat import make_quadrature, write_quadrature
     spaced = tmp_path / "dir with space"
     spaced.mkdir()
@@ -244,21 +254,67 @@ def test_catalog_kinds_write_their_recipe_files(tmp_path, capsys):
     write_quadrature(make_quadrature(np.ones(6), coordinates=octahedron),
                      spaced / "q.txt")
     np.savetxt(spaced / "metric.txt", 1.0 - np.eye(3))
-    for argv in (["cyclic", "--n", "5"], ["hamming", "--d", "2", "--q", "3"],
-                 ["group", "--generator", "1, 2,0"],
-                 ["circle", "--nodes", "12", "--bins", "4", "--unsigned"],
-                 ["sphere", "--nodes", "20", "--bins", "4", "--seed", "3"],
-                 ["sphere", "--quadrature", str(spaced / "q.txt"),
-                  "--bins", "3"],
-                 ["delsarte", "--metric", str(spaced / "metric.txt")]):
-        direct = tmp_path / "direct.scheme"
-        again = tmp_path / "again.scheme"
-        assert run(capsys, "catalog", *argv, "--out", str(direct))[0] == 0
-        recipe = direct.read_text().splitlines()[1]
-        assert recipe.startswith("recipe " + argv[0])
-        assert run(capsys, "catalog", "recipe", "--spec",
-                   recipe[len("recipe "):], "--out", str(again))[0] == 0
-        assert again.read_bytes() == direct.read_bytes()
+    return spaced
+
+
+@pytest.mark.parametrize("argv, recipe", [
+    (["cyclic", "--n", "5"], "cyclic n=5"),
+    (["hamming", "--d", "2", "--q", "3"], "hamming d=2 q=3"),
+    (["group", "--generator", "1, 2,0"], "group generators=1,2,0"),
+    (["group", "--generator", " 1, 2,0"], "group generators=1,2,0"),
+    (["group", "--generator", "1,2,0", "--generator", "0, 2,1"],
+     "group generators=1,2,0;0,2,1"),
+    (["circle", "--nodes", "12", "--bins", "4", "--unsigned"],
+     "circle nodes=12 bins=4 signed=false"),
+    (["circle", "--nodes", "12", "--bins", "4"],
+     "circle nodes=12 bins=4 signed=true"),
+    (["sphere", "--nodes", "20", "--bins", "4", "--seed", "3"],
+     "sphere nodes=20 bins=4 seed=3"),
+    (["sphere", "--nodes", "20", "--bins", "4"],
+     "sphere nodes=20 bins=4 seed=1729"),
+    (["sphere", "--quadrature", "{D}/q.txt", "--bins", "3"],
+     "sphere quadrature='{D}/q.txt' bins=3"),
+    # the seed places random nodes only, so a quadrature records none
+    (["sphere", "--quadrature", "{D}/q.txt", "--bins", "3", "--seed", "5"],
+     "sphere quadrature='{D}/q.txt' bins=3"),
+    (["delsarte", "--metric", "{D}/metric.txt"],
+     "delsarte metric='{D}/metric.txt'"),
+    (["delsarte", "--metric", "{D}/metric.txt", "--bins", "2"],
+     "delsarte metric='{D}/metric.txt' bins=2"),
+])
+def test_catalog_kinds_write_their_recipe_files(catalog_inputs, capsys, argv,
+                                                recipe):
+    # each kind goes through the recipe dispatch; the file records the
+    # recipe that rebuilds it byte for byte, input paths with spaces too
+    direct = catalog_inputs / "direct.scheme"
+    again = catalog_inputs / "again.scheme"
+    argv = [a.replace("{D}", str(catalog_inputs)) for a in argv]
+    recipe = recipe.replace("{D}", str(catalog_inputs))
+    code, report = run(capsys, "catalog", *argv, "--out", str(direct))
+    assert code == 0
+    assert direct.read_text().splitlines()[1] == "recipe " + recipe
+    (materialized,) = report["checks"]
+    (witness,) = materialized["witnesses"]
+    assert witness["recipe"] == recipe
+    assert all(type(witness[key]) is int for key in ("nodes", "labels"))
+    assert run(capsys, "catalog", "recipe", "--spec", recipe,
+               "--out", str(again))[0] == 0
+    assert again.read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphere", "--bins", "4"],
+    ["sphere", "--bins", "4", "--seed", "3"],
+    ["recipe", "--spec", "sphere bins=4"],
+    ["recipe", "--spec", "sphere bins=4 seed=3"],
+])
+def test_sphere_without_nodes_or_quadrature_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.scheme"
+    assert main(["catalog", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sphere needs nodes= or quadrature=\n"
+    assert not out.exists()
 
 
 def test_bad_casmat_seed_is_usage_error(hamming_file, capsys, monkeypatch):
@@ -277,10 +333,14 @@ def test_verify_refuses_work_over_budget(hamming_file, capsys, monkeypatch):
     assert main(["verify", str(hamming_file)]) == 2
     err = capsys.readouterr().err
     assert err.strip().count("\n") == 0
-    assert "5.1e+02" in err and "--max-pairs 3" in err
-    # the suggested sample fits the budget: 4 labels x 3 pairs x 8 nodes
-    assert main(["verify", str(hamming_file), "--max-pairs", "3"]) == 0
+    assert "5.1e+02" in err and "--max-pairs 1" in err
+    # every label is self-paired, so a sample of N holds up to 2N pairs:
+    # the suggestion fits the budget (4 labels x 2 pairs x 8 nodes), and
+    # 3 does not (4 x 6 x 8)
+    assert main(["verify", str(hamming_file), "--max-pairs", "1"]) == 0
     capsys.readouterr()
+    assert main(["verify", str(hamming_file), "--max-pairs", "3"]) == 2
+    assert "1.9e+02" in capsys.readouterr().err
     assert main(["verify", str(hamming_file), "--max-pairs", "0"]) == 2
     assert "--max-pairs must be at least 1" in capsys.readouterr().err
 
@@ -314,13 +374,15 @@ def test_overlapping_family_work_is_refused_up_front(tmp_path, capsys,
 
 
 def test_overlapping_family_work_suggests_a_sample_that_fits(capsys):
-    # cyclic(48) pairs: 2 304 pairs x (48 + 1 176**2) = 3.2e9 steps
+    # cyclic(48) pairs: 2 304 pairs x (48 + 1 176**2) = 3.2e9 steps.
+    # Labels 0 and 24 are self-paired, so a sample of N holds up to 2N of
+    # their pairs: N = 15 gives 750 pairs, 1.04e9 steps
     scheme = cyclic_scheme(48)
     sets, _ = resolve_borel_family(scheme, "pairs")
     assert cli._check_verify_work(scheme, None, False, sets) == 2
-    assert "--max-pairs 15" in capsys.readouterr().err
-    assert cli._check_verify_work(scheme, 15, False, sets) is None
-    assert cli._check_verify_work(scheme, 16, False, sets) == 2
+    assert "--max-pairs 14" in capsys.readouterr().err
+    assert cli._check_verify_work(scheme, 14, False, sets) is None
+    assert cli._check_verify_work(scheme, 15, False, sets) == 2
     # disjoint sets and singletons count n steps a pair
     assert cli._check_verify_work(scheme, None, False, sets[:48]) is None
     assert cli._check_verify_work(scheme, None, False,
@@ -397,6 +459,75 @@ def test_bma_budget_admits_unsigned_circle_at_the_auto_caps():
     assert scheme.label_count <= cli.BMA_AUTO_LABEL_CAP
     singletons, _ = resolve_borel_family(scheme, None)
     assert cli._check_verify_work(scheme, None, True, singletons) is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_scheme(600, 20, seed=5), lambda: cyclic_scheme(48),
+    lambda: hamming_scheme(6, 2)], ids=["sphere600_20", "cyclic48",
+                                        "hamming6_2"])
+def test_sampled_fibers_stay_within_the_counted_work(build, capsys,
+                                                     monkeypatch):
+    # a self-paired label's sample is closed under swaps, so it may hold
+    # up to 2N pairs; the work check must count that many
+    scheme = build()
+    n, L = scheme.space.node_count, scheme.label_count
+    singletons, _ = resolve_borel_family(scheme, None)
+    self_paired = scheme.label_space.involution == np.arange(L)
+    for max_pairs in (1, 7, 50, 400):
+        bound = np.minimum(scheme.fiber_counts,
+                           np.where(self_paired, 2 * max_pairs, max_pairs))
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            sizes = np.array([_sample_fiber(scheme, k, max_pairs, rng)[0].size
+                              for k in range(L)])
+            assert (sizes <= bound).all()
+            if L == 21 and max_pairs == 50:
+                # sphere(600, 20): most samples run past N
+                assert (sizes > max_pairs).sum() >= 10
+            # the counted work covers the pairs the sample holds
+            monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET",
+                                int(sizes.sum()) * n - 1)
+            assert cli._check_verify_work(scheme, max_pairs, False,
+                                          singletons) == 2
+            capsys.readouterr()
+
+
+@pytest.fixture
+def no_hypergroup_run(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused hypergroup ran a check")
+
+    for name in ("kernel_of_scheme", "verify_strong_cas"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+def test_hypergroup_refuses_an_oversized_table_up_front(tmp_path, capsys,
+                                                        no_hypergroup_run):
+    # cyclic(1000): an (L, L, L) float64 table of 8e9 bytes
+    path = tmp_path / "c1000.scheme"
+    write_scheme(cyclic_scheme(1000), path)
+    started = time.perf_counter()
+    code = main(["hypergroup", str(path)])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: hypergroup would build a "
+                                   "1000x1000x1000 convolution table of "
+                                   "8.0e+09 bytes")
+    assert captured.err.strip().count("\n") == 0
+    assert elapsed < 1.0
+
+
+def test_hypergroup_refuses_cas_work_over_budget(hamming_file, capsys,
+                                                 monkeypatch,
+                                                 no_hypergroup_run):
+    # h32: the unsampled verify_cas behind cas4_deviation takes 8**3 steps
+    monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 511)
+    assert main(["hypergroup", str(hamming_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "run 5.1e+02 CAS2 steps" in captured.err
+    assert captured.err.strip().count("\n") == 0
 
 
 def test_digest_streams_the_file_in_blocks(tmp_path, capsys, monkeypatch):
