@@ -353,7 +353,7 @@ def cmd_hypergroup(args) -> int:
     if err is not None:
         return err
     n, L = scheme.space.node_count, scheme.label_count
-    # the table, and the unsampled verify_cas behind cas4_deviation
+    # the table, and the n**3-step pass over every fiber that fills it
     if L**3 * 8 > HYPERGROUP_TABLE_BYTES or n**3 > VERIFY_WORK_BUDGET:
         print(f"error: hypergroup would build a {L}x{L}x{L} convolution "
               f"table of {L**3 * 8:.1e} bytes (cap "

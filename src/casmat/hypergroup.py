@@ -2,22 +2,30 @@
 
 From a verified scheme one gets a Markov kernel (normalized row fibers),
 an invariant label measure (row-fiber masses, which makes the transport
-identity exact in the finite case), and a convolution of point masses via
-pushforward through the relation. verify_strong_cas measures the
-identities tying the convolution back to kernel composition. It builds the
-(L, L, L) convolution table once; every identity is then an array
-expression over that table, read whole or in (L, L) slabs.
+identity exact in the finite case), and a convolution of point masses:
+delta_i * delta_i' puts mass p^i_{k,i'^T} / haar[i'] on label k, read off
+the first pair (x, z) of the fiber of i in row-major order (under CAS3,
+kappa(z, i') pushed forward through y -> relation[x, y]). verify_strong_cas
+reduces each fiber once, for the (L, L, L) table, the whole-fiber spread
+and CAS4, and reads every identity off the table whole or in (L, L) slabs.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import Kernel, matmul
-# fiber is unused here but stays bound: perfbench's tracer test checks
-# that it wraps fiber in this module too
-from .scheme import (Scheme, _fiber_pairs_at, fiber, joint_table,  # noqa: F401
-                     row_masses, verify_cas)
+from .scheme import (Scheme, _fiber_pairs_at, _table_reduction, fiber,
+                     joint_table, row_masses)
+
+
+def _index(value, count, refusal):
+    """value as an int when it is an integer in 0..count-1; anything else
+    raises ValueError(refusal), so no index wraps around or is truncated."""
+    if isinstance(value, numbers.Integral) and 0 <= value < count:
+        return int(value)
+    raise ValueError(refusal)
 
 
 class RepresentativeDependenceError(ValueError):
@@ -47,8 +55,8 @@ class HypergroupData:
 
     def kappa(self, x: int, i: int) -> np.ndarray:
         """Probability vector over nodes of the Markov kernel at (x, i)."""
-        if not 0 <= i < self.label_count:
-            raise ValueError(f"unknown label {i}")
+        x = _index(x, self.scheme.space.node_count, f"unknown node {x}")
+        i = _index(i, self.label_count, f"unknown label {i}")
         mask = self.scheme.relation[x] == i
         vec = np.zeros(self.scheme.space.node_count)
         vec[mask] = self.scheme.space.weights[mask] / self.haar_weights[i]
@@ -85,89 +93,79 @@ def kernel_of_scheme(scheme: Scheme, tolerance=None) -> HypergroupData:
                           row_mass_spread=spread)
 
 
-def _convolution_rows(hg: HypergroupData, labels, out, max_reps: int = 8):
-    """Write delta_i * delta_i' for every i' into out[r], i = labels[r];
-    returns the spread of each, shape (len(labels), L).
+def _row(hg: HypergroupData, i, pairs=None) -> np.ndarray:
+    """delta_i * delta_i' for every i', read off the joint table h of the
+    first pair of the fiber of i in row-major order (or the first of
+    pairs): row i' is h[:, i'^T] / haar[i']."""
+    xs, zs = pairs or _fiber_pairs_at(hg.scheme, i, np.arange(1))
+    rel = hg.scheme.relation
+    h = joint_table(rel[xs[0]], rel[:, zs[0]], hg.scheme.space.weights,
+                    hg.label_count)
+    return h[:, hg.involution].T / hg.haar_weights[:, None]
 
-    For a representative (x, z) of i, row i' of the joint table of
-    (relation[z], relation[x]) over haar[i'] pushes kappa(z, i') forward
-    through y -> relation[x, y]. Averages the first max_reps of them in
-    row-major order, found from the per-row label counts without a scan
-    of the whole relation.
-    """
-    scheme = hg.scheme
-    rel = scheme.relation
-    L = hg.label_count
-    # a mean's sums taken in place (weights are positive, so 0 + m is m),
-    # in scratch made once: per-row temporaries freed at the top of the
-    # heap get trimmed by the allocator and faulted back in on every row
-    lo = np.empty((L, L))
-    hi = np.empty((L, L))
-    spreads = np.empty((len(labels), L))
-    for r, i in enumerate(labels):
-        reps = min(int(scheme.fiber_counts[i]), max_reps)
-        xs, zs = _fiber_pairs_at(scheme, i, np.arange(reps))
-        total = out[r]
-        total.fill(0.0)
-        lo.fill(np.inf)
-        hi.fill(-np.inf)
-        for x, z in zip(xs, zs):
-            m = joint_table(rel[z], rel[x], scheme.space.weights, L)
-            m /= hg.haar_weights[:, None]
-            total += m
-            np.minimum(lo, m, out=lo)
-            np.maximum(hi, m, out=hi)
-        total /= reps
-        hi -= lo
-        spreads[r] = hi.max(axis=1)
-    return spreads
+
+def _fiber_pass(hg: HypergroupData):
+    """(table, spread, cas4) from one reduction of every fiber: table[i]
+    is the first pair's row, spread the worst spread of an entry over the
+    whole fiber, cas4 the worst |p - p^T| of a fiber's mean table p."""
+    scheme, L = hg.scheme, hg.label_count
+    table = np.empty((L, L, L))
+    spread = cas4 = 0.0
+    # column j of a joint table holds the entries of row j^T
+    haar_t = hg.haar_weights[hg.involution]
+    for i in range(L):
+        xs, zs = fiber(scheme, i)
+        total, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
+                                         xs, zs, L)
+        table[i] = _row(hg, i, (xs, zs))
+        spread = max(spread, float(((hi - lo) / haar_t).max()))
+        mean = total / xs.size
+        cas4 = max(cas4, float(np.abs(mean - mean.T).max()))
+    return table, spread, cas4
 
 
 def convolution_table(hg: HypergroupData):
     """table[i, i'] = delta_i * delta_i' for all label pairs, and the worst
-    representative spread over the whole table."""
-    L = hg.label_count
-    table = np.empty((L, L, L))
-    return table, float(_convolution_rows(hg, range(L), table).max())
+    spread of an entry over the whole fiber of i."""
+    return _fiber_pass(hg)[:2]
 
 
 def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
                           tolerance=None):
-    """Convolution of two label point masses; returns (measure, spread).
-
-    Picks up to max_reps representative pairs (x, z) from the fiber of i
-    and pushes kappa(z, i_prime) forward through y -> relation[x, y].
-    spread is the worst entrywise disagreement between representatives;
-    when a tolerance is given, exceeding it raises
-    RepresentativeDependenceError (the scheme is not strong at this mesh).
-    """
-    i, ip = int(i), int(i_prime)
-    for label in (ip, i):
-        if not 0 <= label < hg.label_count:
-            raise ValueError(f"unknown label {label}")
-    row = np.empty((1, hg.label_count, hg.label_count))
-    spread = float(_convolution_rows(hg, [i], row, max_reps)[0, ip])
+    """Convolution of two label point masses, read off the first pair of
+    the fiber of i; returns (measure, spread). spread is the worst entrywise
+    disagreement among the first max_reps pairs; exceeding a given
+    tolerance raises RepresentativeDependenceError (the scheme is not
+    strong at this mesh)."""
+    scheme, L = hg.scheme, hg.label_count
+    i = _index(i, L, f"unknown label {i}")
+    ip = _index(i_prime, L, f"unknown label {i_prime}")
+    reps = min(int(scheme.fiber_counts[i]), max_reps)
+    xs, zs = _fiber_pairs_at(scheme, i, np.arange(reps))
+    _, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
+                                 xs, zs, L)
+    j = hg.involution[ip]
+    spread = float((hi[:, j] - lo[:, j]).max() / hg.haar_weights[ip])
     if tolerance is not None and spread > tolerance:
         raise RepresentativeDependenceError(
             f"convolution delta_{i} * delta_{ip} varies by {spread:.3e} "
             f"across fiber representatives (tolerance {tolerance:.3e})")
-    return row[0, ip], spread
+    return _row(hg, i, (xs, zs))[ip], spread
 
 
 def convolve_measure_point(hg: HypergroupData, mu: np.ndarray, i_prime):
-    """Bilinear extension: convolve a label measure with a point mass. The
-    rows of mu's support are built one at a time, in one buffer, and added
-    in label order."""
+    """Bilinear extension: convolve a label measure with a point mass, one
+    row of mu's support at a time, added in label order."""
     L = hg.label_count
     mu = np.asarray(mu)
-    if not 0 <= i_prime < L or mu.shape != (L,):
-        raise ValueError(f"need a label in 0..{L - 1} and one mass per "
-                         f"label, got {i_prime} and shape {mu.shape}")
-    row = np.empty((1, L, L))
+    refusal = (f"need a label in 0..{L - 1} and one mass per label, got "
+               f"{i_prime} and shape {mu.shape}")
+    if mu.shape != (L,):
+        raise ValueError(refusal)
+    ip = _index(i_prime, L, refusal)
     out = np.zeros(L)
     for i in np.flatnonzero(mu):
-        _convolution_rows(hg, [i], row)
-        out += mu[i] * row[0, i_prime]
+        out += mu[i] * _row(hg, i)[ip]
     return out
 
 
@@ -177,7 +175,8 @@ def convolve_functions(hg: HypergroupData, f, g):
     (f * g)[i] = sum_{i'} haar[i'] * (integral of f against
     delta_i * delta_{i'}) * g[i'^T].
     """
-    return _convolve(hg, convolution_table(hg)[0], f, g)
+    table = np.stack([_row(hg, i) for i in range(hg.label_count)])
+    return _convolve(hg, table, f, g)
 
 
 def _convolve(hg: HypergroupData, table, f, g):
@@ -239,7 +238,7 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
     seeded random node test functions. The anti-automorphism identity runs
     over all label pairs. With declared_commutative, the total-variation
     commutator of the convolution gates passed() as well. The CAS4
-    deviation of the scheme is always reported.
+    deviation of the fiber means is always reported.
     """
     probes = list(probes)
     if not probes:
@@ -251,7 +250,7 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
     L = hg.label_count
     inv = hg.involution
     residuals = {}
-    table, max_spread = convolution_table(hg)
+    table, max_spread, cas4 = _fiber_pass(hg)
 
     # identity label point mass is a two-sided unit
     i0 = scheme.label_space.identity_label
@@ -295,8 +294,7 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
                                  .sum(axis=1).max()))
     residuals["anti_automorphism"] = anti
     residuals["commutativity_tv"] = tv
-    cas = verify_cas(scheme, tolerance=max(tolerance, 0.0))
-    residuals["cas4_deviation"] = cas.cas4_max_deviation
+    residuals["cas4_deviation"] = cas4
 
     return StrongCasReport(residuals=residuals,
                            representative_spread=max_spread,

@@ -206,8 +206,10 @@ def test_representative_dependence_detected_on_coarse_sphere():
                              f"(worst spread {worst})")
 
 
-@pytest.mark.parametrize("label", [-1, 4])
+@pytest.mark.parametrize("label", [-1, 4, 1.5])
 def test_out_of_range_labels_are_refused(label):
+    # hamming(3, 2) has 4 labels and 8 nodes: neither is wrapped around
+    # or truncated
     hg = kernel_of_scheme(hamming_scheme(3, 2))
     with pytest.raises(ValueError, match=f"unknown label {label}"):
         convolve_point_masses(hg, 1, label)
@@ -215,6 +217,11 @@ def test_out_of_range_labels_are_refused(label):
         convolve_point_masses(hg, label, 1)
     with pytest.raises(ValueError, match=f"unknown label {label}"):
         hg.kappa(0, label)
+    with pytest.raises(ValueError, match=f"got {label} and shape"):
+        convolve_measure_point(hg, np.ones(4), label)
+    node = 8 if label == 4 else label
+    with pytest.raises(ValueError, match=f"unknown node {node}"):
+        hg.kappa(node, 1)
 
 
 def test_verify_strong_cas_complex_probes_keep_imaginary_parts():
@@ -252,18 +259,18 @@ def test_measure_point_builds_one_row_per_label(build, monkeypatch):
     mu = rng.uniform(-1.0, 1.0, L)
     mu[rng.permutation(L)[:L // 2]] = 0.0
     calls = []
-    own = hypergroup_module._convolution_rows
+    own = hypergroup_module._row
 
-    def counted(hg, labels, *args, **kwargs):
-        calls.append(list(labels))
-        return own(hg, labels, *args, **kwargs)
+    def counted(hg, i, *args, **kwargs):
+        calls.append(int(i))
+        return own(hg, i, *args, **kwargs)
     for ip in range(L):
         want = per_label_measure_point(hg, mu, ip)
         calls.clear()
-        monkeypatch.setattr(hypergroup_module, "_convolution_rows", counted)
+        monkeypatch.setattr(hypergroup_module, "_row", counted)
         got = convolve_measure_point(hg, mu, ip)
         monkeypatch.undo()
-        assert calls == [[i] for i in np.flatnonzero(mu)]
+        assert calls == list(np.flatnonzero(mu))
         assert got.tobytes() == want.tobytes()
 
 

@@ -124,20 +124,22 @@ def oracle_intersection(rel, w, W, Wp, k):
 
 
 def oracle_convolution(rel, w, i, ip, max_reps=8):
+    """delta_i * delta_ip off the first pair (x, z) of the fiber of i: the
+    mass of the y with rel[x][y] == k and rel[y][z] == ip^T, over the
+    haar weight of ip; and the spread of those masses over the first
+    max_reps pairs, over the same weight."""
     N = len(rel)
     haar = sum(w[y] for y in range(N) if rel[0][y] == ip)
-    reps = oracle_fibers(rel)[i][:max_reps]
-    measures = []
-    for x, z in reps:
+    masses = []
+    for x, z in oracle_fibers(rel)[i][:max_reps]:
         m = [0.0] * L
         for y in range(N):
-            if rel[z][y] == ip:
+            if rel[y][z] == INVOLUTION[ip]:
                 m[rel[x][y]] += w[y]
-        measures.append([v / haar for v in m])
-    mean = [sum(m[a] for m in measures) / len(measures) for a in range(L)]
-    spread = max(max(m[a] for m in measures) - min(m[a] for m in measures)
-                 for a in range(L))
-    return mean, spread
+        masses.append(m)
+    spread = max(max(m[k] for m in masses) - min(m[k] for m in masses)
+                 for k in range(L))
+    return [v / haar for v in masses[0]], spread / haar
 
 
 def agree(got, want, exact):
