@@ -33,7 +33,7 @@ from .kernel import (Kernel, IdentityReport, check_approximate_identity,
                      matmul, ones_kernel, _read_dump, sup_norm,
                      transpose, write_dump)
 from .measure import product_integrate
-from .scheme import Scheme, _table_reduction, joint_table
+from .scheme import Scheme, _CellScratch, _table_reduction, joint_table
 
 BASIS_HEADER = "#casmat-basis v1"
 
@@ -273,9 +273,11 @@ def _products(alg: AlgebraBasis, expand=None):
     if lab is not None:
         tensor = np.zeros((L, L, L))
         _cell_masses(lab, w, L)
+        scratch = _CellScratch(L, w.size)
         for k in range(L):
             xs, zs = np.nonzero(lab == k)
-            _, lo, hi, skew = _table_reduction(lab, w, xs, zs, L, skew=True)
+            _, lo, hi, skew = _table_reduction(lab, w, xs, zs, L, skew=True,
+                                               scratch=scratch)
             first = joint_table(lab[xs[0]], lab[:, zs[0]], w, L)
             tensor[:, :, k] = first
             residual = max(residual, float((hi - first).max()),

@@ -173,7 +173,10 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
     whose BMA work exceeds its budget. A fiber pair costs n steps, plus
     F**2 for its projected table when the F label sets of family overlap.
     A sample of max_pairs holds up to twice as many pairs on a self-paired
-    label, whose sample is closed under swaps."""
+    label, whose sample is closed under swaps. The n steps a pair hold
+    for sampled runs with many labels too: a fiber's reduction keeps
+    state only for the cells its pairs touch, with no L**2 work a
+    fiber."""
     n = scheme.space.node_count
     L = scheme.label_count
     per_pair = n

@@ -10,22 +10,13 @@ reduces each fiber once, for the (L, L, L) table, the whole-fiber spread
 and CAS4, and reads every identity off the table whole or in (L, L) slabs.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import Kernel, matmul
-from .scheme import (Scheme, _fiber_pairs_at, _table_reduction, fiber,
-                     joint_table, row_masses)
-
-
-def _index(value, count, refusal):
-    """value as an int when it is an integer in 0..count-1; anything else
-    raises ValueError(refusal), so no index wraps around or is truncated."""
-    if isinstance(value, numbers.Integral) and 0 <= value < count:
-        return int(value)
-    raise ValueError(refusal)
+from .scheme import (Scheme, _CellScratch, _fiber_pairs_at, _index,
+                     _table_reduction, fiber, joint_table, row_masses)
 
 
 class RepresentativeDependenceError(ValueError):
@@ -113,10 +104,11 @@ def _fiber_pass(hg: HypergroupData):
     spread = cas4 = 0.0
     # column j of a joint table holds the entries of row j^T
     haar_t = hg.haar_weights[hg.involution]
+    scratch = _CellScratch(L, scheme.space.node_count)
     for i in range(L):
         xs, zs = fiber(scheme, i)
         total, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
-                                         xs, zs, L)
+                                         xs, zs, L, scratch=scratch)
         table[i] = _row(hg, i, (xs, zs))
         spread = max(spread, float(((hi - lo) / haar_t).max()))
         mean = total / xs.size
@@ -137,6 +129,8 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     disagreement among the first max_reps pairs; exceeding a given
     tolerance raises RepresentativeDependenceError (the scheme is not
     strong at this mesh)."""
+    if max_reps < 1:
+        raise ValueError(f"max_reps must be at least 1, got {max_reps}")
     scheme, L = hg.scheme, hg.label_count
     i = _index(i, L, f"unknown label {i}")
     ip = _index(i_prime, L, f"unknown label {i_prime}")

@@ -16,6 +16,8 @@ Structural failures (CAS1/CAS3) are reported with witnesses rather than
 raised, so corrupted inputs can be diagnosed.
 """
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -185,11 +187,17 @@ class Scheme:
                 f"labels={self.label_count})")
 
 
+def _index(value, count, refusal):
+    """value as an int when it is an integer in 0..count-1; anything else
+    raises ValueError(refusal), so no index wraps around or is truncated."""
+    if isinstance(value, numbers.Integral) and 0 <= value < count:
+        return int(value)
+    raise ValueError(refusal)
+
+
 def fiber(scheme: Scheme, i) -> tuple:
     """All (x, y) pairs with relation[x, y] == i, as (xs, ys) index arrays."""
-    i = int(i)
-    if not 0 <= i < scheme.label_count:
-        raise ValueError(f"unknown label {i}")
+    i = _index(i, scheme.label_count, f"unknown label {i}")
     xs, ys = np.nonzero(scheme.relation == i)
     if xs.size == 0:
         raise SurjectivityError([i])
@@ -199,10 +207,8 @@ def fiber(scheme: Scheme, i) -> tuple:
 def _membership(scheme: Scheme, W) -> np.ndarray:
     mask = np.zeros(scheme.label_count, dtype=bool)
     for i in W:
-        i = int(i)
-        if not 0 <= i < scheme.label_count:
-            raise ValueError(f"unknown label {i} in label set")
-        mask[i] = True
+        mask[_index(i, scheme.label_count,
+                    f"unknown label {i} in label set")] = True
     return mask
 
 
@@ -237,9 +243,11 @@ def _sample_fiber(scheme: Scheme, k, max_pairs, rng):
     pairs as indexing fiber(scheme, k) would, without scanning the whole
     relation.
     """
-    k = int(k)
-    count = (int(scheme.fiber_counts[k]) if 0 <= k < scheme.label_count
-             else 0)
+    k = _index(k, scheme.label_count, f"unknown label {k}")
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(f"a fiber sample needs at least 1 pair, "
+                         f"got {max_pairs}")
+    count = int(scheme.fiber_counts[k])
     if max_pairs is None or count <= max_pairs:
         xs, zs = fiber(scheme, k)
         return xs, zs, False
@@ -270,13 +278,25 @@ def joint_table(left, right, weights, L) -> np.ndarray:
 
 # a chunk of pairs keeps each of its (pairs, n) temporaries near this size
 _CHUNK_ENTRIES = 1 << 20
+# a chunk of a touched-cell reduction keeps its (pairs, n) keys near this
+# size: measured in fresh processes, larger chunks cost more in page
+# faults than they save in per-chunk work
+_TOUCHED_ENTRIES = 1 << 15
 
 
 def _chunk_step(n, KK):
     """(pairs per chunk, column id dtype) for tables of KK cells over n
-    nodes: a chunk's (pairs, n) and (pairs, KK) temporaries stay near
-    _CHUNK_ENTRIES entries."""
-    step = max(1, _CHUNK_ENTRIES // max(n, KK))
+    nodes. When KK <= n a chunk's (pairs, n) and (pairs, KK) temporaries
+    stay near _CHUNK_ENTRIES entries. Otherwise its (pairs, n) keys stay
+    near _TOUCHED_ENTRIES, and the first chunk's (pairs, M) tables, over
+    the M <= min(KK, pairs * n) cells it touches, within _CHUNK_ENTRIES
+    (_reduce_cells shortens later chunks as M grows)."""
+    if KK <= n:
+        step = max(1, _CHUNK_ENTRIES // n)
+    else:
+        step = max(1, min(_TOUCHED_ENTRIES // n,
+                          max(_CHUNK_ENTRIES // KK,
+                              math.isqrt(_CHUNK_ENTRIES // n))))
     # column ids stay below step * max(n, KK), which fits in int32
     # unless a table alone has more than 2**31 cells
     return step, np.int32 if step * max(n, KK) < 2**31 else np.int64
@@ -294,67 +314,128 @@ def _cell_keys(relation, xs, zs, K, itype, left, right):
     return keys
 
 
-def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
-                     skew=False):
-    """(sum, min, max) over the pairs of their K x K joint tables h, and
-    with skew the largest entry of h - h^T.
+class _CellScratch:
+    """What the CAS2 reductions of one pass over n nodes share for K x K
+    tables, made once per pass: the chunk step and, when K * K > n, the
+    column map slot, K * K entries that are -1 off the cells a reduction
+    has numbered. Each reduction resets slot at its own cells."""
+
+    def __init__(self, K, n):
+        KK = K * K
+        self.K = K
+        self.compact = KK > n
+        self.step, self.itype = _chunk_step(n, KK)
+        if self.compact:
+            self.slot = np.full(KK, -1, dtype=self.itype)
+        else:
+            self.slot = np.arange(KK, dtype=self.itype)
+        self.wtile = np.empty(0)
+
+    def weight_tile(self, weights, pairs):
+        """weights repeated for a chunk of up to pairs pairs."""
+        need = min(self.step, pairs) * weights.size
+        if self.wtile.size < need:
+            self.wtile = np.tile(weights, need // weights.size)
+        return self.wtile
+
+    def number(self, keys, start):
+        """Number the distinct cells among keys, none numbered yet, start,
+        start + 1, ... in slot; returns them in that order."""
+        rank = np.arange(keys.size, dtype=self.itype)
+        self.slot[keys] = rank
+        # one position per cell wins the write
+        cells = keys[self.slot[keys] == rank]
+        self.slot[cells] = np.arange(start, start + cells.size,
+                                     dtype=self.itype)
+        return cells
+
+
+def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
+                  skew=False):
+    """(cells, sum, min, max) over the pairs of their K x K joint tables
+    h at the cells the pairs touch, cells in increasing (row-major)
+    order; every other cell is 0 in all three. With skew also the
+    largest entry of h - h^T.
 
     The table of (x, z) counts y at cell left[relation[x, y]] * K +
     right[relation[y, z]] (the labels themselves when left is None). One
     bincount per chunk of pairs sums each pair's cells in increasing y,
-    with one column per cell: all K * K cells when K * K <= n, else only
-    the cells the chunk touches, numbered through slot (-1 for a cell the
-    chunk leaves out). A cell some chunk leaves out also takes that
-    chunk's 0 in min and max. The sum adds the pairs' cells in pair
-    order, as h0 + h1 + ... would. The skew reads each cell's transpose
-    from the same chunk's tables (0 if the chunk leaves it out).
+    with one column per cell: all K * K cells when K * K <= n, else the
+    cells the pairs touched so far, numbered through scratch.slot as they
+    are first met (the first pair's at once), so a chunk whose pairs meet
+    no new cell costs one lookup a key. A cell first met after the first
+    chunk starts at 0 in sum, min and max, the value of every earlier
+    pair. The sum adds the pairs' cells in pair order, as h0 + h1 + ...
+    would. The skew reads each cell's transpose from the same chunk's
+    tables (0 outside the columns).
     """
+    if not len(xs):
+        raise ValueError("a table reduction needs at least one pair")
     n = weights.size
-    KK = K * K
-    total = np.zeros(KK)
-    lo = np.full(KK, np.inf)
-    hi = np.full(KK, -np.inf)
-    chunks = np.zeros(KK, dtype=np.intp)
+    K, itype, slot = scratch.K, scratch.itype, scratch.slot
+    wtile = scratch.weight_tile(weights, len(xs))
+    cells = None if scratch.compact else slot
+    step = scratch.step
     worst = 0.0
-    step, itype = _chunk_step(n, KK)
-    wtile = np.tile(weights, min(step, len(xs)))
-    compact = KK > n
-    seen = np.zeros(KK, dtype=bool)
-    slot = (np.full(KK, -1, dtype=itype) if compact
-            else np.arange(KK, dtype=itype))
-    cells = slot
-    for s in range(0, len(xs), step):
+    s = 0
+    while s < len(xs):
         keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
                           itype, left, right)
         C = len(keys)
-        if compact:
-            seen[keys] = True
-            cells = np.flatnonzero(seen)
-            seen[cells] = False
-            slot[cells] = np.arange(cells.size, dtype=itype)
-            keys = slot[keys]
+        if scratch.compact:
+            if cells is None:
+                cells = scratch.number(keys[0], 0)
+            cols = slot[keys]
+            if cols.min() < 0:
+                cells = np.concatenate(
+                    [cells, scratch.number(keys[cols < 0], cells.size)])
+                cols = slot[keys]
+            keys = cols
         M = cells.size
         keys += np.arange(C, dtype=itype)[:, None] * M
         tables = np.bincount(keys.ravel(), weights=wtile[:C * n],
                              minlength=C * M).reshape(C, M)
-        lo[cells] = np.minimum(lo[cells], tables.min(axis=0))
-        hi[cells] = np.maximum(hi[cells], tables.max(axis=0))
-        chunks[cells] += 1
+        if s == 0:
+            total, lo, hi = np.zeros(M), tables.min(axis=0), tables.max(axis=0)
+        else:
+            if M > total.size:
+                grow = np.zeros(M - total.size)
+                total, lo, hi = (np.concatenate([a, grow])
+                                 for a in (total, lo, hi))
+            np.minimum(lo, tables.min(axis=0), out=lo)
+            np.maximum(hi, tables.max(axis=0), out=hi)
         if skew:
             mate = slot[cells % K * K + cells // K]
             mirror = np.where(mate >= 0, tables[:, mate], 0.0)
             worst = max(worst, float((tables - mirror).max()))
-        if compact:
-            slot[cells] = -1
         # an axis-0 sum adds row after row (pair order), except over one
         # column, which numpy sums pairwise
-        tables[0] += total[cells]
-        total[cells] = tables.sum(axis=0) if M > 1 else tables.cumsum()[-1]
-    left_out = chunks < len(range(0, len(xs), step))
-    np.minimum(lo, 0.0, out=lo, where=left_out)
-    np.maximum(hi, 0.0, out=hi, where=left_out)
-    stats = total.reshape(K, K), lo.reshape(K, K), hi.reshape(K, K)
-    return stats + (worst,) if skew else stats
+        tables[0] += total
+        total = tables.sum(axis=0) if M > 1 else tables.cumsum()[-1:]
+        s += C
+        # the next chunk's (C, M) tables stay within _CHUNK_ENTRIES
+        step = min(scratch.step, max(1, _CHUNK_ENTRIES // M))
+    if scratch.compact:
+        slot[cells] = -1
+        order = np.argsort(cells)
+        cells, total, lo, hi = cells[order], total[order], lo[order], hi[order]
+    return (cells, total, lo, hi, worst) if skew else (cells, total, lo, hi)
+
+
+def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
+                     skew=False, scratch=None):
+    """_reduce_cells as dense K x K tables: (sum, min, max), and with skew
+    the largest entry of h - h^T. scratch is the pass's _CellScratch for
+    K; without one, this call makes its own."""
+    out = _reduce_cells(relation, weights, xs, zs,
+                        scratch or _CellScratch(K, weights.size), left, right,
+                        skew)
+    dense = []
+    for values in out[1:4]:
+        table = np.zeros(K * K)
+        table[out[0]] = values
+        dense.append(table.reshape(K, K))
+    return (*dense, *out[4:])
 
 
 def _label_map(sets, L):
@@ -383,6 +464,13 @@ def _projected_pair_stats(relation, weights, L, xs, zs, M):
         np.minimum(lo, v, out=lo)
         np.maximum(hi, v, out=hi)
     return total, lo, hi
+
+
+def _values_at(cells, values, query):
+    """values at the query cells, 0 at a query cell not in cells (sorted,
+    non-empty)."""
+    at = np.minimum(np.searchsorted(cells, query), cells.size - 1)
+    return np.where(cells[at] == query, values[at], 0.0)
 
 
 def row_masses(scheme: Scheme, weights=None) -> np.ndarray:
@@ -463,15 +551,12 @@ def resolve_borel_family(scheme: Scheme, borel_family):
             raise ValueError("scheme carries no stored bin family")
         sets, kind = [tuple(W) for W in scheme.borel_bins], "stored bins"
     else:
-        sets = [tuple(int(i) for i in W) for W in borel_family]
+        sets = [tuple(_index(i, L, f"unknown label {i} in borel family "
+                                   f"set {tuple(W)} (labels are 0..{L - 1})")
+                      for i in W) for W in borel_family]
         kind = "caller-supplied"
         if not sets:
             raise ValueError("borel family must be non-empty")
-        for W in sets:
-            for i in W:
-                if not 0 <= i < L:
-                    raise ValueError(f"unknown label {i} in borel family "
-                                     f"set {W} (labels are 0..{L - 1})")
     F = len(sets)
     if F * F > 50_000_000:
         raise ValueError(f"borel family has {F} sets; the {F}x{F} deviation "
@@ -487,7 +572,10 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     borel_family: None/"singletons" (default), "pairs", "bins" (the
     scheme's stored family), or an explicit list of label sets.
     max_pairs_per_fiber caps the per-fiber pair count with a seeded
-    swap-closed sample. Memory scales with label_count**2.
+    swap-closed sample. Time follows the pairs checked times n, since a
+    fiber's reduction keeps state only for the cells its pairs touch;
+    memory is one label_count**2 scratch per call (one more for a
+    disjoint family's sets).
 
     In addition to CAS1..CAS5 the report carries the fiber-transpose
     identity deviation (p_{W,W'}^k vs p_{W'^T,W^T}^{k^T}) and the
@@ -562,18 +650,40 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         sampled = sampled or was_sampled
         return xs, zs
 
+    # the pass's K x K scratch: the raw tables, and the mapped ones for
+    # disjoint sets
+    raw = mapped = None
+    if singleton or index is not None:
+        raw = _CellScratch(L, n)
+    if not singleton and index is not None:
+        mapped = _CellScratch(F + 1, n)
+
     def stats(xs, zs):
-        # raw tables for singletons; disjoint sets map each label to its
-        # set (the rest to set F); overlapping sets project each table
+        # (cells, values, mirror, lo, hi, mean): the F x F cells to
+        # check, the fiber mean there and at each cell's mirror (b, a),
+        # min and max there, and the raw L x L fiber mean. Singletons:
+        # the cells the pairs touch, mean sparse like them. Disjoint sets
+        # map each label to its set (the rest to set F), overlapping sets
+        # project each table: every cell, mean dense.
         if singleton:
-            total, lo, hi = _table_reduction(rel, w, xs, zs, L)
-        elif index is None:
+            cells, total, lo, hi = _reduce_cells(rel, w, xs, zs, raw)
+            mean = total / xs.size
+            mirror = _values_at(cells, mean, cells % L * L + cells // L)
+            return cells, mean, mirror, lo, hi, mean
+        if index is None:
             total, lo, hi = _projected_pair_stats(rel, w, L, xs, zs, M)
         else:
-            total, _, _ = _table_reduction(rel, w, xs, zs, L)
-            _, lo, hi = _table_reduction(rel, w, xs, zs, F + 1, index, index)
+            cells, sums, _, _ = _reduce_cells(rel, w, xs, zs, raw)
+            total = np.zeros(L * L)
+            total[cells] = sums
+            total = total.reshape(L, L)
+            _, lo, hi = _table_reduction(rel, w, xs, zs, F + 1, index, index,
+                                         scratch=mapped)
             lo, hi = lo[:F, :F], hi[:F, :F]
-        return total / xs.size, lo, hi
+        mean = total / xs.size
+        values = M @ mean @ M.T
+        return (range(F * F), values.ravel(), values.T.ravel(), lo.ravel(),
+                hi.ravel(), mean)
 
     for k, kt in orbits:
         xs, zs = sample(k)
@@ -588,22 +698,31 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
                 # fiber, fall back to an independent sample
                 xs, zs = sample(kt)
             per_orbit.append((kt, *stats(xs, zs)))
-        for lab, mean, lo, hi in per_orbit:
+        # a cell outside cells has mean, min and max 0, so no maximum
+        # below changes, and the first maximum in row-major order is
+        # among cells
+        for lab, cells, values, mirror, lo, hi, _ in per_orbit:
             labels_checked += 1
             dev = hi - lo
-            dmax = float(dev.max())
-            if dmax > cas2_max:
-                cas2_max = dmax
-                f1, f2 = np.unravel_index(int(np.argmax(dev)), dev.shape)
+            at = int(np.argmax(dev))
+            if dev[at] > cas2_max:
+                cas2_max = float(dev[at])
+                f1, f2 = divmod(int(cells[at]), F)
                 cas2_arg = (lab, family[f1], family[f2],
-                            float(lo[f1, f2]), float(hi[f1, f2]))
-            values = mean if singleton else M @ mean @ M.T
-            cas4_max = max(cas4_max, float(np.abs(values - values.T).max()))
+                            float(lo[at]), float(hi[at]))
+            # CAS4: each cell against its mirror across the diagonal
+            cas4_max = max(cas4_max, float(np.abs(values - mirror).max()))
         # transpose identity: p_{W1,W2}^k vs p_{W2^T,W1^T}^{k^T}
-        mean_k, mean_kt = per_orbit[0][1], per_orbit[-1][1]
+        (_, cells_k, *_, mean_k), (_, cells_kt, *_, mean_kt) = \
+            per_orbit[0], per_orbit[-1]
         if singleton:
-            # the check from k^T is a permutation of this one
-            dev = mean_k - mean_kt[np.ix_(inv, inv)].T
+            # cell (a, b) of k against its partner (b^T, a^T) of k^T, from
+            # the cells of k and from those of k^T
+            pk, pkt = (inv[c % L] * L + inv[c // L]
+                       for c in (cells_k, cells_kt))
+            dev = np.concatenate([
+                mean_k - _values_at(cells_kt, mean_kt, pk),
+                _values_at(cells_k, mean_k, pkt) - mean_kt])
         else:
             # a family need not be closed under ^T: check from k and k^T
             dev = np.concatenate([M @ a @ M.T - (MT @ b @ MT.T).T

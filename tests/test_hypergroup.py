@@ -11,6 +11,7 @@ from casmat import (LabelSpace, RepresentativeDependenceError, Scheme,
                     convolve_point_masses, cyclic_scheme, hamming_scheme,
                     kernel_of_scheme, make_quadrature, random_probe_pairs,
                     sphere_scheme, verify_strong_cas)
+from casmat import hypergroup as hypergroup_module
 
 
 def hamming_convolution_oracle(i, ip):
@@ -286,6 +287,19 @@ def test_measure_point_holds_one_row_at_a_time():
     # the support's rows side by side would be 240 * 240 * 240 * 8 B
     assert peak < 5 * 10**6
     assert got.tobytes() == per_label_measure_point(hg, mu, 3).tobytes()
+
+
+@pytest.mark.parametrize("max_reps", [0, -1])
+def test_point_masses_refuse_fewer_than_one_representative(max_reps,
+                                                           monkeypatch):
+    hg = kernel_of_scheme(hamming_scheme(3, 2))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused call scanned a fiber")
+    monkeypatch.setattr(hypergroup_module, "_fiber_pairs_at", no_work)
+    with pytest.raises(ValueError, match=f"max_reps must be at least 1, "
+                                         f"got {max_reps}"):
+        convolve_point_masses(hg, 1, 1, max_reps=max_reps)
 
 
 def test_measure_point_refuses_bad_label_and_shape():

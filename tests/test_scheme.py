@@ -395,6 +395,33 @@ def test_borel_family_rejects_out_of_range_labels(bad):
     assert sets == [(0, 3), (1, 2)]
 
 
+def test_float_labels_are_refused_not_truncated():
+    # hamming(3, 2) has labels 0..3: 1.5 must not act as label 1
+    scheme = hamming_scheme(3, 2)
+    with pytest.raises(ValueError, match=r"unknown label 1\.5 .*\(1\.5,\)"):
+        verify_cas(scheme, borel_family=[(1.5,), (2,)])
+    with pytest.raises(ValueError, match=r"unknown label 1\.5$"):
+        fiber(scheme, 1.5)
+    with pytest.raises(ValueError, match=r"unknown label 1\.5 in label set"):
+        intersection_number(scheme, (1.5,), (1,), 1)
+    with pytest.raises(ValueError, match=r"unknown label 1\.5$"):
+        intersection_number(scheme, (1,), (1,), 1.5)
+    # numpy integers are labels
+    rep = verify_cas(scheme, borel_family=[(np.int64(1),), (np.uint8(2),)])
+    assert rep.borel_family_descriptor == "caller-supplied (2 sets)"
+    assert rep.passed()
+    for xs, want in zip(fiber(scheme, np.int32(1)), fiber(scheme, 1)):
+        assert np.array_equal(xs, want)
+    assert (intersection_number(scheme, (np.int16(1),), (1,), np.uint8(2))
+            == intersection_number(scheme, (1,), (1,), 2))
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_empty_fiber_samples_are_refused(bad):
+    with pytest.raises(ValueError, match=f"at least 1 pair, got {bad}"):
+        verify_cas(cyclic_scheme(4), max_pairs_per_fiber=bad)
+
+
 def test_family_too_large_for_its_tables_is_refused_before_reducing(
         monkeypatch):
     # circle(120, 30): 120 singletons and 7 140 pairs, 7 260**2 > 5e7
