@@ -33,7 +33,8 @@ from .kernel import (Kernel, IdentityReport, check_approximate_identity,
                      matmul, ones_kernel, _read_dump, sup_norm,
                      transpose, write_dump)
 from .measure import product_integrate
-from .scheme import Scheme, _CellScratch, _table_reduction, joint_table
+from .scheme import (Scheme, _CellScratch, _check_tolerance, _row_masses,
+                     _table_reduction, joint_table)
 
 BASIS_HEADER = "#casmat-basis v1"
 
@@ -398,6 +399,7 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
     first, so an empty member is named before any span check); only the
     approximate-identity probes multiply dense kernels.
     """
+    _check_tolerance(tolerance)
     basis = alg.basis
     L = len(basis)
     w = alg.space.weights
@@ -420,8 +422,7 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
 
     if lab is not None:
         # (A_k o J)[x, z] is the mass of row x on cell k
-        rows = np.stack([np.bincount(r, weights=w, minlength=L)
-                         for r in lab])
+        rows = _row_masses(lab, w, L)
         bma1b = float(np.abs(rows - rows[0]).max())
         bma3_res = _transpose_residual(lab, w, L)
         # every nonempty 0/1 member has sup norm 1

@@ -79,38 +79,17 @@ def _structural(name, ok, witnesses=()):
     return _check(name, "pass" if ok else "fail", 0.0 if ok else 1.0, 0.0, wit)
 
 
-def _emit_report(report, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _finish(command, arguments, input_digest, checks, started, report_path):
-    report = {
-        "schema": "casmat-report v1",
-        "tool_version": __version__,
-        "command": command,
-        "arguments": arguments,
-        "input_digest": input_digest,
-        "checks": checks,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    _emit_report(report, report_path)
-    failed = any(c["status"] == "fail" for c in checks)
-    return EXIT_FAIL if failed else EXIT_PASS
+class _Refusal(Exception):
+    """A run refused instead of checked: one error line, exit 2."""
 
 
 def _load_scheme(path):
     if not os.path.exists(path):
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise _Refusal(f"no such file: {path}")
     try:
-        return read_scheme(path), None
+        return read_scheme(path)
     except ValueError as exc:  # ParseError included
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise _Refusal(f"{path}: {exc}") from None
 
 
 def _parse_family_arg(text):
@@ -142,22 +121,21 @@ def _parse_family_arg(text):
     return sets
 
 
-def _numeric_flag_error(args):
-    """The message refusing a numeric flag value no check can use, or None."""
+def _check_numeric_flags(args):
+    """Refuse a numeric flag value no check can use."""
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
-        return f"--tol must be finite and non-negative, got {tol!r}"
+        raise _Refusal(f"--tol must be finite and non-negative, got {tol!r}")
     if getattr(args, "diagonal_slack", 0) < 0:
-        return (f"--diagonal-slack must be non-negative, "
-                f"got {args.diagonal_slack}")
+        raise _Refusal(f"--diagonal-slack must be non-negative, "
+                       f"got {args.diagonal_slack}")
     if getattr(args, "seed", 0) < 0:
-        return f"--seed must be non-negative, got {args.seed}"
+        raise _Refusal(f"--seed must be non-negative, got {args.seed}")
     for flag in ("max_pairs", "probes"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
-            return (f"--{flag.replace('_', '-')} must be at least 1, "
-                    f"got {value}")
-    return None
+            raise _Refusal(f"--{flag.replace('_', '-')} must be at least 1, "
+                           f"got {value}")
 
 
 def _bma_work(scheme):
@@ -169,9 +147,9 @@ def _bma_work(scheme):
 
 
 def _check_verify_work(scheme, max_pairs, bma_on, family):
-    """Refuse, with exit 2, a verify whose CAS2 work or, under --bma on,
-    whose BMA work exceeds its budget. A fiber pair costs n steps, plus
-    F**2 for its projected table when the F label sets of family overlap.
+    """Refuse a verify whose CAS2 work or, under --bma on, whose BMA work
+    exceeds its budget. A fiber pair costs n steps, plus F**2 for its
+    projected table when the F label sets of family overlap.
     A sample of max_pairs holds up to twice as many pairs on a self-paired
     label, whose sample is closed under swaps. The n steps a pair hold
     for sampled runs with many labels too: a fiber's reduction keeps
@@ -193,28 +171,20 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
             per_pair * (L + int(self_paired.sum())))
         fix = (f"sample the fibers with --max-pairs {suggest}" if suggest
                else "no sample fits; use a smaller borel family")
-        print(f"error: verify would evaluate {work:.1e} CAS2 steps, "
-              f"{per_pair} per fiber pair (budget {VERIFY_WORK_BUDGET:.0e}); "
-              f"{fix}", file=sys.stderr)
-        return EXIT_USAGE
-    if not bma_on:
-        return None
+        raise _Refusal(f"verify would evaluate {work:.1e} CAS2 steps, "
+                       f"{per_pair} per fiber pair (budget "
+                       f"{VERIFY_WORK_BUDGET:.0e}); {fix}")
     work = _bma_work(scheme)
-    if work <= BMA_WORK_BUDGET:
-        return None
-    products = 2 * (L + BMA_RANDOM_PROBES)
-    print(f"error: the BMA checks would take {work:.1e} steps (budget "
-          f"{BMA_WORK_BUDGET:.0e}): {L} full-fiber reductions and "
-          f"{products} dense products over {n} nodes; skip them with "
-          f"--bma off", file=sys.stderr)
-    return EXIT_USAGE
+    if bma_on and work > BMA_WORK_BUDGET:
+        products = 2 * (L + BMA_RANDOM_PROBES)
+        raise _Refusal(f"the BMA checks would take {work:.1e} steps (budget "
+                       f"{BMA_WORK_BUDGET:.0e}): {L} full-fiber reductions "
+                       f"and {products} dense products over {n} nodes; skip "
+                       f"them with --bma off")
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    scheme, err = _load_scheme(args.scheme)
-    if err is not None:
-        return err
+def cmd_verify(args):
+    scheme = _load_scheme(args.scheme)
     # --bma auto skips the BMA checks outside its caps or over their
     # budget; --bma on refuses a run over that budget
     run_bma = args.bma == "on" or (
@@ -226,12 +196,10 @@ def cmd_verify(args) -> int:
         family = _parse_family_arg(args.borel_family)
         sets, _ = resolve_borel_family(scheme, family)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    err = _check_verify_work(scheme, args.max_pairs, args.bma == "on", sets)
-    if err is not None:
-        return err
-    # verify_cas refuses only a bad family or tolerance, both checked above
+        raise _Refusal(exc) from None
+    _check_verify_work(scheme, args.max_pairs, args.bma == "on", sets)
+    # verify_cas refuses only a bad family, tolerance or sample size, all
+    # checked above
     cas = verify_cas(scheme, borel_family=family, tolerance=args.tol,
                      diagonal_slack=args.diagonal_slack,
                      max_pairs_per_fiber=args.max_pairs, seed=args.seed)
@@ -285,8 +253,7 @@ def cmd_verify(args) -> int:
                  "diagonal_slack": args.diagonal_slack,
                  "max_pairs": args.max_pairs, "seed": args.seed,
                  "bma": args.bma}
-    return _finish("verify", arguments, _digest(args.scheme), checks,
-                   started, args.report)
+    return arguments, args.scheme, checks
 
 
 def _catalog_recipe(args) -> str:
@@ -307,37 +274,28 @@ def _catalog_recipe(args) -> str:
                                      if value is not None])
 
 
-def cmd_catalog(args) -> int:
-    started = time.perf_counter()
+def cmd_catalog(args):
     try:
         scheme, recipe = materialize_recipe(_catalog_recipe(args))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise _Refusal(exc) from None
     write_scheme(scheme, args.out, recipe=recipe)
     checks = [_check("materialized", "pass", 0.0, 0.0,
                      [{"recipe": recipe, "nodes": scheme.space.node_count,
                        "labels": scheme.label_count}])]
-    arguments = {"kind": args.kind, "out": args.out}
-    return _finish("catalog", arguments, _digest(args.out), checks,
-                   started, args.report)
+    return {"kind": args.kind, "out": args.out}, args.out, checks
 
 
-def cmd_correspond(args) -> int:
-    started = time.perf_counter()
-    scheme, err = _load_scheme(args.scheme)
-    if err is not None:
-        return err
+def cmd_correspond(args):
+    scheme = _load_scheme(args.scheme)
     arguments = {"tol": args.tol}
     try:
         rt = roundtrip_check(scheme, grouping_tolerance=args.tol)
     except GroupingBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(exc) from None
     except ValueError as exc:
         checks = [_structural("roundtrip", False, [{"detail": str(exc)}])]
-        return _finish("correspond", arguments, _digest(args.scheme), checks,
-                       started, args.report)
+        return arguments, args.scheme, checks
     wit = [rt.witness] if rt.witness else []
     checks = [
         _structural("partition_roundtrip", rt.partition_match, wit),
@@ -346,30 +304,24 @@ def cmd_correspond(args) -> int:
         _check("label_bijection", "info", None, None,
                [rt.as_dict()["label_bijection"]]),
     ]
-    return _finish("correspond", arguments, _digest(args.scheme), checks,
-                   started, args.report)
+    return arguments, args.scheme, checks
 
 
-def cmd_hypergroup(args) -> int:
-    started = time.perf_counter()
-    scheme, err = _load_scheme(args.scheme)
-    if err is not None:
-        return err
+def cmd_hypergroup(args):
+    scheme = _load_scheme(args.scheme)
     n, L = scheme.space.node_count, scheme.label_count
     # the table, and the n**3-step pass over every fiber that fills it
     if L**3 * 8 > HYPERGROUP_TABLE_BYTES or n**3 > VERIFY_WORK_BUDGET:
-        print(f"error: hypergroup would build a {L}x{L}x{L} convolution "
-              f"table of {L**3 * 8:.1e} bytes (cap "
-              f"{HYPERGROUP_TABLE_BYTES:.1e}) and run {n**3:.1e} CAS2 steps "
-              f"(budget {VERIFY_WORK_BUDGET:.0e})", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(f"hypergroup would build a {L}x{L}x{L} convolution "
+                       f"table of {L**3 * 8:.1e} bytes (cap "
+                       f"{HYPERGROUP_TABLE_BYTES:.1e}) and run {n**3:.1e} "
+                       f"CAS2 steps (budget {VERIFY_WORK_BUDGET:.0e})")
     arguments = {"probes": args.probes, "tol": args.tol, "seed": args.seed}
     try:
         hg = kernel_of_scheme(scheme)
     except ValueError as exc:
         checks = [_structural("markov_kernel", False, [{"detail": str(exc)}])]
-        return _finish("hypergroup", arguments, _digest(args.scheme), checks,
-                       started, args.report)
+        return arguments, args.scheme, checks
     probes = random_probe_pairs(scheme.label_count, args.probes,
                                 seed=args.seed)
     rep = verify_strong_cas(hg, probes, tolerance=args.tol, seed=args.seed)
@@ -383,8 +335,7 @@ def cmd_hypergroup(args) -> int:
                          rep.residuals["cas4_deviation"], args.tol))
     checks.append(_check("representative_spread", "info",
                          rep.representative_spread, args.tol))
-    return _finish("hypergroup", arguments, _digest(args.scheme), checks,
-                   started, args.report)
+    return arguments, args.scheme, checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,30 +412,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code. A refusal is one
+    error line and exit 2; a report goes to stdout only with exit 0 or 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "seed", 0) is None:
-        text = os.environ.get("CASMAT_SEED", "20259")
-        try:
-            args.seed = int(text)
-        except ValueError:
-            args.seed = -1
-        if args.seed < 0:
-            print(f"error: CASMAT_SEED must be a non-negative integer, "
-                  f"got {text!r}", file=sys.stderr)
-            return EXIT_USAGE
-    message = _numeric_flag_error(args)
-    if message is not None:
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return args.func(args)
-    except OSError as exc:
+        if getattr(args, "seed", 0) is None:
+            env_seed = os.environ.get("CASMAT_SEED", "20259")
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                args.seed = -1
+            if args.seed < 0:
+                raise _Refusal(f"CASMAT_SEED must be a non-negative integer, "
+                               f"got {env_seed!r}")
+        _check_numeric_flags(args)
+        started = time.perf_counter()
+        arguments, path, checks = args.func(args)
+        report = {
+            "schema": "casmat-report v1",
+            "tool_version": __version__,
+            "command": args.command,
+            "arguments": arguments,
+            "input_digest": _digest(path),
+            "checks": checks,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        text = json.dumps(report, indent=2, sort_keys=True)
+        # written first, so a report on stdout means exit 0 or 1
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
+    except (_Refusal, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(text)
+    failed = any(c["status"] == "fail" for c in checks)
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Kernel, matmul
-from .scheme import (Scheme, _CellScratch, _fiber_pairs_at, _index,
+from .scheme import (Scheme, _CellScratch, _check_sample_size,
+                     _check_tolerance, _fiber_pairs_at, _index,
                      _table_reduction, fiber, joint_table, row_masses)
 
 
@@ -64,6 +65,7 @@ def kernel_of_scheme(scheme: Scheme, tolerance=None) -> HypergroupData:
     """
     if tolerance is None:
         tolerance = 1e-12 * scheme.space.total_mass
+    _check_tolerance(tolerance)
     rowmass = row_masses(scheme)
     empty = np.nonzero(rowmass == 0)
     if empty[0].size:
@@ -129,6 +131,7 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     disagreement among the first max_reps pairs; exceeding a given
     tolerance raises RepresentativeDependenceError (the scheme is not
     strong at this mesh)."""
+    _check_sample_size(max_reps, "max_reps")
     if max_reps < 1:
         raise ValueError(f"max_reps must be at least 1, got {max_reps}")
     scheme, L = hg.scheme, hg.label_count
@@ -234,6 +237,7 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
     commutator of the convolution gates passed() as well. The CAS4
     deviation of the fiber means is always reported.
     """
+    _check_tolerance(tolerance)
     probes = list(probes)
     if not probes:
         raise ValueError("probe list must be non-empty")

@@ -195,6 +195,19 @@ def _index(value, count, refusal):
     raise ValueError(refusal)
 
 
+def _check_tolerance(tolerance):
+    """Refuse a negative or NaN tolerance; inf passes every check."""
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+
+
+def _check_sample_size(value, name):
+    """Refuse a sample size that is not an integer, as _index does,
+    naming the parameter; None, no sample, passes."""
+    if value is not None and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def fiber(scheme: Scheme, i) -> tuple:
     """All (x, y) pairs with relation[x, y] == i, as (xs, ys) index arrays."""
     i = _index(i, scheme.label_count, f"unknown label {i}")
@@ -473,12 +486,16 @@ def _values_at(cells, values, query):
     return np.where(cells[at] == query, values[at], 0.0)
 
 
+def _row_masses(relation, weights, L) -> np.ndarray:
+    """(n, L) matrix: entry [x, i] is the weight of row x on label i."""
+    return np.stack([np.bincount(row, weights=weights, minlength=L)
+                     for row in relation])
+
+
 def row_masses(scheme: Scheme, weights=None) -> np.ndarray:
     """rowmass[x, i]: the mass (weights by default) of relation row x on i."""
     w = scheme.space.weights if weights is None else weights
-    L = scheme.label_count
-    return np.stack([np.bincount(row, weights=w, minlength=L)
-                     for row in scheme.relation])
+    return _row_masses(scheme.relation, w, scheme.label_count)
 
 
 def intersection_number(scheme: Scheme, W, W_prime, k,
@@ -490,6 +507,7 @@ def intersection_number(scheme: Scheme, W, W_prime, k,
     returns (mean, max - min). With max_pairs set, a seeded swap-closed
     sample of fiber pairs is used instead of the full fiber.
     """
+    _check_sample_size(max_pairs, "max_pairs")
     # W and W' as the two-set partitions {W, rest}: cell [0, 0] is the value
     left = np.where(_membership(scheme, W), 0, 1)
     right = np.where(_membership(scheme, W_prime), 0, 1)
@@ -581,8 +599,8 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     identity deviation (p_{W,W'}^k vs p_{W'^T,W^T}^{k^T}) and the
     product-measure pushforward identity, including row-valency constancy.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    _check_tolerance(tolerance)
+    _check_sample_size(max_pairs_per_fiber, "max_pairs_per_fiber")
     rel = scheme.relation
     w = scheme.space.weights
     n = scheme.space.node_count
@@ -637,18 +655,11 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     # involution orbits of labels, each led by its smaller label
     orbits = [(k, int(inv[k])) for k in range(L) if k <= inv[k]]
 
-    sampled = False
     cas2_max = 0.0
     cas2_arg = None
     cas4_max = 0.0
     inv_id_max = 0.0
     labels_checked = 0
-
-    def sample(k):
-        nonlocal sampled
-        xs, zs, was_sampled = _sample_fiber(scheme, k, max_pairs_per_fiber, rng)
-        sampled = sampled or was_sampled
-        return xs, zs
 
     # the pass's K x K scratch: the raw tables, and the mapped ones for
     # disjoint sets
@@ -686,7 +697,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
                 hi.ravel(), mean)
 
     for k, kt in orbits:
-        xs, zs = sample(k)
+        xs, zs, _ = _sample_fiber(scheme, k, max_pairs_per_fiber, rng)
         per_orbit = [(k, *stats(xs, zs))]
         if kt != k:
             if cas3_ok:
@@ -696,7 +707,8 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             else:
                 # invalid schemes: the transposed sample may leave the
                 # fiber, fall back to an independent sample
-                xs, zs = sample(kt)
+                xs, zs, _ = _sample_fiber(scheme, kt, max_pairs_per_fiber,
+                                          rng)
             per_orbit.append((kt, *stats(xs, zs)))
         # a cell outside cells has mean, min and max 0, so no maximum
         # below changes, and the first maximum in row-major order is
@@ -750,6 +762,11 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             "max_row_mass": float(rowmass[:, i].max())}]
 
     commutative = cas4_max <= tolerance
+    # sampled when a fiber exceeds the cap: when CAS3 holds, a partner
+    # reuses its leader's sample and has the leader's fiber count; when
+    # it fails, every label draws a sample of its own
+    sampled = bool(max_pairs_per_fiber is not None
+                   and (scheme.fiber_counts > max_pairs_per_fiber).any())
     return CasReport(
         cas1_ok=bool(cas1_ok), cas3_ok=bool(cas3_ok),
         cas2_max_deviation=cas2_max, cas4_max_deviation=cas4_max,

@@ -373,21 +373,21 @@ def test_overlapping_family_work_is_refused_up_front(tmp_path, capsys,
         assert elapsed < 1.0
 
 
-def test_overlapping_family_work_suggests_a_sample_that_fits(capsys):
+def test_overlapping_family_work_suggests_a_sample_that_fits():
     # cyclic(48) pairs: 2 304 pairs x (48 + 1 176**2) = 3.2e9 steps.
     # Labels 0 and 24 are self-paired, so a sample of N holds up to 2N of
     # their pairs: N = 15 gives 750 pairs, 1.04e9 steps
     scheme = cyclic_scheme(48)
     sets, _ = resolve_borel_family(scheme, "pairs")
-    assert cli._check_verify_work(scheme, None, False, sets) == 2
-    assert "--max-pairs 14" in capsys.readouterr().err
-    assert cli._check_verify_work(scheme, 14, False, sets) is None
-    assert cli._check_verify_work(scheme, 15, False, sets) == 2
+    with pytest.raises(cli._Refusal, match="--max-pairs 14"):
+        cli._check_verify_work(scheme, None, False, sets)
+    cli._check_verify_work(scheme, 14, False, sets)
+    with pytest.raises(cli._Refusal):
+        cli._check_verify_work(scheme, 15, False, sets)
     # disjoint sets and singletons count n steps a pair
-    assert cli._check_verify_work(scheme, None, False, sets[:48]) is None
-    assert cli._check_verify_work(scheme, None, False,
-                                  [(i, i + 1) for i in range(0, 48, 2)]) \
-        is None
+    cli._check_verify_work(scheme, None, False, sets[:48])
+    cli._check_verify_work(scheme, None, False,
+                           [(i, i + 1) for i in range(0, 48, 2)])
 
 
 def test_small_pairs_family_runs_through_the_cli(tmp_path, capsys):
@@ -458,15 +458,14 @@ def test_bma_budget_admits_unsigned_circle_at_the_auto_caps():
     scheme = circle_scheme(120, 30, signed=False)
     assert scheme.label_count <= cli.BMA_AUTO_LABEL_CAP
     singletons, _ = resolve_borel_family(scheme, None)
-    assert cli._check_verify_work(scheme, None, True, singletons) is None
+    cli._check_verify_work(scheme, None, True, singletons)
 
 
 @pytest.mark.parametrize("build", [
     lambda: sphere_scheme(600, 20, seed=5), lambda: cyclic_scheme(48),
     lambda: hamming_scheme(6, 2)], ids=["sphere600_20", "cyclic48",
                                         "hamming6_2"])
-def test_sampled_fibers_stay_within_the_counted_work(build, capsys,
-                                                     monkeypatch):
+def test_sampled_fibers_stay_within_the_counted_work(build, monkeypatch):
     # a self-paired label's sample is closed under swaps, so it may hold
     # up to 2N pairs; the work check must count that many
     scheme = build()
@@ -487,9 +486,8 @@ def test_sampled_fibers_stay_within_the_counted_work(build, capsys,
             # the counted work covers the pairs the sample holds
             monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET",
                                 int(sizes.sum()) * n - 1)
-            assert cli._check_verify_work(scheme, max_pairs, False,
-                                          singletons) == 2
-            capsys.readouterr()
+            with pytest.raises(cli._Refusal):
+                cli._check_verify_work(scheme, max_pairs, False, singletons)
 
 
 @pytest.fixture
@@ -521,7 +519,8 @@ def test_hypergroup_refuses_an_oversized_table_up_front(tmp_path, capsys,
 def test_hypergroup_refuses_cas_work_over_budget(hamming_file, capsys,
                                                  monkeypatch,
                                                  no_hypergroup_run):
-    # h32: the unsampled verify_cas behind cas4_deviation takes 8**3 steps
+    # h32: the one pass over every full fiber, which fills the table and
+    # cas4_deviation, takes 8**3 steps
     monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 511)
     assert main(["hypergroup", str(hamming_file)]) == 2
     captured = capsys.readouterr()
@@ -703,3 +702,58 @@ def test_catalog_delsarte_refuses_overflowing_squares(tmp_path, capsys, bins):
     assert captured.err.startswith("error: squared distance 3e+200**2 ")
     assert captured.err.strip().count("\n") == 0
     assert not out.exists()
+
+
+# every site that refuses a run: its argv and what to patch (an attribute,
+# or the CASMAT_SEED environment variable) to reach it cheaply
+REFUSALS = {
+    "missing file": (["verify", "{tmp}/nope.scheme"], {}),
+    "parse error": (["verify", "{junk}"], {}),
+    "bad family": (["verify", "{h32}", "--borel-family", "frob"], {}),
+    "family over 5e7": (["verify", "{c120}", "--borel-family", "pairs"], {}),
+    "cas2 budget": (["verify", "{h32}"],
+                    {"casmat.cli.VERIFY_WORK_BUDGET": 100}),
+    "bma budget": (["verify", "{h32}", "--max-pairs", "3", "--bma", "on"],
+                   {"casmat.cli.BMA_WORK_BUDGET": 7679}),
+    "hypergroup cap": (["hypergroup", "{h32}"],
+                       {"casmat.cli.HYPERGROUP_TABLE_BYTES": 511}),
+    "grouping cap": (["correspond", "{h32}", "--tol", "1e-9"],
+                     {"casmat.correspondence._TOLERANCE_GROUP_CAP": 3}),
+    "bad recipe": (["catalog", "recipe", "--spec", "cyclic m=3", "--out",
+                    "{tmp}/x.scheme"], {}),
+    "bad CASMAT_SEED": (["verify", "{h32}"], {"CASMAT_SEED": "abc"}),
+    "--tol": (["correspond", "{h32}", "--tol", "nan"], {}),
+    "--diagonal-slack": (["verify", "{h32}", "--diagonal-slack", "-1"], {}),
+    "--seed": (["hypergroup", "{h32}", "--seed=-1"], {}),
+    "--max-pairs": (["verify", "{h32}", "--max-pairs", "0"], {}),
+    "--probes": (["hypergroup", "{h32}", "--probes", "0"], {}),
+    "verify --report": (["verify", "{h32}", "--report", "{tmp}/no/r.json"],
+                        {}),
+    "catalog --report": (["catalog", "cyclic", "--n", "5", "--out",
+                          "{tmp}/y.scheme", "--report", "{tmp}/no/r.json"],
+                         {}),
+}
+
+
+@pytest.mark.parametrize("argv, patches", REFUSALS.values(), ids=REFUSALS)
+def test_every_refusal_exits_2_with_one_error_line(tmp_path, hamming_file,
+                                                   capsys, monkeypatch, argv,
+                                                   patches):
+    junk = tmp_path / "junk.scheme"
+    junk.write_text("#casmat-scheme v1\nnodes two\n")
+    c120 = tmp_path / "c120.scheme"
+    if "{c120}" in argv:
+        write_scheme(circle_scheme(120, 30), c120)
+    for target, value in patches.items():
+        if target == "CASMAT_SEED":
+            monkeypatch.setenv(target, value)
+        else:
+            monkeypatch.setattr(target, value)
+    argv = [a.format(tmp=tmp_path, junk=junk, h32=hamming_file, c120=c120)
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    # no report on stdout: a report there means exit 0 or 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casmat import scheme as scheme_module
-from casmat import (LabelSpace, Scheme, SurjectivityError, circle_scheme,
-                    cyclic_scheme, fiber, hamming_scheme, intersection_number,
-                    make_quadrature, read_scheme, verify_cas, write_scheme)
+from casmat import (LabelSpace, Scheme, SurjectivityError, algebra_of_scheme,
+                    build_approximate_identity, circle_scheme,
+                    convolve_point_masses, cyclic_scheme, default_probes,
+                    fiber, hamming_scheme, indicator_bump, intersection_number,
+                    kernel_of_scheme, make_quadrature, random_probe_pairs,
+                    read_scheme, sphere_scheme, verify_bma, verify_cas,
+                    verify_strong_cas, write_scheme)
 from casmat.errors import ParseError
 
 
@@ -420,6 +425,63 @@ def test_float_labels_are_refused_not_truncated():
 def test_empty_fiber_samples_are_refused(bad):
     with pytest.raises(ValueError, match=f"at least 1 pair, got {bad}"):
         verify_cas(cyclic_scheme(4), max_pairs_per_fiber=bad)
+
+
+SAMPLE_SIZES = {
+    "max_pairs_per_fiber": lambda s, v: verify_cas(s, max_pairs_per_fiber=v),
+    "max_pairs": lambda s, v: intersection_number(s, (1,), (1,), 1,
+                                                  max_pairs=v),
+    "max_reps": lambda s, v: convolve_point_masses(kernel_of_scheme(s), 1, 1,
+                                                   max_reps=v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.5, np.float64(3.0), "3"])
+@pytest.mark.parametrize("name", SAMPLE_SIZES)
+def test_sample_sizes_must_be_integers(name, bad):
+    call = SAMPLE_SIZES[name]
+    scheme = cyclic_scheme(6)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an integer, got {bad!r}")):
+        call(scheme, bad)
+    # numpy integers are sample sizes
+    call(scheme, np.int32(2))
+
+
+def _bma_at(tolerance):
+    scheme = hamming_scheme(3, 2)
+    alg = algebra_of_scheme(scheme)
+    bump, nbhd = indicator_bump(scheme.label_space)
+    identity = build_approximate_identity(scheme, nbhd, bump)
+    probes, _ = default_probes(alg)
+    return verify_bma(alg, [identity], probes, tolerance=tolerance)
+
+
+TOLERANCES = {
+    "verify_cas": lambda tol: verify_cas(hamming_scheme(3, 2), tolerance=tol),
+    "verify_bma": _bma_at,
+    "verify_strong_cas": lambda tol: verify_strong_cas(
+        kernel_of_scheme(hamming_scheme(3, 2)), random_probe_pairs(4, 2),
+        tolerance=tol),
+    # sphere(60, 4) has no invariant measure: its row masses vary by pi,
+    # which a NaN tolerance would let through
+    "kernel_of_scheme": lambda tol: kernel_of_scheme(
+        sphere_scheme(60, 4, seed=1), tolerance=tol),
+}
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+@pytest.mark.parametrize("entry", TOLERANCES)
+def test_every_entry_point_refuses_a_negative_or_nan_tolerance(entry, bad):
+    with pytest.raises(ValueError, match=f"^tolerance must be >= 0, "
+                                         f"got {bad!r}$"):
+        TOLERANCES[entry](bad)
+
+
+def test_an_infinite_tolerance_passes_every_check():
+    for entry in ("verify_cas", "verify_bma", "verify_strong_cas"):
+        assert TOLERANCES[entry](float("inf")).passed()
+    kernel_of_scheme(sphere_scheme(60, 4, seed=1), tolerance=float("inf"))
 
 
 def test_family_too_large_for_its_tables_is_refused_before_reducing(
