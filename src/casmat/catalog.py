@@ -218,7 +218,9 @@ def _binned_relation(values, edges):
     half-open bins, the last one closed. It is read off the equal-width
     scale and moved once against the exact edges, a block of rows at a
     time; np.digitize bins what is still out of bracket after that, and
-    everything when the scale or a value is not finite.
+    a whole block when the scale or a value in it is not finite. The bin
+    indices are kept in one array narrow enough for the labels too and
+    renumbered in place, a block at a time.
     """
     n_bins = edges.size - 1
 
@@ -227,23 +229,22 @@ def _binned_relation(values, edges):
 
     lo, hi = float(edges[0]), float(edges[-1])
     scale = n_bins / (hi - lo) if hi > lo else 0.0
-    binned = None
-    if 0.0 < scale < np.inf:
-        binned = np.empty(values.shape, dtype=np.intp)
-        # bracket bounds, the first bin open below and the last above
-        lower = np.concatenate([[-np.inf], edges[1:-1]])
-        upper = np.concatenate([edges[1:-1], [np.inf]])
-        rows = max(1, _BLOCK_ENTRIES // values.shape[1])
-        for start in range(0, values.shape[0], rows):
-            v, b = values[start:start + rows], binned[start:start + rows]
-            if not np.isfinite(v).all():
-                binned = None
-                break
+    # bracket bounds, the first bin open below and the last above
+    lower = np.concatenate([[-np.inf], edges[1:-1]])
+    upper = np.concatenate([edges[1:-1], [np.inf]])
+    rel = np.empty(values.shape, dtype=label_dtype(n_bins + 1))
+    counts = np.zeros(n_bins, dtype=np.int64)
+    rows = max(1, _BLOCK_ENTRIES // values.shape[1])
+    for start in range(0, values.shape[0], rows):
+        v = values[start:start + rows]
+        if not (0.0 < scale < np.inf and np.isfinite(v).all()):
+            b = digitized(v)
+        else:
             pos = np.clip(v, lo, hi)
             pos -= lo
             pos *= scale
             np.minimum(pos, n_bins - 1, out=pos)
-            b[...] = pos
+            b = pos.astype(np.intp)
             down = v < lower[b]
             b -= down
             up = v >= upper[b]
@@ -254,21 +255,23 @@ def _binned_relation(values, edges):
             astray = (vm < lower[bm]) | (vm >= upper[bm])
             if astray.any():
                 b[i[astray], j[astray]] = digitized(vm[astray])
-    if binned is None:
-        binned = digitized(values)
-    counts = (np.bincount(binned.ravel(), minlength=n_bins)
-              - np.bincount(binned.diagonal(), minlength=n_bins))
+        rel[start:start + rows] = b
+        counts += np.bincount(b.ravel(), minlength=n_bins)
+    counts -= np.bincount(rel.diagonal(), minlength=n_bins)
     occupied = np.nonzero(counts)[0]
     # a bin with no off-diagonal entry holds diagonal entries only, and
     # those become label 0 below
-    remap = np.zeros(n_bins, dtype=label_dtype(occupied.size + 1))
+    remap = np.zeros(n_bins, dtype=rel.dtype)
     remap[occupied] = 1 + np.arange(occupied.size)
-    rel = remap[binned]
+    for start in range(0, values.shape[0], rows):
+        block = rel[start:start + rows]
+        block[...] = remap[block]
     np.fill_diagonal(rel, 0)
     bin_meta = tuple([None] + [(float(edges[b]), float(edges[b + 1]))
                                for b in occupied])
-    return rel, LabelSpace(involution=np.arange(len(bin_meta)),
-                           identity_label=0, bin_meta=bin_meta)
+    return (rel.astype(label_dtype(occupied.size + 1), copy=False),
+            LabelSpace(involution=np.arange(len(bin_meta)), identity_label=0,
+                       bin_meta=bin_meta))
 
 
 def sphere_scheme(node_source, n_bins: int,

@@ -444,8 +444,14 @@ def main(argv=None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True)
         # written first, so a report on stdout means exit 0 or 1
         if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.report, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError:
+                if args.command == "catalog":
+                    # a refused catalog leaves no scheme behind
+                    os.remove(args.out)
+                raise
     except (_Refusal, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

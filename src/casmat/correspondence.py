@@ -24,7 +24,7 @@ import numpy as np
 
 from .bma import AlgebraBasis, IndicatorKernels
 from .errors import CasmatError
-from .scheme import LabelSpace, Scheme
+from .scheme import LabelSpace, Scheme, _check_tolerance
 
 
 class DiagonalContaminationError(ValueError):
@@ -185,6 +185,7 @@ def character_partition(alg: AlgebraBasis,
     representatives); more than _TOLERANCE_GROUP_CAP exact groups raise
     GroupingBudgetError.
     """
+    _check_tolerance(grouping_tolerance)
     n = alg.space.node_count
     if alg.cell_form:
         flat = alg.cells.ravel()

@@ -134,6 +134,8 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     _check_sample_size(max_reps, "max_reps")
     if max_reps < 1:
         raise ValueError(f"max_reps must be at least 1, got {max_reps}")
+    if tolerance is not None:
+        _check_tolerance(tolerance)
     scheme, L = hg.scheme, hg.label_count
     i = _index(i, L, f"unknown label {i}")
     ip = _index(i_prime, L, f"unknown label {i_prime}")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ParseError, SpaceMismatchError, _LineReader
 from .measure import MeasureSpace
+from .scheme import _check_tolerance
 
 KERNEL_HEADER = "#casmat-kernel v1"
 
@@ -114,6 +115,7 @@ def check_approximate_identity(family, probes, tolerance: float) -> IdentityRepo
     `family` is ordered from coarsest to finest. For each member I_N and
     each probe A the report records sup |I_N o A - A| and sup |A o I_N - A|.
     """
+    _check_tolerance(tolerance)
     family = list(family)
     probes = list(probes)
     if not family:

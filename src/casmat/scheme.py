@@ -209,12 +209,27 @@ def _check_sample_size(value, name):
 
 
 def fiber(scheme: Scheme, i) -> tuple:
-    """All (x, y) pairs with relation[x, y] == i, as (xs, ys) index arrays."""
+    """All (x, y) pairs with relation[x, y] == i, as (xs, ys) index arrays
+    in row-major order, found a block of rows at a time."""
     i = _index(i, scheme.label_count, f"unknown label {i}")
-    xs, ys = np.nonzero(scheme.relation == i)
-    if xs.size == 0:
+    count = int(scheme.fiber_counts[i])
+    if count == 0:
         raise SurjectivityError([i])
+    rel, n = scheme.relation, scheme.space.node_count
+    xs, ys = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+    at = 0
+    rows = max(1, _COUNT_BLOCK_ENTRIES // n)
+    for a in range(0, n, rows):
+        bx, by = _block_pairs(rel[a:a + rows] == i, a)
+        xs[at:at + bx.size], ys[at:at + bx.size] = bx, by
+        at += bx.size
     return xs, ys
+
+
+def _block_pairs(mask, a):
+    """(xs, ys) of the True entries of mask, a block of relation rows
+    from row a, in row-major order (flatnonzero is the faster scan)."""
+    return np.divmod(np.flatnonzero(mask) + a * mask.shape[1], mask.shape[1])
 
 
 def _membership(scheme: Scheme, W) -> np.ndarray:
@@ -228,15 +243,12 @@ def _membership(scheme: Scheme, W) -> np.ndarray:
 def _fiber_pairs_at(scheme: Scheme, k, ranks):
     """The fiber pairs of label k at the given ranks in row-major order.
 
-    Rows are found from per-row label counts (one bincount per row, built
-    once per scheme); only the rows that hold a drawn pair are scanned.
+    Rows are found from per-row label counts (built once per scheme);
+    only the rows that hold a drawn pair are scanned.
     """
     if scheme._row_counts is None:
-        L = scheme.label_count
-        counts = np.empty((scheme.space.node_count, L), dtype=np.int32)
-        for x, row in enumerate(scheme.relation):
-            counts[x] = np.bincount(row, minlength=L)
-        scheme._row_counts = counts
+        scheme._row_counts = _row_masses(scheme.relation, None,
+                                         scheme.label_count)
     per_row = scheme._row_counts[:, k]
     ends = np.cumsum(per_row)
     xs = np.searchsorted(ends, ranks, side="right")
@@ -315,23 +327,37 @@ def _chunk_step(n, KK):
     return step, np.int32 if step * max(n, KK) < 2**31 else np.int64
 
 
-def _cell_keys(relation, xs, zs, K, itype, left, right):
+def _cell_keys(relation, xs, zs, scratch, left, right):
     """keys[p, y] = left[relation[x, y]] * K + right[relation[y, z]] for
-    the pairs (xs[p], zs[p]) (the labels themselves when left is None)."""
-    rows = relation[xs]
-    cols = relation[:, zs].T
+    the pairs (xs[p], zs[p]) (the labels themselves when left is None),
+    as a (pairs, n) view of scratch's intp key buffer, which bincount
+    reads without a copy. The chunk's rows and columns are gathered into
+    scratch's buffers too: only mapped labels are new (pairs, n) arrays,
+    in the maps' narrow dtype."""
+    C, n = len(xs), relation.shape[1]
+    # mode="clip" gathers straight into out (the pairs are in range)
+    rows = np.take(relation, xs, axis=0, mode="clip",
+                   out=scratch.buffer("rows", C * n, relation.dtype)
+                   .reshape(C, n))
+    cols = np.take(relation, zs, axis=1, mode="clip",
+                   out=scratch.buffer("cols", n * C, relation.dtype)
+                   .reshape(n, C)).T
     if left is not None:
+        # indexing, not np.take, which would copy the labels to intp
         rows, cols = left[rows], right[cols]
-    keys = np.multiply(rows, K, dtype=itype)
+    keys = scratch.buffer("keys", C * n, np.intp).reshape(C, n)
+    np.multiply(rows, scratch.K, out=keys, dtype=np.intp)
     keys += cols
     return keys
 
 
 class _CellScratch:
     """What the CAS2 reductions of one pass over n nodes share for K x K
-    tables, made once per pass: the chunk step and, when K * K > n, the
-    column map slot, K * K entries that are -1 off the cells a reduction
-    has numbered. Each reduction resets slot at its own cells."""
+    tables, made once per pass: the chunk step, the column map slot (when
+    K * K > n, K * K entries that are -1 off the cells a reduction has
+    numbered; each reduction resets slot at its own cells) and the flat
+    buffers a chunk's cell keys are gathered into, kept from chunk to
+    chunk so that no chunk allocates and frees them again."""
 
     def __init__(self, K, n):
         KK = K * K
@@ -343,6 +369,15 @@ class _CellScratch:
         else:
             self.slot = np.arange(KK, dtype=self.itype)
         self.wtile = np.empty(0)
+        self.buffers = {}
+
+    def buffer(self, name, size, dtype):
+        """The first size entries of the flat dtype buffer name, made
+        anew only when it is missing, too short or of another dtype."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self.buffers[name] = np.empty(size, dtype)
+        return buf[:size]
 
     def weight_tile(self, weights, pairs):
         """weights repeated for a chunk of up to pairs pairs."""
@@ -386,14 +421,17 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
         raise ValueError("a table reduction needs at least one pair")
     n = weights.size
     K, itype, slot = scratch.K, scratch.itype, scratch.slot
+    if left is not None:
+        # so a chunk's mapped labels are as narrow as they can be
+        left, right = left.astype(label_dtype(K)), right.astype(label_dtype(K))
     wtile = scratch.weight_tile(weights, len(xs))
     cells = None if scratch.compact else slot
     step = scratch.step
     worst = 0.0
     s = 0
     while s < len(xs):
-        keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
-                          itype, left, right)
+        keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], scratch,
+                          left, right)
         C = len(keys)
         if scratch.compact:
             if cells is None:
@@ -487,9 +525,22 @@ def _values_at(cells, values, query):
 
 
 def _row_masses(relation, weights, L) -> np.ndarray:
-    """(n, L) matrix: entry [x, i] is the weight of row x on label i."""
-    return np.stack([np.bincount(row, weights=weights, minlength=L)
-                     for row in relation])
+    """(n, L) matrix: entry [x, i] is the weight of row x on label i, or
+    with weights None its int32 count. One bincount a block of rows: row
+    r of a block counts at r * L + label, in increasing y as one bincount
+    per row would."""
+    n, m = relation.shape
+    out = np.empty((n, L), dtype=np.int32 if weights is None else float)
+    rows = min(n, max(1, _COUNT_BLOCK_ENTRIES // max(m, 1)))
+    offsets = np.arange(rows)[:, None] * L
+    wtile = None if weights is None else np.tile(weights, rows)
+    for a in range(0, n, rows):
+        block = relation[a:a + rows]
+        keys = (block + offsets[:len(block)]).ravel()
+        out[a:a + len(block)] = np.bincount(
+            keys, weights=None if wtile is None else wtile[:keys.size],
+            minlength=len(block) * L).reshape(-1, L)
+    return out
 
 
 def row_masses(scheme: Scheme, weights=None) -> np.ndarray:
@@ -582,6 +633,11 @@ def resolve_borel_family(scheme: Scheme, borel_family):
     return sets, f"{kind} ({F} sets)"
 
 
+def _first_pairs(xs, ys, count):
+    """The first count pairs (xs[p], ys[p]) as int tuples."""
+    return list(zip(xs[:count].tolist(), ys[:count].tolist()))
+
+
 def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
                diagonal_slack: int = 0, max_pairs_per_fiber=None,
                seed: int = 0) -> CasReport:
@@ -610,33 +666,51 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     rng = np.random.default_rng(seed)
     witnesses: dict = {}
 
-    # CAS1: identity fiber vs diagonal
+    # CAS1 (identity fiber vs diagonal) and CAS3 (relation transpose vs
+    # involution table) scan a block of rows at a time, so no n x n
+    # temporary is held; witnesses are the first pairs in row-major order,
+    # and once CAS3 has five the rest of its scan can change nothing
+    off_count, off_pairs, mismatches = 0, [], []
+    diag = rel.diagonal()
+    # in the relation's dtype, so a block's temporaries are no wider than it
+    inv_rel = inv.astype(rel.dtype)
+    rows = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
+    for a in range(0, n, rows):
+        block = rel[a:a + rows]
+        if i0 is not None:
+            hits = block == i0
+            extra = (np.count_nonzero(hits)
+                     - np.count_nonzero(diag[a:a + rows] == i0))
+            off_count += extra
+            if extra and len(off_pairs) < 5:
+                xs, ys = _block_pairs(hits, a)
+                off = xs != ys
+                off_pairs += _first_pairs(xs[off], ys[off],
+                                          5 - len(off_pairs))
+        if len(mismatches) < 5:
+            bad = np.take(inv_rel, block) != rel[:, a:a + rows].T
+            if bad.any():
+                mismatches += _first_pairs(*_block_pairs(bad, a),
+                                           5 - len(mismatches))
+
     if i0 is None:
         cas1_ok = False
         witnesses["cas1"] = [{"detail": "no identity label declared"}]
     else:
-        diag = rel.diagonal()
         bad_diag = np.nonzero(diag != i0)[0]
-        off = rel == i0
-        off[np.arange(n), np.arange(n)] = False
-        off_x, off_y = np.nonzero(off)
-        cas1_ok = bad_diag.size == 0 and off_x.size <= diagonal_slack
+        cas1_ok = bad_diag.size == 0 and off_count <= diagonal_slack
         if not cas1_ok:
             items = [{"pair": (int(x), int(x)), "label": int(diag[x])}
                      for x in bad_diag[:5]]
-            items += [{"pair": (int(a), int(b)), "label": int(i0)}
-                      for a, b in zip(off_x[:5], off_y[:5])]
+            items += [{"pair": pair, "label": int(i0)} for pair in off_pairs]
             witnesses["cas1"] = items
 
-    # CAS3: relation transpose matches the involution table
-    # in the relation's dtype, so the n x n temporary is no wider than it
-    mism_x, mism_y = np.nonzero(inv.astype(rel.dtype)[rel] != rel.T)
-    cas3_ok = mism_x.size == 0
+    cas3_ok = not mismatches
     if not cas3_ok:
         witnesses["cas3"] = [
-            {"pair": (int(a), int(b)),
+            {"pair": (a, b),
              "label": int(rel[a, b]), "transposed_label": int(rel[b, a])}
-            for a, b in zip(mism_x[:5], mism_y[:5])]
+            for a, b in mismatches]
 
     symmetric = scheme.label_space.is_symmetric()
 

@@ -287,3 +287,21 @@ def test_delsarte_at_extreme_scales_matches_oracle(scale, n_bins):
         c, np.linspace(0.0, float(c.max()), n_bins + 1))
     assert np.array_equal(scheme.relation, rel)
     assert scheme.label_space.bin_meta == bin_meta
+
+
+@pytest.mark.parametrize("block", [1, 12, 20])
+def test_binning_across_row_blocks_matches_oracle(block, monkeypatch):
+    # blocks of one to a few rows; the NaN sends its block, and only
+    # that block, through np.digitize
+    monkeypatch.setattr(catalog, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(block)
+    for lo, hi, n_bins in [(-1.0, 1.0, 7), (0.0, 1e300, 3), NARROW + (7,)]:
+        edges = np.linspace(lo, hi, n_bins + 1)
+        table = adversarial_table(edges, rng, inside=lo == NARROW[0])
+        assert_binned_like_oracle(table, edges)
+        table[table.shape[0] // 2, 0] = np.nan
+        assert_binned_like_oracle(table, edges)
+    # 300 labels of bins held in uint16, returned as uint8 when few are
+    # occupied
+    edges = np.linspace(-1.0, 1.0, 301)
+    assert_binned_like_oracle(rng.uniform(-1.0, -0.9, size=(9, 9)), edges)

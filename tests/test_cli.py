@@ -243,6 +243,17 @@ def test_catalog_recipe_missing_parameter_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.scheme").exists()
 
 
+def test_catalog_with_an_unwritable_report_writes_no_scheme(tmp_path,
+                                                            capsys):
+    out = tmp_path / "y.scheme"
+    code = main(["catalog", "cyclic", "--n", "6", "--out", str(out),
+                 "--report", str(tmp_path / "nodir" / "r.json")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 @pytest.fixture
 def catalog_inputs(tmp_path):
     """A directory, with a space in its name, holding an octahedron

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from casmat import scheme as scheme_module
 from casmat import (LabelSpace, Scheme, SurjectivityError, algebra_of_scheme,
-                    build_approximate_identity, circle_scheme,
-                    convolve_point_masses, cyclic_scheme, default_probes,
-                    fiber, hamming_scheme, indicator_bump, intersection_number,
-                    kernel_of_scheme, make_quadrature, random_probe_pairs,
-                    read_scheme, sphere_scheme, verify_bma, verify_cas,
+                    build_approximate_identity, check_approximate_identity,
+                    circle_scheme, convolve_point_masses, cyclic_scheme,
+                    default_probes, diagonal_kernel, fiber, hamming_scheme,
+                    indicator_bump, intersection_number, kernel_of_scheme,
+                    make_quadrature, random_probe_pairs, read_scheme,
+                    roundtrip_check, sphere_scheme, verify_bma, verify_cas,
                     verify_strong_cas, write_scheme)
 from casmat.errors import ParseError
 
@@ -467,6 +468,15 @@ TOLERANCES = {
     # which a NaN tolerance would let through
     "kernel_of_scheme": lambda tol: kernel_of_scheme(
         sphere_scheme(60, 4, seed=1), tolerance=tol),
+    # hamming(3, 2) is strong: its spread is 0.0, which no NaN tolerance
+    # can flag, so only the tolerance check refuses one
+    "convolve_point_masses": lambda tol: convolve_point_masses(
+        kernel_of_scheme(hamming_scheme(3, 2)), 1, 1, tolerance=tol),
+    "roundtrip_check": lambda tol: roundtrip_check(
+        hamming_scheme(3, 2), grouping_tolerance=tol),
+    "check_approximate_identity": lambda tol: check_approximate_identity(
+        [diagonal_kernel(hamming_scheme(3, 2).space)],
+        default_probes(algebra_of_scheme(hamming_scheme(3, 2)))[0], tol),
 }
 
 
