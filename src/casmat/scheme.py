@@ -109,6 +109,9 @@ def label_dtype(label_count: int) -> np.dtype:
 
 # a block of relation rows counted at once stays near this many entries
 _COUNT_BLOCK_ENTRIES = 1 << 16
+# read_scheme parses a block's rows from their bytes this many entries at
+# a time
+_PARSE_BLOCK_ENTRIES = 1 << 14
 
 
 class Scheme:
@@ -137,29 +140,35 @@ class Scheme:
                     copy=True)
 
     @classmethod
-    def _adopt(cls, space, label_space, relation, borel_bins=None):
+    def _adopt(cls, space, label_space, relation, borel_bins=None,
+               counts=None):
         """A Scheme over a relation array that nothing else holds: it is
         narrowed without a copy when already in label_dtype, and frozen
-        in place. For readers and builders that made the array."""
+        in place. For readers and builders that made the array. counts,
+        when given, are the label counts of a relation whose range the
+        caller has checked."""
         scheme = cls.__new__(cls)
-        scheme._setup(space, label_space, relation, borel_bins, copy=False)
+        scheme._setup(space, label_space, relation, borel_bins, copy=False,
+                      counts=counts)
         return scheme
 
-    def _setup(self, space, label_space, rel, borel_bins, copy):
+    def _setup(self, space, label_space, rel, borel_bins, copy, counts=None):
         n = space.node_count
         if rel.shape != (n, n):
             raise ValueError(f"relation has shape {rel.shape}, expected ({n}, {n})")
         if not np.issubdtype(rel.dtype, np.integer):
             raise ValueError("relation entries must be integer label ids")
         L = label_space.size
-        if rel.size and (rel.min() < 0 or rel.max() >= L):
-            raise ValueError("relation entries must lie in 0..label_count-1")
-        # counted in blocks of rows: one bincount over all n * n entries
-        # would first copy them to intp
-        counts = np.zeros(L, dtype=np.int64)
-        rows = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
-        for r in range(0, n, rows):
-            counts += np.bincount(rel[r:r + rows].ravel(), minlength=L)
+        if counts is None:
+            if rel.size and (rel.min() < 0 or rel.max() >= L):
+                raise ValueError(
+                    "relation entries must lie in 0..label_count-1")
+            # counted in blocks of rows: one bincount over all n * n
+            # entries would first copy them to intp
+            counts = np.zeros(L, dtype=np.int64)
+            rows = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
+            for r in range(0, n, rows):
+                counts += np.bincount(rel[r:r + rows].ravel(), minlength=L)
         missing = np.nonzero(counts == 0)[0]
         if missing.size:
             raise SurjectivityError(missing.tolist())
@@ -915,26 +924,73 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
 
 def _load_relation_rows(texts, n, L):
     """The relation rows in texts as a (len(texts), n) array of
-    label_dtype(L) from one np.loadtxt call, or None when loadtxt refuses
-    them, they are not n entries each or a label lies outside 0..L-1."""
+    label_dtype(L), parsed from their bytes, or None when a row holds
+    anything but ASCII digits, spaces and tabs, is not n entries, or has
+    an entry with more digits than L - 1 or not below L: the row loop
+    reads those.
+
+    The rows are parsed _PARSE_BLOCK_ENTRIES entries at a time, so the
+    parse's scratch arrays, a few bytes for each byte of text, stay small
+    beside the relation.
+    """
+    out = np.empty((len(texts), n), dtype=label_dtype(L))
+    step = max(1, _PARSE_BLOCK_ENTRIES // max(n, 1))
+    for a in range(0, len(texts), step):
+        if not _parse_rows(texts[a:a + step], L, out[a:a + step]):
+            return None
+    return out
+
+
+def _parse_rows(texts, L, out):
+    """Parse the rows in texts into out and return True, or return False,
+    out untouched, when _load_relation_rows refuses them."""
     try:
-        rows = np.loadtxt(texts, dtype=label_dtype(L), comments=None,
-                          ndmin=2)
-    except (ValueError, OverflowError):
-        return None
-    if rows.shape != (len(texts), n) or rows.min() < 0 or rows.max() >= L:
-        return None
-    return rows
+        data = np.frombuffer("\n".join([*texts, ""]).encode("ascii"),
+                             dtype=np.uint8)
+    except UnicodeEncodeError:
+        return False
+    digit = data - np.uint8(48)
+    is_digit = digit <= 9
+    if not (is_digit | (data == 32) | (data == 9) | (data == 10)).all():
+        return False
+    # at each byte, the value of the digits that end there, by place
+    # value while they last; int16 holds every entry of up to 4 digits
+    width = len(str(L - 1))
+    digit *= is_digit
+    value = digit.astype(np.int16 if width <= 4 else np.int64)
+    reach = is_digit.copy()
+    for place in range(1, width + 1):
+        # the bytes from `place` back up to here are all digits
+        reach[place:] &= is_digit[:-place]
+        reach[:place] = False
+        if place < width:
+            value[place:] += np.multiply(digit[:-place] * reach[place:],
+                                         10 ** place, dtype=value.dtype)
+    # width + 1 digits in a row: an entry with more digits than L - 1
+    if reach.any():
+        return False
+    # each entry's last digit: a digit before a separator
+    ends = np.flatnonzero(is_digit[:-1] & ~is_digit[1:])
+    n = out.shape[1]
+    newlines = np.cumsum([len(t) + 1 for t in texts]) - 1
+    if not np.array_equal(np.searchsorted(ends, newlines),
+                          np.arange(n, out.size + 1, n)):
+        return False
+    values = value[ends]
+    if values.max() >= L:
+        return False
+    out[...] = values.reshape(out.shape)
+    return True
 
 
 def read_scheme(path) -> Scheme:
     """Parse a `#casmat-scheme v1` file; errors carry the line number.
 
     The file is streamed: lines are read one at a time and the relation
-    goes into label_dtype a block of rows at a time, one np.loadtxt call
-    per block, so no copy of the file's text is held. A block that call
-    refuses is parsed again row by row, from its lines, to name the
-    faulty line.
+    goes into label_dtype a block of rows at a time, parsed from the
+    block's bytes, so no copy of the file's text is held. The labels are
+    counted a block at a time too. A block that parse refuses is parsed
+    again row by row, from its lines, to name the faulty line.
     """
     with _LineReader(path) as reader:
         return _read_scheme(reader)
@@ -1037,34 +1093,42 @@ def _read_scheme(reader) -> Scheme:
     if text != "relation":
         fail("expected 'relation' section", lineno)
     rel = np.empty((n, n), dtype=label_dtype(L))
+    counts = np.zeros(L, dtype=np.int64)
     step = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
     for start in range(0, n, step):
         lines = [reader.next_content() for _ in range(min(step, n - start))]
         texts = [text for _, text in lines]
+        block = rel[start:start + len(lines)]
         rows = None if None in texts else _load_relation_rows(texts, n, L)
         if rows is not None:
-            rel[start:start + len(rows)] = rows
-            continue
-        # row by row: the oracle for relation-fault messages and lines
-        for r, (lineno, text) in enumerate(lines, start):
-            if text is None:
-                fail(f"relation matrix ended early at row {r}", lineno)
-            parts = text.split()
-            if len(parts) != n:
-                fail(f"relation row {r} has {len(parts)} entries, "
-                     f"expected {n}", lineno)
-            try:
-                row = [int(t) for t in parts]
-            except ValueError:
-                fail(f"malformed relation entry in row {r}", lineno)
-            if min(row) < 0 or max(row) >= L:
-                fail("relation entries must lie in 0..label_count-1", lineno)
-            rel[r] = row
+            block[...] = rows
+        else:
+            # row by row: the oracle for relation-fault messages and lines
+            for r, (lineno, text) in enumerate(lines, start):
+                if text is None:
+                    fail(f"relation matrix ended early at row {r}", lineno)
+                parts = text.split()
+                if len(parts) != n:
+                    fail(f"relation row {r} has {len(parts)} entries, "
+                         f"expected {n}", lineno)
+                try:
+                    row = [int(t) for t in parts]
+                except ValueError:
+                    fail(f"malformed relation entry in row {r}", lineno)
+                if min(row) < 0 or max(row) >= L:
+                    fail("relation entries must lie in 0..label_count-1",
+                         lineno)
+                rel[r] = row
+        # the texts go before bincount copies the block to intp; both
+        # paths have checked its range
+        del lines, texts, rows
+        counts += np.bincount(block.ravel(), minlength=L)
 
     try:
         space = make_quadrature(weights)
         label_space = LabelSpace(involution=involution, identity_label=identity,
                                  bin_meta=tuple(bin_meta) if any_bins else None)
-        return Scheme._adopt(space, label_space, rel, borel_bins=borel_bins)
+        return Scheme._adopt(space, label_space, rel, borel_bins=borel_bins,
+                             counts=counts)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

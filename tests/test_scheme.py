@@ -283,7 +283,7 @@ def test_scheme_duplicate_label_record_is_rejected(tmp_path):
         read_scheme(path)
 
 
-# --- relation block: one-call parse, row-loop errors
+# --- relation block: byte parse, row-loop errors
 
 def _cyclic5_lines():
     """cyclic(5) as scheme-file lines and the index of relation row 0."""
@@ -307,7 +307,7 @@ def _read_lines(lines):
 
 
 def _row_loop_read(lines):
-    """The same read with the one-call parse switched off."""
+    """The same read with the byte parse switched off."""
     with mock.patch.object(scheme_module, "_load_relation_rows",
                            return_value=None):
         return _read_lines(lines)
