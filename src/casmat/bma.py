@@ -33,8 +33,8 @@ from .kernel import (Kernel, IdentityReport, check_approximate_identity,
                      matmul, ones_kernel, _read_dump, sup_norm,
                      transpose, write_dump)
 from .measure import product_integrate
-from .scheme import (Scheme, _CellScratch, _check_tolerance, _row_masses,
-                     _table_reduction, joint_table)
+from .scheme import (Scheme, _check_tolerance, _row_masses, _whole_fibers,
+                     joint_table)
 
 BASIS_HEADER = "#casmat-basis v1"
 
@@ -274,11 +274,8 @@ def _products(alg: AlgebraBasis, expand=None):
     if lab is not None:
         tensor = np.zeros((L, L, L))
         _cell_masses(lab, w, L)
-        scratch = _CellScratch(L, w.size)
-        for k in range(L):
-            xs, zs = np.nonzero(lab == k)
-            _, lo, hi, skew = _table_reduction(lab, w, xs, zs, L, skew=True,
-                                               scratch=scratch)
+        fibers = _whole_fibers(lab, w, L, skew=True)
+        for k, (xs, zs, _, lo, hi, skew) in enumerate(fibers):
             first = joint_table(lab[xs[0]], lab[:, zs[0]], w, L)
             tensor[:, :, k] = first
             residual = max(residual, float((hi - first).max()),

@@ -1,6 +1,7 @@
 """Command-line front end: scheme files in, JSON verification reports out.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse error or
+a run refused (over a work budget, out of memory).
 Reports are single JSON documents; with identical inputs and flags they
 are byte-identical except for the wall_time_s field.
 """
@@ -37,7 +38,8 @@ VERIFY_WORK_BUDGET = 10**9
 # measured on one core at 0.7 ns (hamming(10,2), 3.1e10 in 20 s) to
 # 0.8 ns a step (sphere(800,40), 4.6e10 in 38 s), so at most about 35 s.
 # Kept apart from the CAS2 budget, since --max-pairs samples none of the
-# fibers the BMA checks reduce.
+# fibers the BMA checks reduce. The hypergroup's probes, dense products
+# too, are priced against it (see _probe_work).
 BMA_WORK_BUDGET = 4 * 10**10
 # the hypergroup's (L, L, L) float64 convolution table
 HYPERGROUP_TABLE_BYTES = 1 << 30
@@ -163,8 +165,10 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
     self_paired = scheme.label_space.involution == np.arange(L)
     counts = scheme.fiber_counts
     if max_pairs is not None:
-        counts = np.minimum(counts, np.where(self_paired, 2 * max_pairs,
-                                             max_pairs))
+        # no fiber holds more than n * n pairs, so a larger cap samples
+        # nothing (and 2 * cap stays within int64)
+        cap = min(max_pairs, n * n)
+        counts = np.minimum(counts, np.where(self_paired, 2 * cap, cap))
     work = int(counts.sum()) * per_pair
     if work > VERIFY_WORK_BUDGET:
         suggest = VERIFY_WORK_BUDGET // (
@@ -307,6 +311,14 @@ def cmd_correspond(args):
     return arguments, args.scheme, checks
 
 
+def _probe_work(n, probes):
+    """Steps of the hypergroup's probes, in BMA steps: each composes two
+    dense kernels, n**3, and does about 10**5 steps of interpreted work
+    however small n is. On one core a probe took 14 ms on circle(240,60)
+    and 60 us at n = 2."""
+    return probes * (n**3 + 10**5)
+
+
 def cmd_hypergroup(args):
     scheme = _load_scheme(args.scheme)
     n, L = scheme.space.node_count, scheme.label_count
@@ -316,6 +328,13 @@ def cmd_hypergroup(args):
                        f"table of {L**3 * 8:.1e} bytes (cap "
                        f"{HYPERGROUP_TABLE_BYTES:.1e}) and run {n**3:.1e} "
                        f"CAS2 steps (budget {VERIFY_WORK_BUDGET:.0e})")
+    work = _probe_work(n, args.probes)
+    if work > BMA_WORK_BUDGET:
+        fit = BMA_WORK_BUDGET // _probe_work(n, 1)
+        raise _Refusal(f"hypergroup would take {work:.1e} steps for "
+                       f"{args.probes} probes over {n} nodes (budget "
+                       f"{BMA_WORK_BUDGET:.0e}); use --probes {fit} or "
+                       f"fewer")
     arguments = {"probes": args.probes, "tol": args.tol, "seed": args.seed}
     try:
         hg = kernel_of_scheme(scheme)
@@ -452,8 +471,9 @@ def main(argv=None) -> int:
                     # a refused catalog leaves no scheme behind
                     os.remove(args.out)
                 raise
-    except (_Refusal, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_Refusal, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     print(text)
     failed = any(c["status"] == "fail" for c in checks)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Kernel, matmul
-from .scheme import (Scheme, _CellScratch, _check_sample_size,
-                     _check_tolerance, _fiber_pairs_at, _index,
-                     _table_reduction, fiber, joint_table, row_masses)
+# fiber is unused here but stays importable: perfbench's tracer wraps it
+from .scheme import (Scheme, _check_sample_size, _check_tolerance,
+                     _fiber_pairs_at, _index, _table_reduction, _whole_fibers,
+                     fiber, joint_table, row_masses)
 
 
 class RepresentativeDependenceError(ValueError):
@@ -106,11 +107,8 @@ def _fiber_pass(hg: HypergroupData):
     spread = cas4 = 0.0
     # column j of a joint table holds the entries of row j^T
     haar_t = hg.haar_weights[hg.involution]
-    scratch = _CellScratch(L, scheme.space.node_count)
-    for i in range(L):
-        xs, zs = fiber(scheme, i)
-        total, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
-                                         xs, zs, L, scratch=scratch)
+    fibers = _whole_fibers(scheme.relation, scheme.space.weights, L)
+    for i, (xs, zs, total, lo, hi) in enumerate(fibers):
         table[i] = _row(hg, i, (xs, zs))
         spread = max(spread, float(((hi - lo) / haar_t).max()))
         mean = total / xs.size

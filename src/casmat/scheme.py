@@ -163,12 +163,7 @@ class Scheme:
             if rel.size and (rel.min() < 0 or rel.max() >= L):
                 raise ValueError(
                     "relation entries must lie in 0..label_count-1")
-            # counted in blocks of rows: one bincount over all n * n
-            # entries would first copy them to intp
-            counts = np.zeros(L, dtype=np.int64)
-            rows = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
-            for r in range(0, n, rows):
-                counts += np.bincount(rel[r:r + rows].ravel(), minlength=L)
+            counts = _label_counts(rel, L)
         missing = np.nonzero(counts == 0)[0]
         if missing.size:
             raise SurjectivityError(missing.tolist())
@@ -224,12 +219,28 @@ def fiber(scheme: Scheme, i) -> tuple:
     count = int(scheme.fiber_counts[i])
     if count == 0:
         raise SurjectivityError([i])
-    rel, n = scheme.relation, scheme.space.node_count
+    return _fiber_scan(scheme.relation, i, count)
+
+
+def _label_counts(relation, L):
+    """How many entries of relation hold each label, counted a block of
+    rows at a time: one bincount over all n * n entries would first copy
+    them to intp."""
+    counts = np.zeros(L, dtype=np.int64)
+    rows = max(1, _COUNT_BLOCK_ENTRIES // max(relation.shape[1], 1))
+    for a in range(0, relation.shape[0], rows):
+        counts += np.bincount(relation[a:a + rows].ravel(), minlength=L)
+    return counts
+
+
+def _fiber_scan(relation, i, count):
+    """The count pairs (xs, ys) with relation[x, y] == i, in row-major
+    order, found a block of rows at a time."""
     xs, ys = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
     at = 0
-    rows = max(1, _COUNT_BLOCK_ENTRIES // n)
-    for a in range(0, n, rows):
-        bx, by = _block_pairs(rel[a:a + rows] == i, a)
+    rows = max(1, _COUNT_BLOCK_ENTRIES // relation.shape[1])
+    for a in range(0, relation.shape[0], rows):
+        bx, by = _block_pairs(relation[a:a + rows] == i, a)
         xs[at:at + bx.size], ys[at:at + bx.size] = bx, by
         at += bx.size
     return xs, ys
@@ -336,26 +347,16 @@ def _chunk_step(n, KK):
     return step, np.int32 if step * max(n, KK) < 2**31 else np.int64
 
 
-def _cell_keys(relation, xs, zs, scratch, left, right):
+def _cell_keys(relation, xs, zs, K, left, right):
     """keys[p, y] = left[relation[x, y]] * K + right[relation[y, z]] for
     the pairs (xs[p], zs[p]) (the labels themselves when left is None),
-    as a (pairs, n) view of scratch's intp key buffer, which bincount
-    reads without a copy. The chunk's rows and columns are gathered into
-    scratch's buffers too: only mapped labels are new (pairs, n) arrays,
-    in the maps' narrow dtype."""
-    C, n = len(xs), relation.shape[1]
-    # mode="clip" gathers straight into out (the pairs are in range)
-    rows = np.take(relation, xs, axis=0, mode="clip",
-                   out=scratch.buffer("rows", C * n, relation.dtype)
-                   .reshape(C, n))
-    cols = np.take(relation, zs, axis=1, mode="clip",
-                   out=scratch.buffer("cols", n * C, relation.dtype)
-                   .reshape(n, C)).T
+    as a (pairs, n) intp array, which bincount reads without a copy. Only
+    mapped labels are further (pairs, n) arrays, in the maps' narrow
+    dtype."""
+    rows, cols = relation[xs], relation[:, zs].T
     if left is not None:
-        # indexing, not np.take, which would copy the labels to intp
         rows, cols = left[rows], right[cols]
-    keys = scratch.buffer("keys", C * n, np.intp).reshape(C, n)
-    np.multiply(rows, scratch.K, out=keys, dtype=np.intp)
+    keys = np.multiply(rows, K, dtype=np.intp)
     keys += cols
     return keys
 
@@ -364,9 +365,8 @@ class _CellScratch:
     """What the CAS2 reductions of one pass over n nodes share for K x K
     tables, made once per pass: the chunk step, the column map slot (when
     K * K > n, K * K entries that are -1 off the cells a reduction has
-    numbered; each reduction resets slot at its own cells) and the flat
-    buffers a chunk's cell keys are gathered into, kept from chunk to
-    chunk so that no chunk allocates and frees them again."""
+    numbered; each reduction resets slot at its own cells) and the weight
+    tile of a chunk."""
 
     def __init__(self, K, n):
         KK = K * K
@@ -378,15 +378,6 @@ class _CellScratch:
         else:
             self.slot = np.arange(KK, dtype=self.itype)
         self.wtile = np.empty(0)
-        self.buffers = {}
-
-    def buffer(self, name, size, dtype):
-        """The first size entries of the flat dtype buffer name, made
-        anew only when it is missing, too short or of another dtype."""
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self.buffers[name] = np.empty(size, dtype)
-        return buf[:size]
 
     def weight_tile(self, weights, pairs):
         """weights repeated for a chunk of up to pairs pairs."""
@@ -439,7 +430,7 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
     worst = 0.0
     s = 0
     while s < len(xs):
-        keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], scratch,
+        keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
                           left, right)
         C = len(keys)
         if scratch.compact:
@@ -496,6 +487,18 @@ def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
         table[out[0]] = values
         dense.append(table.reshape(K, K))
     return (*dense, *out[4:])
+
+
+def _whole_fibers(relation, weights, L, skew=False):
+    """For each label k in order, its whole fiber (xs, zs) in row-major
+    order and _table_reduction's (sum, min, max) over it, with skew also
+    the largest entry of h - h^T: every fiber reduced through one
+    scratch."""
+    scratch = _CellScratch(L, weights.size)
+    for k, count in enumerate(_label_counts(relation, L)):
+        xs, zs = _fiber_scan(relation, k, int(count))
+        yield (xs, zs, *_table_reduction(relation, weights, xs, zs, L,
+                                         skew=skew, scratch=scratch))
 
 
 def _label_map(sets, L):

@@ -114,12 +114,13 @@ def test_cell_basis_reduces_each_fiber_once(N, monkeypatch):
     scheme, _, _ = random_scheme(1, False, True, N)
     alg = algebra_of_scheme(scheme)
     reduced = []
-    own = bma_module._table_reduction
+    # the shared whole-fiber pass in scheme.py makes the reductions
+    own = scheme_module._table_reduction
 
     def counted(relation, weights, xs, zs, *args, **kwargs):
         reduced.append(len(xs))
         return own(relation, weights, xs, zs, *args, **kwargs)
-    monkeypatch.setattr(bma_module, "_table_reduction", counted)
+    monkeypatch.setattr(scheme_module, "_table_reduction", counted)
     probes, policy = default_probes(alg, count=1, seed=0)
     verify_bma(alg, [alg.basis[0]], probes, 1e-9, policy)
     # one reduction per fiber, and together they cover the n^2 pairs once

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -538,6 +540,62 @@ def test_hypergroup_refuses_cas_work_over_budget(hamming_file, capsys,
     assert captured.out == ""
     assert "run 5.1e+02 CAS2 steps" in captured.err
     assert captured.err.strip().count("\n") == 0
+
+
+def test_hypergroup_prices_its_probes_up_front(hamming_file, capsys,
+                                              monkeypatch, no_hypergroup_run):
+    def no_probes(*args, **kwargs):
+        raise AssertionError("a refused hypergroup built its probes")
+
+    monkeypatch.setattr(cli, "random_probe_pairs", no_probes)
+    assert main(["hypergroup", str(hamming_file),
+                 "--probes", "99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hypergroup would take 1.0e+16 "
+                                   "steps for 99999999999 probes over 8 "
+                                   "nodes")
+    assert captured.err.strip().count("\n") == 0
+    # the suggested count is the largest that fits
+    fit = int(captured.err.split("--probes ")[1].split()[0])
+    assert (cli._probe_work(8, fit) <= cli.BMA_WORK_BUDGET
+            < cli._probe_work(8, fit + 1))
+
+
+def test_default_probes_fit_every_admitted_hypergroup():
+    # n = 1000 is the largest node count whose fiber pass is admitted
+    n = round(cli.VERIFY_WORK_BUDGET ** (1 / 3))
+    assert n**3 <= cli.VERIFY_WORK_BUDGET < (n + 1)**3
+    default = cli.build_parser().parse_args(["hypergroup", "x"]).probes
+    assert default == 10
+    assert cli._probe_work(n, default) <= cli.BMA_WORK_BUDGET
+
+
+def test_out_of_memory_is_a_refusal(tmp_path):
+    # cyclic(100000) asks for a 37.3 GiB relation; the child's address
+    # space is capped, so the allocation fails without touching memory
+    out = tmp_path / "big.scheme"
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "casmat", "catalog", "cyclic", "--n", "100000",
+         "--out", str(out)], capture_output=True, text=True, preexec_fn=cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: Unable to allocate 37.3 GiB")
+    assert proc.stderr.strip().count("\n") == 0
+    assert not out.exists()
+
+
+def test_a_sample_cap_beyond_int64_samples_nothing(hamming_file, capsys):
+    code, huge = run(capsys, "verify", str(hamming_file),
+                     "--max-pairs", "99999999999999999999")
+    want_code, unsampled = run(capsys, "verify", str(hamming_file))
+    assert code == want_code == 0
+    assert huge["arguments"]["max_pairs"] == 99999999999999999999
+    assert huge["checks"] == unsampled["checks"]
 
 
 def test_digest_streams_the_file_in_blocks(tmp_path, capsys, monkeypatch):

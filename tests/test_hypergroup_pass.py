@@ -120,15 +120,19 @@ def test_each_function_does_its_own_fiber_work(build, integer_weights,
     log = []
     assert not hasattr(hypergroup_module, "verify_cas")
     counting(monkeypatch, scheme_module, "verify_cas", log)
-    counting(monkeypatch, hypergroup_module, "fiber", log)
-    counting(monkeypatch, hypergroup_module, "_table_reduction", log,
-             lambda rel, w, xs, zs, K: len(xs))
+    # the whole-fiber pass in scheme.py finds and reduces the fibers;
+    # convolve_point_masses reduces its representatives itself
+    counting(monkeypatch, scheme_module, "_fiber_scan", log)
+    for module in (scheme_module, hypergroup_module):
+        counting(monkeypatch, module, "_table_reduction", log,
+                 lambda rel, w, xs, zs, K: len(xs))
     counting(monkeypatch, hypergroup_module, "_fiber_pairs_at", log,
              lambda scheme, i, ranks: len(ranks))
 
     # one fiber and one reduction a label, over every pair; no verify_cas
     report(hg)
-    assert [entry for entry, _ in log] == ["fiber", "_table_reduction"] * L
+    assert [entry for entry, _ in log] \
+        == ["_fiber_scan", "_table_reduction"] * L
     assert sum(pairs for entry, pairs in log if pairs is not None) \
         == hg.scheme.space.node_count ** 2
 

@@ -1,10 +1,11 @@
 """The streamed scheme reader against its row loop.
 
-read_scheme streams the relation block through one np.loadtxt call into
-label_dtype, and reads the block again with a row loop, the oracle for
-messages and line numbers, whenever that call refuses it. Every file here
-must read as it does with the one-call parse switched off. Warnings are
-errors in this module, so no numpy warning can reach stderr.
+read_scheme parses the relation block from its bytes into label_dtype,
+_PARSE_BLOCK_ENTRIES entries at a time (_load_relation_rows), and reads
+the block again with a row loop, the oracle for messages and line
+numbers, whenever that parse refuses it. Every file here must read as it
+does with the byte parse switched off. Warnings are errors in this
+module, so no numpy warning can reach stderr.
 """
 
 import tempfile
