@@ -532,7 +532,7 @@ def hat_bump(label_space, width: float, period=None):
         raise ValueError("label space has no identity label")
     if label_space.bin_meta is None:
         raise ValueError("hat bump needs bin intervals on the label space")
-    if width <= 0:
+    if not width > 0:
         raise ValueError("width must be positive")
     L = label_space.size
     bump = np.zeros(L)

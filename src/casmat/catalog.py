@@ -13,14 +13,11 @@ from itertools import product
 import numpy as np
 
 from .measure import MeasureSpace, make_quadrature, read_quadrature
-from .scheme import LabelSpace, Scheme, label_dtype
+from .scheme import LabelSpace, Scheme, _row_blocks, label_dtype
 
 HAMMING_NODE_CAP = 4096
 GROUP_DEGREE_CAP = 1024
 DEFAULT_SPHERE_SEED = 1729
-# a block of rows keeps each relation-building temporary near this many
-# entries
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _counting_space(n: int, coordinates=None) -> MeasureSpace:
@@ -32,10 +29,9 @@ def _difference_table(n: int, fold: bool = False) -> np.ndarray:
     label dtype; built a block of rows at a time."""
     rel = np.empty((n, n), dtype=label_dtype(n // 2 + 1 if fold else n))
     idx = np.arange(n)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        d = (idx - idx[start:start + rows, None]) % n
-        rel[start:start + rows] = np.minimum(d, n - d) if fold else d
+    for start, block in _row_blocks(rel):
+        d = (idx - idx[start:start + len(block), None]) % n
+        block[...] = np.minimum(d, n - d) if fold else d
     return rel
 
 
@@ -60,11 +56,9 @@ def hamming_scheme(d: int, q: int) -> Scheme:
             f"q^d = {n} exceeds the {HAMMING_NODE_CAP}-node cap")
     words = np.array(list(product(range(q), repeat=d)), dtype=np.int16)
     rel = np.empty((n, n), dtype=label_dtype(d + 1))
-    block = max(1, (1 << 22) // (n * d))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        rel[start:stop] = (words[start:stop, None, :]
-                           != words[None, :, :]).sum(axis=2)
+    for start, block in _row_blocks(rel, (1 << 22) // d):
+        block[...] = (words[start:start + len(block), None, :]
+                      != words[None, :, :]).sum(axis=2)
     label_space = LabelSpace(involution=np.arange(d + 1), identity_label=0)
     return Scheme._adopt(_counting_space(n, coordinates=words), label_space,
                          rel)
@@ -234,9 +228,7 @@ def _binned_relation(values, edges):
     upper = np.concatenate([edges[1:-1], [np.inf]])
     rel = np.empty(values.shape, dtype=label_dtype(n_bins + 1))
     counts = np.zeros(n_bins, dtype=np.int64)
-    rows = max(1, _BLOCK_ENTRIES // values.shape[1])
-    for start in range(0, values.shape[0], rows):
-        v = values[start:start + rows]
+    for start, v in _row_blocks(values):
         if not (0.0 < scale < np.inf and np.isfinite(v).all()):
             b = digitized(v)
         else:
@@ -255,7 +247,7 @@ def _binned_relation(values, edges):
             astray = (vm < lower[bm]) | (vm >= upper[bm])
             if astray.any():
                 b[i[astray], j[astray]] = digitized(vm[astray])
-        rel[start:start + rows] = b
+        rel[start:start + len(v)] = b
         counts += np.bincount(b.ravel(), minlength=n_bins)
     counts -= np.bincount(rel.diagonal(), minlength=n_bins)
     occupied = np.nonzero(counts)[0]
@@ -263,8 +255,7 @@ def _binned_relation(values, edges):
     # those become label 0 below
     remap = np.zeros(n_bins, dtype=rel.dtype)
     remap[occupied] = 1 + np.arange(occupied.size)
-    for start in range(0, values.shape[0], rows):
-        block = rel[start:start + rows]
+    for _, block in _row_blocks(rel):
         block[...] = remap[block]
     np.fill_diagonal(rel, 0)
     bin_meta = tuple([None] + [(float(edges[b]), float(edges[b + 1]))

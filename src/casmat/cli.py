@@ -202,8 +202,8 @@ def cmd_verify(args):
     except ValueError as exc:
         raise _Refusal(exc) from None
     _check_verify_work(scheme, args.max_pairs, args.bma == "on", sets)
-    # verify_cas refuses only a bad family, tolerance or sample size, all
-    # checked above
+    # verify_cas refuses only a bad family, tolerance, slack or sample
+    # size, all checked above
     cas = verify_cas(scheme, borel_family=family, tolerance=args.tol,
                      diagonal_slack=args.diagonal_slack,
                      max_pairs_per_fiber=args.max_pairs, seed=args.seed)

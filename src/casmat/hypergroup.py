@@ -16,9 +16,9 @@ import numpy as np
 
 from .kernel import Kernel, matmul
 # fiber is unused here but stays importable: perfbench's tracer wraps it
-from .scheme import (Scheme, _check_sample_size, _check_tolerance,
-                     _fiber_pairs_at, _index, _table_reduction, _whole_fibers,
-                     fiber, joint_table, row_masses)
+from .scheme import (Scheme, _check_count, _check_tolerance, _fiber_scan,
+                     _index, _table_reduction, _whole_fibers, fiber,
+                     joint_table, row_masses)
 
 
 class RepresentativeDependenceError(ValueError):
@@ -91,8 +91,8 @@ def _row(hg: HypergroupData, i, pairs=None) -> np.ndarray:
     """delta_i * delta_i' for every i', read off the joint table h of the
     first pair of the fiber of i in row-major order (or the first of
     pairs): row i' is h[:, i'^T] / haar[i']."""
-    xs, zs = pairs or _fiber_pairs_at(hg.scheme, i, np.arange(1))
     rel = hg.scheme.relation
+    xs, zs = pairs or _fiber_scan(rel, i, 1)
     h = joint_table(rel[xs[0]], rel[:, zs[0]], hg.scheme.space.weights,
                     hg.label_count)
     return h[:, hg.involution].T / hg.haar_weights[:, None]
@@ -129,16 +129,14 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     disagreement among the first max_reps pairs; exceeding a given
     tolerance raises RepresentativeDependenceError (the scheme is not
     strong at this mesh)."""
-    _check_sample_size(max_reps, "max_reps")
-    if max_reps < 1:
-        raise ValueError(f"max_reps must be at least 1, got {max_reps}")
+    _check_count(max_reps, "max_reps", 1)
     if tolerance is not None:
         _check_tolerance(tolerance)
     scheme, L = hg.scheme, hg.label_count
     i = _index(i, L, f"unknown label {i}")
     ip = _index(i_prime, L, f"unknown label {i_prime}")
     reps = min(int(scheme.fiber_counts[i]), max_reps)
-    xs, zs = _fiber_pairs_at(scheme, i, np.arange(reps))
+    xs, zs = _fiber_scan(scheme.relation, i, reps)
     _, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
                                  xs, zs, L)
     j = hg.involution[ip]
@@ -238,6 +236,7 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
     deviation of the fiber means is always reported.
     """
     _check_tolerance(tolerance)
+    _check_count(test_function_count, "test_function_count", 1)
     probes = list(probes)
     if not probes:
         raise ValueError("probe list must be non-empty")

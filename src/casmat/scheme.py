@@ -159,11 +159,7 @@ class Scheme:
         if not np.issubdtype(rel.dtype, np.integer):
             raise ValueError("relation entries must be integer label ids")
         L = label_space.size
-        if counts is None:
-            if rel.size and (rel.min() < 0 or rel.max() >= L):
-                raise ValueError(
-                    "relation entries must lie in 0..label_count-1")
-            counts = _label_counts(rel, L)
+        counts = _label_counts(rel, L) if counts is None else counts
         missing = np.nonzero(counts == 0)[0]
         if missing.size:
             raise SurjectivityError(missing.tolist())
@@ -212,37 +208,56 @@ def _check_sample_size(value, name):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_count(value, name, least):
+    """Refuse a count that is not an integer >= least, naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def fiber(scheme: Scheme, i) -> tuple:
     """All (x, y) pairs with relation[x, y] == i, as (xs, ys) index arrays
     in row-major order, found a block of rows at a time."""
     i = _index(i, scheme.label_count, f"unknown label {i}")
-    count = int(scheme.fiber_counts[i])
-    if count == 0:
-        raise SurjectivityError([i])
-    return _fiber_scan(scheme.relation, i, count)
+    return _fiber_scan(scheme.relation, i, int(scheme.fiber_counts[i]))
+
+
+def _row_blocks(array, entries=None):
+    """(first row, block) for consecutive blocks of array's rows, each
+    near entries (by default _COUNT_BLOCK_ENTRIES) entries: every walk
+    over a relation, or a table the size of one, reads it through here."""
+    entries = entries or _COUNT_BLOCK_ENTRIES
+    rows = max(1, entries // max(array.shape[1], 1))
+    for a in range(0, array.shape[0], rows):
+        yield a, array[a:a + rows]
 
 
 def _label_counts(relation, L):
     """How many entries of relation hold each label, counted a block of
     rows at a time: one bincount over all n * n entries would first copy
-    them to intp."""
+    them to intp. Each block's range is checked before it is counted."""
     counts = np.zeros(L, dtype=np.int64)
-    rows = max(1, _COUNT_BLOCK_ENTRIES // max(relation.shape[1], 1))
-    for a in range(0, relation.shape[0], rows):
-        counts += np.bincount(relation[a:a + rows].ravel(), minlength=L)
+    for _, block in _row_blocks(relation):
+        if block.min() < 0 or block.max() >= L:
+            raise ValueError("relation entries must lie in 0..label_count-1")
+        counts += np.bincount(block.ravel(), minlength=L)
     return counts
 
 
 def _fiber_scan(relation, i, count):
-    """The count pairs (xs, ys) with relation[x, y] == i, in row-major
-    order, found a block of rows at a time."""
+    """The first count pairs (xs, ys) with relation[x, y] == i, in
+    row-major order, found a block of rows at a time; the scan stops at
+    the block that holds the last of them."""
     xs, ys = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
     at = 0
-    rows = max(1, _COUNT_BLOCK_ENTRIES // relation.shape[1])
-    for a in range(0, relation.shape[0], rows):
-        bx, by = _block_pairs(relation[a:a + rows] == i, a)
-        xs[at:at + bx.size], ys[at:at + bx.size] = bx, by
-        at += bx.size
+    for a, block in _row_blocks(relation):
+        bx, by = _block_pairs(block == i, a)
+        take = min(bx.size, count - at)
+        xs[at:at + take], ys[at:at + take] = bx[:take], by[:take]
+        at += take
+        if at == count:
+            break
     return xs, ys
 
 
@@ -541,17 +556,17 @@ def _row_masses(relation, weights, L) -> np.ndarray:
     with weights None its int32 count. One bincount a block of rows: row
     r of a block counts at r * L + label, in increasing y as one bincount
     per row would."""
-    n, m = relation.shape
-    out = np.empty((n, L), dtype=np.int32 if weights is None else float)
-    rows = min(n, max(1, _COUNT_BLOCK_ENTRIES // max(m, 1)))
-    offsets = np.arange(rows)[:, None] * L
-    wtile = None if weights is None else np.tile(weights, rows)
-    for a in range(0, n, rows):
-        block = relation[a:a + rows]
-        keys = (block + offsets[:len(block)]).ravel()
-        out[a:a + len(block)] = np.bincount(
-            keys, weights=None if wtile is None else wtile[:keys.size],
-            minlength=len(block) * L).reshape(-1, L)
+    out = np.empty((len(relation), L),
+                   dtype=np.int32 if weights is None else float)
+    wtile = None
+    for a, block in _row_blocks(relation):
+        r = len(block)
+        if wtile is None and weights is not None:
+            wtile = np.tile(weights, r)  # the first block is the largest
+        keys = (block + np.arange(r)[:, None] * L).ravel()
+        out[a:a + r] = np.bincount(
+            keys, weights=None if weights is None else wtile[:keys.size],
+            minlength=r * L).reshape(-1, L)
     return out
 
 
@@ -668,6 +683,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     product-measure pushforward identity, including row-valency constancy.
     """
     _check_tolerance(tolerance)
+    _check_count(diagonal_slack, "diagonal_slack", 0)
     _check_sample_size(max_pairs_per_fiber, "max_pairs_per_fiber")
     rel = scheme.relation
     w = scheme.space.weights
@@ -686,13 +702,11 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     diag = rel.diagonal()
     # in the relation's dtype, so a block's temporaries are no wider than it
     inv_rel = inv.astype(rel.dtype)
-    rows = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
-    for a in range(0, n, rows):
-        block = rel[a:a + rows]
+    for a, block in _row_blocks(rel):
         if i0 is not None:
             hits = block == i0
             extra = (np.count_nonzero(hits)
-                     - np.count_nonzero(diag[a:a + rows] == i0))
+                     - np.count_nonzero(diag[a:a + len(block)] == i0))
             off_count += extra
             if extra and len(off_pairs) < 5:
                 xs, ys = _block_pairs(hits, a)
@@ -700,7 +714,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
                 off_pairs += _first_pairs(xs[off], ys[off],
                                           5 - len(off_pairs))
         if len(mismatches) < 5:
-            bad = np.take(inv_rel, block) != rel[:, a:a + rows].T
+            bad = np.take(inv_rel, block) != rel[:, a:a + len(block)].T
             if bad.any():
                 mismatches += _first_pairs(*_block_pairs(bad, a),
                                            5 - len(mismatches))
@@ -912,13 +926,11 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
         for W in scheme.borel_bins:
             lines.append(" ".join(str(i) for i in W))
     lines.append("relation")
-    rel = scheme.relation
     spaced, ended = _label_bytes(ls.size, b" "), _label_bytes(ls.size, b"\n")
-    rows = max(1, _WRITE_BLOCK_BYTES // (rel.shape[1] * spaced.shape[1]))
+    entries = _WRITE_BLOCK_BYTES // spaced.shape[1]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for start in range(0, rel.shape[0], rows):
-            block = rel[start:start + rows]
+        for _, block in _row_blocks(scheme.relation, entries):
             text = np.take(spaced, block, axis=0)
             text[:, -1] = ended[block[:, -1]]
             # the padding is the only zero byte
@@ -937,9 +949,8 @@ def _load_relation_rows(texts, n, L):
     beside the relation.
     """
     out = np.empty((len(texts), n), dtype=label_dtype(L))
-    step = max(1, _PARSE_BLOCK_ENTRIES // max(n, 1))
-    for a in range(0, len(texts), step):
-        if not _parse_rows(texts[a:a + step], L, out[a:a + step]):
+    for a, block in _row_blocks(out, _PARSE_BLOCK_ENTRIES):
+        if not _parse_rows(texts[a:a + len(block)], L, block):
             return None
     return out
 
@@ -1097,11 +1108,9 @@ def _read_scheme(reader) -> Scheme:
         fail("expected 'relation' section", lineno)
     rel = np.empty((n, n), dtype=label_dtype(L))
     counts = np.zeros(L, dtype=np.int64)
-    step = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
-    for start in range(0, n, step):
-        lines = [reader.next_content() for _ in range(min(step, n - start))]
+    for start, block in _row_blocks(rel):
+        lines = [reader.next_content() for _ in range(len(block))]
         texts = [text for _, text in lines]
-        block = rel[start:start + len(lines)]
         rows = None if None in texts else _load_relation_rows(texts, n, L)
         if rows is not None:
             block[...] = rows

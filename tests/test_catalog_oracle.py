@@ -16,6 +16,7 @@ import pytest
 from casmat import (catalog, cyclic_group, delsarte_scheme, dihedral_group,
                     group_action_scheme, label_dtype, sphere_scheme,
                     symmetric_group)
+from casmat import scheme as scheme_module
 
 
 def oracle_orbitals(generators):
@@ -293,7 +294,7 @@ def test_delsarte_at_extreme_scales_matches_oracle(scale, n_bins):
 def test_binning_across_row_blocks_matches_oracle(block, monkeypatch):
     # blocks of one to a few rows; the NaN sends its block, and only
     # that block, through np.digitize
-    monkeypatch.setattr(catalog, "_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(scheme_module, "_COUNT_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(block)
     for lo, hi, n_bins in [(-1.0, 1.0, 7), (0.0, 1e300, 3), NARROW + (7,)]:
         edges = np.linspace(lo, hi, n_bins + 1)

@@ -296,7 +296,7 @@ def test_point_masses_refuse_fewer_than_one_representative(max_reps,
 
     def no_work(*args, **kwargs):
         raise AssertionError("a refused call scanned a fiber")
-    monkeypatch.setattr(hypergroup_module, "_fiber_pairs_at", no_work)
+    monkeypatch.setattr(hypergroup_module, "_fiber_scan", no_work)
     with pytest.raises(ValueError, match=f"max_reps must be at least 1, "
                                          f"got {max_reps}"):
         convolve_point_masses(hg, 1, 1, max_reps=max_reps)

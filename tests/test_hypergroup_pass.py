@@ -126,8 +126,8 @@ def test_each_function_does_its_own_fiber_work(build, integer_weights,
     for module in (scheme_module, hypergroup_module):
         counting(monkeypatch, module, "_table_reduction", log,
                  lambda rel, w, xs, zs, K: len(xs))
-    counting(monkeypatch, hypergroup_module, "_fiber_pairs_at", log,
-             lambda scheme, i, ranks: len(ranks))
+    counting(monkeypatch, hypergroup_module, "_fiber_scan", log,
+             lambda relation, i, count: count)
 
     # one fiber and one reduction a label, over every pair; no verify_cas
     report(hg)
@@ -140,13 +140,13 @@ def test_each_function_does_its_own_fiber_work(build, integer_weights,
         log.clear()
         convolve_point_masses(hg, L - 1, 1, max_reps=max_reps)
         reps = min(max_reps, int(hg.scheme.fiber_counts[L - 1]))
-        assert log == [("_fiber_pairs_at", reps),
+        assert log == [("_fiber_scan", reps),
                        ("_table_reduction", reps)]
 
     # one pair a label, and no reduction
     log.clear()
     convolve_measure_point(hg, np.ones(L), 1)
-    assert log == [("_fiber_pairs_at", 1)] * L
+    assert log == [("_fiber_scan", 1)] * L
     log.clear()
     convolve_functions(hg, np.ones(L), np.ones(L))
-    assert log == [("_fiber_pairs_at", 1)] * L
+    assert log == [("_fiber_scan", 1)] * L
