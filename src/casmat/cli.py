@@ -345,8 +345,16 @@ def cmd_hypergroup(args):
                                 seed=args.seed)
     rep = verify_strong_cas(hg, probes, tolerance=args.tol, seed=args.seed)
     checks = [_structural("markov_kernel", True)]
-    for name in ("identity_convolution", "pullback_convolution", "transport",
-                 "anti_automorphism"):
+    if scheme.label_space.identity_label is None:
+        # reported as verify's cas1_diagonal reports it: the library's
+        # residual, inf, is no JSON number
+        checks.append(_structural("identity_convolution", False, [
+            {"detail": "no identity label declared"}]))
+    else:
+        checks.append(_quantitative("identity_convolution",
+                                    rep.residuals["identity_convolution"],
+                                    args.tol))
+    for name in ("pullback_convolution", "transport", "anti_automorphism"):
         checks.append(_quantitative(name, rep.residuals[name], args.tol))
     checks.append(_check("commutativity_tv", "info",
                          rep.residuals["commutativity_tv"], args.tol))

@@ -203,9 +203,11 @@ def _check_tolerance(tolerance):
 
 def _check_sample_size(value, name):
     """Refuse a sample size that is not an integer, as _index does,
-    naming the parameter; None, no sample, passes."""
+    naming the parameter, or that is below 1; None, no sample, passes."""
     if value is not None and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value is not None and value < 1:
+        raise ValueError(f"a fiber sample needs at least 1 pair, got {value}")
 
 
 def _check_count(value, name, least):
@@ -304,9 +306,6 @@ def _sample_fiber(scheme: Scheme, k, max_pairs, rng):
     relation.
     """
     k = _index(k, scheme.label_count, f"unknown label {k}")
-    if max_pairs is not None and max_pairs < 1:
-        raise ValueError(f"a fiber sample needs at least 1 pair, "
-                         f"got {max_pairs}")
     count = int(scheme.fiber_counts[k])
     if max_pairs is None or count <= max_pairs:
         xs, zs = fiber(scheme, k)
@@ -329,8 +328,8 @@ def _sample_fiber(scheme: Scheme, k, max_pairs, rng):
 def joint_table(left, right, weights, L) -> np.ndarray:
     """h[a, b]: the mass of the y with left[y] == a and right[y] == b.
 
-    Each cell sums in increasing y. CAS2 tables, structure constants and
-    convolutions all come from here, so they share that order.
+    Each cell sums in increasing y; _reduce_cells sums its tables in the
+    same order.
     """
     keys = left.astype(np.int64) * L + right
     return np.bincount(keys, weights=weights, minlength=L * L).reshape(L, L)
@@ -694,42 +693,40 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     rng = np.random.default_rng(seed)
     witnesses: dict = {}
 
-    # CAS1 (identity fiber vs diagonal) and CAS3 (relation transpose vs
-    # involution table) scan a block of rows at a time, so no n x n
-    # temporary is held; witnesses are the first pairs in row-major order,
-    # and once CAS3 has five the rest of its scan can change nothing
-    off_count, off_pairs, mismatches = 0, [], []
-    diag = rel.diagonal()
-    # in the relation's dtype, so a block's temporaries are no wider than it
-    inv_rel = inv.astype(rel.dtype)
-    for a, block in _row_blocks(rel):
-        if i0 is not None:
-            hits = block == i0
-            extra = (np.count_nonzero(hits)
-                     - np.count_nonzero(diag[a:a + len(block)] == i0))
-            off_count += extra
-            if extra and len(off_pairs) < 5:
-                xs, ys = _block_pairs(hits, a)
-                off = xs != ys
-                off_pairs += _first_pairs(xs[off], ys[off],
-                                          5 - len(off_pairs))
-        if len(mismatches) < 5:
-            bad = np.take(inv_rel, block) != rel[:, a:a + len(block)].T
-            if bad.any():
-                mismatches += _first_pairs(*_block_pairs(bad, a),
-                                           5 - len(mismatches))
-
+    # CAS1 (identity fiber vs diagonal): the identity pairs off the
+    # diagonal are its fiber count less those on it; the fiber is scanned
+    # only for the witnesses of a failure, the first in row-major order
     if i0 is None:
         cas1_ok = False
         witnesses["cas1"] = [{"detail": "no identity label declared"}]
     else:
+        diag = rel.diagonal()
         bad_diag = np.nonzero(diag != i0)[0]
+        off_count = int(scheme.fiber_counts[i0]) - (n - bad_diag.size)
         cas1_ok = bad_diag.size == 0 and off_count <= diagonal_slack
         if not cas1_ok:
             items = [{"pair": (int(x), int(x)), "label": int(diag[x])}
                      for x in bad_diag[:5]]
-            items += [{"pair": pair, "label": int(i0)} for pair in off_pairs]
+            if off_count:
+                xs, ys = fiber(scheme, i0)
+                off = xs != ys
+                items += [{"pair": pair, "label": int(i0)}
+                          for pair in _first_pairs(xs[off], ys[off], 5)]
             witnesses["cas1"] = items
+
+    # CAS3 (relation transpose vs involution table) scans a block of rows
+    # at a time, so no n x n temporary is held, and stops at the block of
+    # its fifth mismatch: witnesses are the first in row-major order
+    mismatches = []
+    # in the relation's dtype, so a block's temporaries are no wider than it
+    inv_rel = inv.astype(rel.dtype)
+    for a, block in _row_blocks(rel):
+        bad = np.take(inv_rel, block) != rel[:, a:a + len(block)].T
+        if bad.any():
+            mismatches += _first_pairs(*_block_pairs(bad, a),
+                                       5 - len(mismatches))
+            if len(mismatches) == 5:
+                break
 
     cas3_ok = not mismatches
     if not cas3_ok:
@@ -784,10 +781,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         if index is None:
             total, lo, hi = _projected_pair_stats(rel, w, L, xs, zs, M)
         else:
-            cells, sums, _, _ = _reduce_cells(rel, w, xs, zs, raw)
-            total = np.zeros(L * L)
-            total[cells] = sums
-            total = total.reshape(L, L)
+            total, _, _ = _table_reduction(rel, w, xs, zs, L, scratch=raw)
             _, lo, hi = _table_reduction(rel, w, xs, zs, F + 1, index, index,
                                          scratch=mapped)
             lo, hi = lo[:F, :F], hi[:F, :F]

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from casmat import (Scheme, circle_scheme, cyclic_scheme, hamming_scheme,
-                    read_scheme, sphere_scheme, write_scheme)
+from casmat import (LabelSpace, Scheme, circle_scheme, cyclic_scheme,
+                    hamming_scheme, read_scheme, sphere_scheme, write_scheme)
 from casmat import cli
 from casmat.cli import main
 from casmat.scheme import _sample_fiber, resolve_borel_family
@@ -148,6 +148,28 @@ def test_hypergroup_hamming(hamming_file, capsys):
                  "transport", "anti_automorphism"):
         assert by_name[name]["status"] == "pass"
         assert by_name[name]["residual"] <= 1e-12
+
+
+def test_hypergroup_without_an_identity_reports_strict_json(tmp_path,
+                                                           capsys):
+    base = cyclic_scheme(6)
+    path = tmp_path / "no_identity.scheme"
+    write_scheme(Scheme(base.space,
+                        LabelSpace(involution=base.label_space.involution),
+                        base.relation), path)
+    code = main(["hypergroup", str(path), "--probes", "2"])
+    text = capsys.readouterr().out
+    assert code == 1
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    report = json.loads(text, parse_constant=refuse)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["identity_convolution"] == {
+        "name": "identity_convolution", "status": "fail", "residual": 1.0,
+        "tolerance": 0.0,
+        "witnesses": [{"detail": "no identity label declared"}]}
+    assert by_name["markov_kernel"]["status"] == "pass"
 
 
 def test_borel_family_from_file(tmp_path, hamming_file, capsys):

@@ -5,7 +5,9 @@ label i in row-major order, whatever the row block, and stop drawing
 blocks at the one that holds the last of them. The label counts check
 each block's range before they count it, so an entry out of range in a
 late block is refused with the constructor's message, never handed to
-bincount.
+bincount. verify_cas's CAS3 scan stops at the block of its fifth
+mismatch, CAS1 reads no block unless the identity lies off the
+diagonal, and an empty fiber sample is refused before any block.
 """
 
 import re
@@ -15,7 +17,8 @@ import pytest
 
 from casmat import (LabelSpace, Scheme, convolve_functions,
                     convolve_measure_point, cyclic_scheme, fiber,
-                    hamming_scheme, kernel_of_scheme, make_quadrature)
+                    hamming_scheme, intersection_number, kernel_of_scheme,
+                    make_quadrature, verify_cas)
 from casmat import scheme as scheme_module
 from casmat.scheme import _fiber_scan
 
@@ -122,3 +125,58 @@ def test_an_entry_out_of_range_in_a_late_block_is_refused(bad, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "relation entries must lie in 0..label_count-1")):
         Scheme(base.space, base.label_space, rel)
+
+
+class _Structural(Exception):
+    """Raised where verify_cas leaves CAS1 and CAS3 for the family."""
+
+
+def structural_blocks(monkeypatch, scheme):
+    """The first rows of the blocks verify_cas draws for CAS1 and CAS3,
+    one row a block."""
+    set_block(monkeypatch, 1, scheme.space.node_count)
+    starts = logged_blocks(monkeypatch)
+
+    def stop(*args):
+        raise _Structural
+    monkeypatch.setattr(scheme_module, "resolve_borel_family", stop)
+    with pytest.raises(_Structural):
+        verify_cas(scheme)
+    return starts
+
+
+def test_cas3_scan_stops_at_the_block_of_its_fifth_mismatch(monkeypatch):
+    base = cyclic_scheme(12)
+    rel = base.relation.copy()
+    # each entry and its transpose mismatch: the fifth of the ten, in
+    # row-major order, is (4, 0)
+    for x, y in [(1, 3), (2, 5), (4, 0), (8, 9), (10, 11)]:
+        rel[x, y] = (rel[x, y] + 1) % 12
+    scheme = Scheme(base.space, base.label_space, rel)
+    bad = np.nonzero(scheme.label_space.involution[rel] != rel.T)
+    assert bad[0].size == 10 and bad[0][4] == 4
+    assert structural_blocks(monkeypatch, scheme) == list(range(5))
+
+
+def test_cas1_scans_only_for_identity_pairs_off_the_diagonal(monkeypatch):
+    # (2, 2) takes label 6, its own partner, so CAS3 holds and reads every
+    # block; CAS1 fails on the diagonal alone and reads none
+    base = cyclic_scheme(12)
+    rel = base.relation.copy()
+    rel[2, 2] = 6
+    scheme = Scheme(base.space, base.label_space, rel)
+    rep = verify_cas(scheme)
+    assert rep.cas3_ok and rep.witnesses["cas1"] == [
+        {"pair": (2, 2), "label": 6}]
+    assert structural_blocks(monkeypatch, scheme) == list(range(12))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: verify_cas(s, max_pairs_per_fiber=0),
+    lambda s: intersection_number(s, (1,), (1,), 1, max_pairs=0)])
+def test_an_empty_sample_is_refused_before_any_block(call, monkeypatch):
+    scheme = cyclic_scheme(12)
+    starts = logged_blocks(monkeypatch)
+    with pytest.raises(ValueError, match="at least 1 pair, got 0"):
+        call(scheme)
+    assert starts == []

@@ -219,6 +219,27 @@ def test_diagonal_slack_admits_near_diagonal_pairs():
     assert slack.cas1_ok
 
 
+def test_cas1_names_both_faults_in_row_major_order():
+    # three diagonal entries that are not the identity and as many
+    # identity entries off the diagonal: the identity's fiber count equals
+    # n, so only the diagonal's shortfall shows the off-diagonal pairs
+    base = cyclic_scheme(8)
+    rel = base.relation.copy()
+    for x, label in [(7, 3), (2, 4), (5, 1)]:
+        rel[x, x] = label
+    for x, y in [(6, 4), (0, 3), (4, 6)]:
+        rel[x, y] = 0
+    scheme = Scheme(base.space, base.label_space, rel)
+    assert scheme.fiber_counts[0] == 8
+    for slack in (0, 3):
+        rep = verify_cas(scheme, diagonal_slack=slack)
+        assert not rep.cas1_ok
+        assert rep.witnesses["cas1"] == [
+            {"pair": (2, 2), "label": 4}, {"pair": (5, 5), "label": 1},
+            {"pair": (7, 7), "label": 3}, {"pair": (0, 3), "label": 0},
+            {"pair": (4, 6), "label": 0}, {"pair": (6, 4), "label": 0}]
+
+
 def test_pairs_family_includes_singletons():
     rep = verify_cas(cyclic_scheme(5), borel_family="pairs", tolerance=0.0)
     assert rep.passed()
