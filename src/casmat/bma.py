@@ -16,7 +16,8 @@ weighted cell means, J-absorption from row masses, transpose closure from
 one joint count of cells and transposed cells, closure and commutativity
 from one reduction per cell of the joint label tables (their entries are
 the intersection numbers), and symmetry from the cell matrix against its
-transpose. Only the approximate-identity probes read its dense kernels.
+transpose. default_probes hands its members over as cell probes, which
+only an identity that is not diagonal builds densely and multiplies.
 Any other basis is stacked densely, so time and memory grow with
 basis_size * node_count**2 and every product costs a dense node_count**3
 matmul; intended for modest label counts.
@@ -29,9 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParseError, SpaceMismatchError, _LineReader
-from .kernel import (Kernel, IdentityReport, check_approximate_identity,
-                     matmul, ones_kernel, _read_dump, sup_norm,
-                     transpose, write_dump)
+from .kernel import (Kernel, IdentityReport, _CellProbe,
+                     check_approximate_identity, matmul, ones_kernel,
+                     _read_dump, _real_diagonal, sup_norm, transpose,
+                     write_dump)
 from .measure import product_integrate
 from .scheme import (Scheme, _check_tolerance, _row_masses, _whole_fibers,
                      joint_table)
@@ -256,46 +258,39 @@ def _transpose_residual(lab, w, L):
 
 
 def _products(alg: AlgebraBasis, expand=None):
-    """structure_constants' (tensor, residual), and the commutator
-    residual sup |A_i o A_j - A_j o A_i| over all i, j.
+    """Yields (index, coefficients, residual, commutator) per piece of
+    structure_constants' tensor: the residual of those coefficients and a
+    bound on sup |A_i o A_j - A_j o A_i|.
 
     On a cell basis (A_i o A_j)[x, z] is entry [i, j] of the joint table
-    h of (x, z): one reduction per cell gives the coefficients, their
-    spread and the largest entry of h - h^T. Any other basis forms the
-    two products of each pair {i, j} once and expands them with expand
-    (built here when not given).
+    h of (x, z): one reduction per cell k gives the coefficients of A_k,
+    their spread and the largest entry of h - h^T. Any other basis forms
+    the two products of each pair {i, j} once and expands them with
+    expand (built here when not given).
     """
     basis = alg.basis
     L = len(basis)
     w = alg.space.weights
-    residual = comm = 0.0
 
     lab = alg.cells
     if lab is not None:
-        tensor = np.zeros((L, L, L))
         _cell_masses(lab, w, L)
         fibers = _whole_fibers(lab, w, L, skew=True)
         for k, (xs, zs, _, lo, hi, skew) in enumerate(fibers):
             first = joint_table(lab[xs[0]], lab[:, zs[0]], w, L)
-            tensor[:, :, k] = first
-            residual = max(residual, float((hi - first).max()),
-                           float((first - lo).max()))
-            comm = max(comm, skew)
-        return tensor, residual, comm
+            yield ((slice(None), slice(None), k), first,
+                   max(float((hi - first).max()), float((first - lo).max())),
+                   skew)
+        return
 
-    tensor = np.zeros((L, L, L), dtype=complex)
     expand = expand or _span_solver(basis)
     for i in range(L):
         for j in range(i, L):
             P = matmul(basis[i], basis[j]).entries
-            tensor[i, j, :], resid = expand(P)
-            residual = max(residual, resid)
+            yield ((i, j), *expand(P), 0.0)
             if j > i:
                 Q = matmul(basis[j], basis[i]).entries
-                tensor[j, i, :], resid = expand(Q)
-                residual = max(residual, resid)
-                comm = max(comm, float(np.abs(P - Q).max()))
-    return tensor, residual, comm
+                yield ((j, i), *expand(Q), float(np.abs(P - Q).max()))
 
 
 def structure_constants(alg: AlgebraBasis):
@@ -307,7 +302,14 @@ def structure_constants(alg: AlgebraBasis):
     the partition cells and equal the intersection numbers, and the
     tensor is real (float64); any other basis gives a complex tensor.
     """
-    return _products(alg)[:2]
+    L = alg.size
+    tensor = np.zeros((L, L, L), dtype=float if alg.cells is not None
+                      else complex)
+    residual = 0.0
+    for index, coeffs, resid, _ in _products(alg):
+        tensor[index] = coeffs
+        residual = max(residual, resid)
+    return tensor, residual
 
 
 def validate_closure(alg: AlgebraBasis) -> float:
@@ -393,8 +395,8 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
     reported as residuals; they do not gate passed().
 
     An adjacency-indicator basis is checked on its cell matrix (rank
-    first, so an empty member is named before any span check); only the
-    approximate-identity probes multiply dense kernels.
+    first, so an empty member is named before any span check); only an
+    identity family member that is not diagonal multiplies dense kernels.
     """
     _check_tolerance(tolerance)
     basis = alg.basis
@@ -414,8 +416,11 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
 
     ident = check_approximate_identity(identity_family, probes, tolerance)
     bma1a = np.maximum(ident.left_residuals, ident.right_residuals)
-    _, bma2, comm = _products(alg, expand)
-    probe_matmuls = 2 * len(identity_family) * len(probes)
+    bma2 = comm = 0.0
+    for _, _, resid, skew in _products(alg, expand):
+        bma2, comm = max(bma2, resid), max(comm, skew)
+    probe_matmuls = 2 * len(probes) * sum(
+        _real_diagonal(I_N) is None for I_N in identity_family)
 
     if lab is not None:
         # (A_k o J)[x, z] is the mass of row x on cell k
@@ -453,10 +458,13 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
 
 
 def default_probes(alg: AlgebraBasis, count: int = 3, seed: int = 0):
-    """Basis members plus seeded random kernels; returns (probes, policy)."""
+    """Basis members plus seeded random kernels; returns (probes, policy).
+    A cell-form basis gives its members as cell probes, not dense kernels.
+    """
     rng = np.random.default_rng(seed)
     n = alg.space.node_count
-    probes = list(alg.basis)
+    probes = ([_CellProbe(alg.basis, k) for k in range(alg.size)]
+              if alg.cell_form else list(alg.basis))
     for _ in range(count):
         probes.append(Kernel(rng.uniform(-1, 1, (n, n))
                              + 1j * rng.uniform(-1, 1, (n, n)), alg.space))

@@ -301,7 +301,7 @@ def roundtrip_check(scheme: Scheme,
     mapping = flat_rec[_first_occurrence(flat, L)]
     partition_match = (recovered.label_count == L
                        and np.array_equal(mapping[flat], flat_rec)
-                       and np.unique(mapping).size == L)
+                       and np.bincount(mapping, minlength=L).max() == 1)
     witness = None
     if not partition_match:
         bad = np.nonzero(mapping[flat] != flat_rec)[0]

@@ -208,7 +208,9 @@ class StrongCasReport:
         return all(self.residuals[k] <= self.tolerance for k in required)
 
     def as_dict(self) -> dict:
-        out = {k: float(v) for k, v in self.residuals.items()}
+        # a structural failure (no identity label: inf) has no JSON number
+        out = {k: float(v) if np.isfinite(v) else None
+               for k, v in self.residuals.items()}
         out["representative_spread"] = self.representative_spread
         out["tolerance"] = self.tolerance
         out["declared_commutative"] = self.declared_commutative

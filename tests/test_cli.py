@@ -139,6 +139,22 @@ def test_correspond_cyclic12(tmp_path, capsys):
     assert by_name["involution_correspondence"]["status"] == "pass"
 
 
+def test_correspond_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique loads numpy.ma, 14-16 ms of a child's start-up
+    path = tmp_path / "z12.scheme"
+    write_scheme(cyclic_scheme(12), path)
+    script = ("import sys\n"
+              "from casmat.cli import main\n"
+              f"code = main(['correspond', {str(path)!r}])\n"
+              "sys.exit(code or 3 * ('numpy.ma' in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks[0] == {"name": "partition_roundtrip", "status": "pass",
+                         "residual": 0.0, "tolerance": 0.0, "witnesses": []}
+
+
 def test_hypergroup_hamming(hamming_file, capsys):
     code, report = run(capsys, "hypergroup", str(hamming_file),
                        "--probes", "10", "--tol", "1e-12")

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -180,6 +181,23 @@ def test_verify_strong_cas_cyclic6_exact_composition():
     report = verify_strong_cas(hg, probes, tolerance=1e-12)
     assert report.passed()
     assert report.representative_spread == 0.0
+
+
+def test_report_without_an_identity_label_is_strict_json():
+    base = cyclic_scheme(6)
+    scheme = Scheme(base.space,
+                    LabelSpace(involution=base.label_space.involution),
+                    base.relation)
+    report = verify_strong_cas(kernel_of_scheme(scheme),
+                               random_probe_pairs(6, 2, seed=0),
+                               tolerance=1e-12)
+    assert report.residuals["identity_convolution"] == np.inf
+    assert not report.passed()
+    out = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+    # the structural failure has no residual; the others keep theirs
+    assert out["identity_convolution"] is None
+    assert out["pullback_convolution"] == report.residuals[
+        "pullback_convolution"]
 
 
 def test_anti_automorphism_with_identity_label_is_exact():
