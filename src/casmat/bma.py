@@ -35,8 +35,7 @@ from .kernel import (Kernel, IdentityReport, _CellProbe,
                      _read_dump, _real_diagonal, sup_norm, transpose,
                      write_dump)
 from .measure import product_integrate
-from .scheme import (Scheme, _check_tolerance, _row_masses, _whole_fibers,
-                     joint_table)
+from .scheme import Scheme, _check_tolerance, _row_masses, _whole_fibers
 
 BASIS_HEADER = "#casmat-basis v1"
 
@@ -263,10 +262,10 @@ def _products(alg: AlgebraBasis, expand=None):
     bound on sup |A_i o A_j - A_j o A_i|.
 
     On a cell basis (A_i o A_j)[x, z] is entry [i, j] of the joint table
-    h of (x, z): one reduction per cell k gives the coefficients of A_k,
-    their spread and the largest entry of h - h^T. Any other basis forms
-    the two products of each pair {i, j} once and expands them with
-    expand (built here when not given).
+    h of (x, z): one reduction per cell k gives the coefficients of A_k
+    (the table of the cell's first pair), their spread and the largest
+    entry of h - h^T. Any other basis forms the two products of each pair
+    {i, j} once and expands them with expand (built here when not given).
     """
     basis = alg.basis
     L = len(basis)
@@ -276,8 +275,7 @@ def _products(alg: AlgebraBasis, expand=None):
     if lab is not None:
         _cell_masses(lab, w, L)
         fibers = _whole_fibers(lab, w, L, skew=True)
-        for k, (xs, zs, _, lo, hi, skew) in enumerate(fibers):
-            first = joint_table(lab[xs[0]], lab[:, zs[0]], w, L)
+        for k, (_, _, _, lo, hi, first, skew) in enumerate(fibers):
             yield ((slice(None), slice(None), k), first,
                    max(float((hi - first).max()), float((first - lo).max())),
                    skew)

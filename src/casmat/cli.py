@@ -483,7 +483,15 @@ def main(argv=None) -> int:
         # numpy's MemoryError names the allocation it could not make
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # a reader gone early (`| head`) takes no report, but the checks
+        # ran; stdout goes to devnull so the interpreter's last flush is
+        # silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     failed = any(c["status"] == "fail" for c in checks)
     return EXIT_FAIL if failed else EXIT_PASS
 

@@ -4,10 +4,13 @@ From a verified scheme one gets a Markov kernel (normalized row fibers),
 an invariant label measure (row-fiber masses, which makes the transport
 identity exact in the finite case), and a convolution of point masses:
 delta_i * delta_i' puts mass p^i_{k,i'^T} / haar[i'] on label k, read off
-the first pair (x, z) of the fiber of i in row-major order (under CAS3,
-kappa(z, i') pushed forward through y -> relation[x, y]). verify_strong_cas
-reduces each fiber once, for the (L, L, L) table, the whole-fiber spread
-and CAS4, and reads every identity off the table whole or in (L, L) slabs.
+the joint table of the first pair (x, z) of the fiber of i in row-major
+order (under CAS3, kappa(z, i') pushed forward through y -> relation[x, y]).
+verify_strong_cas reduces each fiber once; the reduction hands out that
+first pair's table for the (L, L, L) table, with the whole-fiber spread and
+CAS4, and every identity is read off the table whole or in (L, L) slabs.
+convolve_point_masses takes its row from its own reduction; joint_table
+builds a single pair's table only where no reduction runs.
 """
 
 from dataclasses import dataclass
@@ -87,14 +90,15 @@ def kernel_of_scheme(scheme: Scheme, tolerance=None) -> HypergroupData:
                           row_mass_spread=spread)
 
 
-def _row(hg: HypergroupData, i, pairs=None) -> np.ndarray:
+def _row(hg: HypergroupData, i, h=None) -> np.ndarray:
     """delta_i * delta_i' for every i', read off the joint table h of the
-    first pair of the fiber of i in row-major order (or the first of
-    pairs): row i' is h[:, i'^T] / haar[i']."""
-    rel = hg.scheme.relation
-    xs, zs = pairs or _fiber_scan(rel, i, 1)
-    h = joint_table(rel[xs[0]], rel[:, zs[0]], hg.scheme.space.weights,
-                    hg.label_count)
+    first pair of the fiber of i in row-major order (found and built when
+    h is None): row i' is h[:, i'^T] / haar[i']."""
+    if h is None:
+        rel = hg.scheme.relation
+        xs, zs = _fiber_scan(rel, i, 1)
+        h = joint_table(rel[xs[0]], rel[:, zs[0]], hg.scheme.space.weights,
+                        hg.label_count)
     return h[:, hg.involution].T / hg.haar_weights[:, None]
 
 
@@ -108,8 +112,8 @@ def _fiber_pass(hg: HypergroupData):
     # column j of a joint table holds the entries of row j^T
     haar_t = hg.haar_weights[hg.involution]
     fibers = _whole_fibers(scheme.relation, scheme.space.weights, L)
-    for i, (xs, zs, total, lo, hi) in enumerate(fibers):
-        table[i] = _row(hg, i, (xs, zs))
+    for i, (xs, _, total, lo, hi, first) in enumerate(fibers):
+        table[i] = _row(hg, i, first)
         spread = max(spread, float(((hi - lo) / haar_t).max()))
         mean = total / xs.size
         cas4 = max(cas4, float(np.abs(mean - mean.T).max()))
@@ -137,15 +141,15 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     ip = _index(i_prime, L, f"unknown label {i_prime}")
     reps = min(int(scheme.fiber_counts[i]), max_reps)
     xs, zs = _fiber_scan(scheme.relation, i, reps)
-    _, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
-                                 xs, zs, L)
+    _, lo, hi, first = _table_reduction(scheme.relation,
+                                        scheme.space.weights, xs, zs, L)
     j = hg.involution[ip]
     spread = float((hi[:, j] - lo[:, j]).max() / hg.haar_weights[ip])
     if tolerance is not None and spread > tolerance:
         raise RepresentativeDependenceError(
             f"convolution delta_{i} * delta_{ip} varies by {spread:.3e} "
             f"across fiber representatives (tolerance {tolerance:.3e})")
-    return _row(hg, i, (xs, zs))[ip], spread
+    return _row(hg, i, first)[ip], spread
 
 
 def convolve_measure_point(hg: HypergroupData, mu: np.ndarray, i_prime):
@@ -242,11 +246,13 @@ def verify_strong_cas(hg: HypergroupData, probes, tolerance: float,
     probes = list(probes)
     if not probes:
         raise ValueError("probe list must be non-empty")
+    L = hg.label_count
+    if any(np.shape(v) != (L,) for f, g in probes for v in (f, g)):
+        raise ValueError(f"label functions must have shape ({L},)")
     scheme = hg.scheme
     rel = scheme.relation
     w = scheme.space.weights
     n = scheme.space.node_count
-    L = hg.label_count
     inv = hg.involution
     residuals = {}
     table, max_spread, cas4 = _fiber_pass(hg)

@@ -414,10 +414,10 @@ class _CellScratch:
 
 def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
                   skew=False):
-    """(cells, sum, min, max) over the pairs of their K x K joint tables
-    h at the cells the pairs touch, cells in increasing (row-major)
-    order; every other cell is 0 in all three. With skew also the
-    largest entry of h - h^T.
+    """(cells, sum, min, max, first) over the pairs of their K x K joint
+    tables h at the cells the pairs touch, cells in increasing (row-major)
+    order, first the table of the first pair; every other cell is 0 in
+    all four. With skew also the largest entry of h - h^T.
 
     The table of (x, z) counts y at cell left[relation[x, y]] * K +
     right[relation[y, z]] (the labels themselves when left is None). One
@@ -428,8 +428,8 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
     no new cell costs one lookup a key. A cell first met after the first
     chunk starts at 0 in sum, min and max, the value of every earlier
     pair. The sum adds the pairs' cells in pair order, as h0 + h1 + ...
-    would. The skew reads each cell's transpose from the same chunk's
-    tables (0 outside the columns).
+    would; first is h0, row 0 of the first chunk. The skew reads each
+    cell's transpose from the same chunk's tables (0 outside the columns).
     """
     if not len(xs):
         raise ValueError("a table reduction needs at least one pair")
@@ -462,11 +462,12 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
                              minlength=C * M).reshape(C, M)
         if s == 0:
             total, lo, hi = np.zeros(M), tables.min(axis=0), tables.max(axis=0)
+            first = tables[0].copy()
         else:
             if M > total.size:
                 grow = np.zeros(M - total.size)
-                total, lo, hi = (np.concatenate([a, grow])
-                                 for a in (total, lo, hi))
+                total, lo, hi, first = (np.concatenate([a, grow])
+                                        for a in (total, lo, hi, first))
             np.minimum(lo, tables.min(axis=0), out=lo)
             np.maximum(hi, tables.max(axis=0), out=hi)
         if skew:
@@ -480,33 +481,34 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
         s += C
         # the next chunk's (C, M) tables stay within _CHUNK_ENTRIES
         step = min(scratch.step, max(1, _CHUNK_ENTRIES // M))
+    out = cells, total, lo, hi, first
     if scratch.compact:
         slot[cells] = -1
         order = np.argsort(cells)
-        cells, total, lo, hi = cells[order], total[order], lo[order], hi[order]
-    return (cells, total, lo, hi, worst) if skew else (cells, total, lo, hi)
+        out = tuple(a[order] for a in out)
+    return (*out, worst) if skew else out
 
 
 def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
                      skew=False, scratch=None):
-    """_reduce_cells as dense K x K tables: (sum, min, max), and with skew
-    the largest entry of h - h^T. scratch is the pass's _CellScratch for
-    K; without one, this call makes its own."""
+    """_reduce_cells as dense K x K tables: (sum, min, max, first), and
+    with skew the largest entry of h - h^T. scratch is the pass's
+    _CellScratch for K; without one, this call makes its own."""
     out = _reduce_cells(relation, weights, xs, zs,
                         scratch or _CellScratch(K, weights.size), left, right,
                         skew)
     dense = []
-    for values in out[1:4]:
+    for values in out[1:5]:
         table = np.zeros(K * K)
         table[out[0]] = values
         dense.append(table.reshape(K, K))
-    return (*dense, *out[4:])
+    return (*dense, *out[5:])
 
 
 def _whole_fibers(relation, weights, L, skew=False):
     """For each label k in order, its whole fiber (xs, zs) in row-major
-    order and _table_reduction's (sum, min, max) over it, with skew also
-    the largest entry of h - h^T: every fiber reduced through one
+    order and _table_reduction's (sum, min, max, first) over it, with skew
+    also the largest entry of h - h^T: every fiber reduced through one
     scratch."""
     scratch = _CellScratch(L, weights.size)
     for k, count in enumerate(_label_counts(relation, L)):
@@ -590,8 +592,8 @@ def intersection_number(scheme: Scheme, W, W_prime, k,
     right = np.where(_membership(scheme, W_prime), 0, 1)
     rng = np.random.default_rng(seed)
     xs, zs, _ = _sample_fiber(scheme, k, max_pairs, rng)
-    total, lo, hi = _table_reduction(scheme.relation, scheme.space.weights,
-                                     xs, zs, 2, left, right)
+    total, lo, hi, _ = _table_reduction(
+        scheme.relation, scheme.space.weights, xs, zs, 2, left, right)
     return float(total[0, 0] / xs.size), float(hi[0, 0] - lo[0, 0])
 
 
@@ -774,16 +776,16 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         # map each label to its set (the rest to set F), overlapping sets
         # project each table: every cell, mean dense.
         if singleton:
-            cells, total, lo, hi = _reduce_cells(rel, w, xs, zs, raw)
+            cells, total, lo, hi, _ = _reduce_cells(rel, w, xs, zs, raw)
             mean = total / xs.size
             mirror = _values_at(cells, mean, cells % L * L + cells // L)
             return cells, mean, mirror, lo, hi, mean
         if index is None:
             total, lo, hi = _projected_pair_stats(rel, w, L, xs, zs, M)
         else:
-            total, _, _ = _table_reduction(rel, w, xs, zs, L, scratch=raw)
-            _, lo, hi = _table_reduction(rel, w, xs, zs, F + 1, index, index,
-                                         scratch=mapped)
+            total = _table_reduction(rel, w, xs, zs, L, scratch=raw)[0]
+            _, lo, hi, _ = _table_reduction(rel, w, xs, zs, F + 1, index,
+                                            index, scratch=mapped)
             lo, hi = lo[:F, :F], hi[:F, :F]
         mean = total / xs.size
         values = M @ mean @ M.T

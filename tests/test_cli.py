@@ -274,6 +274,21 @@ def test_exit_code_contract_under_subprocess():
     assert proc.returncode == 2
 
 
+def test_a_closed_stdout_keeps_the_verdict(tmp_path):
+    # the reader closes its end before the child writes, as `| head -1`
+    # can: the report is lost, the passing verdict and a quiet stderr not
+    path = tmp_path / "z12.scheme"
+    write_scheme(cyclic_scheme(12), path)
+    proc = subprocess.Popen([sys.executable, "-m", "casmat", "verify",
+                             str(path), "--tol", "1e-12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0, stderr
+    assert stderr == b""
+
+
 def test_catalog_recipe_missing_parameter_is_usage_error(tmp_path, capsys):
     code = main(["catalog", "recipe", "--spec", "cyclic",
                  "--out", str(tmp_path / "x.scheme")])

@@ -3,7 +3,8 @@
 verify_cas refuses a diagonal_slack that is negative, NaN or not an
 integer before it scans the relation; verify_strong_cas refuses a
 test_function_count below 1 or not an integer, as convolve_point_masses
-refuses max_reps; hat_bump refuses a NaN width as it refuses one <= 0.
+refuses max_reps, and a probe function not of shape (L,) before it reduces
+a fiber; hat_bump refuses a NaN width as it refuses one <= 0.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from casmat import (circle_scheme, cyclic_scheme, hamming_scheme, hat_bump,
                     kernel_of_scheme, random_probe_pairs, verify_cas,
                     verify_strong_cas)
+from casmat import hypergroup as hypergroup_module
 from casmat import scheme as scheme_module
 
 
@@ -47,6 +49,24 @@ def test_verify_strong_cas_takes_one_test_function():
     report = verify_strong_cas(hg, probes, tolerance=1e-12,
                                test_function_count=1)
     assert report.passed()
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+@pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), ()],
+                         ids=["short", "long", "column", "scalar"])
+def test_verify_strong_cas_refuses_a_malformed_probe(shape, side,
+                                                     monkeypatch):
+    hg = kernel_of_scheme(cyclic_scheme(6))
+    good = np.ones(6)
+    bad = np.ones(shape)
+    probes = [(good, good), (bad, good) if side == "f" else (good, bad)]
+
+    def no_pass(*args):
+        raise AssertionError("a refused probe reduced a fiber")
+    monkeypatch.setattr(hypergroup_module, "_fiber_pass", no_pass)
+    with pytest.raises(ValueError,
+                       match=r"^label functions must have shape \(6,\)$"):
+        verify_strong_cas(hg, probes, tolerance=1e-12)
 
 
 @pytest.mark.parametrize("width", [float("nan"), 0.0, -1.0])

@@ -267,11 +267,14 @@ def test_table_reduction_matches_loop_across_chunks(N, chunk, monkeypatch):
     want = reference_pair_stats(rel, w, L, xs, zs)
     for g, e in zip(got, want):
         assert np.array_equal(g, e), (g, e)
+    # the first pair's table, bit for bit as joint_table builds it
+    first = joint_table(rel[xs[0]], rel[:, zs[0]], w, L)
+    assert got[3].shape == first.shape and got[3].tobytes() == first.tobytes()
     # verify_cas's disjoint route: raw sums, lo and hi of the mapped
     # tables without the row and column of the labels in no set
     partition = np.array([[0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
     index = _label_map([(1, 2), (3,)], L)
-    _, lo, hi = _table_reduction(rel, w, xs, zs, 3, index, index)
+    _, lo, hi, _ = _table_reduction(rel, w, xs, zs, 3, index, index)
     want = reference_pair_stats(rel, w, L, xs, zs, partition)
     for g, e in zip((got[0], lo[:2, :2], hi[:2, :2]), want):
         assert np.array_equal(g, e), (g, e)
