@@ -24,16 +24,14 @@ from .measure import (MeasureSpace, integrate, make_quadrature,
                       product_integrate, read_quadrature, write_quadrature)
 from .kernel import (IdentityReport, Kernel, check_approximate_identity,
                      conjugate, diagonal_kernel, hadamard, matmul,
-                     ones_kernel, read_kernel, sup_norm, transpose,
-                     write_kernel)
+                     ones_kernel, sup_norm, transpose)
 from .scheme import (CasReport, LabelSpace, Scheme, SurjectivityError, fiber,
                      intersection_number, label_dtype, read_scheme,
                      verify_cas, write_scheme)
 from .bma import (AlgebraBasis, BmaReport, IndicatorKernels,
                   RankDeficiencyError, build_approximate_identity,
-                  default_probes, hat_bump, indicator_bump, read_basis,
-                  span_expand, structure_constants, validate_closure,
-                  verify_bma, write_basis)
+                  default_probes, hat_bump, indicator_bump, span_expand,
+                  structure_constants, validate_closure, verify_bma)
 from .correspondence import (CharacterPartition, DiagonalContaminationError,
                              GroupingBudgetError, InvolutionUndefinedError,
                              RoundtripReport, algebra_of_scheme,
@@ -56,7 +54,7 @@ __all__ = [
     "read_quadrature", "write_quadrature",
     "Kernel", "IdentityReport", "matmul", "hadamard", "transpose",
     "conjugate", "sup_norm", "ones_kernel", "diagonal_kernel",
-    "check_approximate_identity", "read_kernel", "write_kernel",
+    "check_approximate_identity",
     "LabelSpace", "Scheme", "CasReport", "SurjectivityError", "fiber",
     "intersection_number", "label_dtype", "verify_cas", "read_scheme",
     "write_scheme",
@@ -64,7 +62,7 @@ __all__ = [
     "span_expand",
     "structure_constants", "validate_closure", "verify_bma",
     "build_approximate_identity", "indicator_bump", "hat_bump",
-    "default_probes", "read_basis", "write_basis",
+    "default_probes",
     "CharacterPartition", "DiagonalContaminationError",
     "GroupingBudgetError", "InvolutionUndefinedError", "RoundtripReport",
     "algebra_of_scheme", "character_partition", "scheme_of_algebra",

@@ -29,15 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, SpaceMismatchError, _LineReader
+from .errors import SpaceMismatchError
 from .kernel import (Kernel, IdentityReport, _CellProbe,
                      check_approximate_identity, matmul, ones_kernel,
-                     _read_dump, _real_diagonal, sup_norm, transpose,
-                     write_dump)
+                     _real_diagonal, sup_norm, transpose)
 from .measure import product_integrate
 from .scheme import Scheme, _check_tolerance, _row_masses, _whole_fibers
-
-BASIS_HEADER = "#casmat-basis v1"
 
 
 class RankDeficiencyError(ValueError):
@@ -470,51 +467,6 @@ def default_probes(alg: AlgebraBasis, count: int = 3, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# basis bundle format: a v1 header followed by one kernel dump per member
-
-
-def write_basis(alg: AlgebraBasis, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{BASIS_HEADER} count={alg.size} "
-                 f"contains_j={'true' if alg.contains_J else 'false'} "
-                 f"closure_tolerance={alg.closure_tolerance!r}\n")
-        for K in alg.basis:
-            write_dump(fh, K)
-
-
-def read_basis(path, space) -> AlgebraBasis:
-    """Read a basis bundle over an existing space (n must match)."""
-    with _LineReader(path) as reader:
-        lineno, text = reader.next_content()
-        if (lineno != 1 or text is None
-                or not text.startswith(BASIS_HEADER)):
-            raise ParseError(f"expected header {BASIS_HEADER!r}", line=1)
-        meta = {}
-        for tok in text.split()[2:]:
-            key, eq, value = tok.partition("=")
-            if not eq:
-                raise ParseError(
-                    f"basis header field {tok!r} is not key=value", line=1)
-            meta[key] = value
-        try:
-            count = int(meta["count"])
-        except (KeyError, ValueError):
-            raise ParseError("basis header is missing count=<n>", line=1)
-        if count < 1:
-            raise ParseError(f"basis count must be at least 1, got {count}",
-                             line=1)
-        contains_j = meta.get("contains_j", "true") == "true"
-        try:
-            closure_tol = float(meta.get("closure_tolerance", "0.0"))
-        except ValueError:
-            raise ParseError("basis header has a malformed closure_tolerance",
-                             line=1)
-        basis = tuple(_read_dump(reader, space) for _ in range(count))
-    return AlgebraBasis(basis=basis, contains_J=contains_j,
-                        closure_tolerance=closure_tol)
-
-
-# ---------------------------------------------------------------------------
 # approximate identities from bumps on the label space
 
 
@@ -581,7 +533,7 @@ def build_approximate_identity(scheme: Scheme, neighborhood, bump) -> Kernel:
         raise ValueError("bump weights must be finite and non-negative")
     if b[i0] != 1.0:
         raise ValueError(f"bump must equal 1 at the identity label, "
-                         f"got {b[i0]!r}")
+                         f"got {float(b[i0])!r}")
     support = set(np.nonzero(b > 0)[0].tolist())
     if not support <= nbhd:
         raise ValueError(

@@ -311,10 +311,11 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
     if asym[0].size:
         x, y = int(asym[0][0]), int(asym[1][0])
         raise ValueError(f"metric is not symmetric at ({x}, {y}): "
-                         f"{d[x, y]!r} vs {d[y, x]!r}")
+                         f"{float(d[x, y])!r} vs {float(d[y, x])!r}")
     if (d.diagonal() != 0).any():
         x = int(np.nonzero(d.diagonal() != 0)[0][0])
-        raise ValueError(f"metric[{x}, {x}] must be 0, got {d[x, x]!r}")
+        raise ValueError(f"metric[{x}, {x}] must be 0, "
+                         f"got {float(d[x, x])!r}")
     zero = d == 0
     np.fill_diagonal(zero, False)
     if zero.any():

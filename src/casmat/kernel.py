@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SpaceMismatchError, _LineReader
+from .errors import SpaceMismatchError
 from .measure import MeasureSpace
 from .scheme import _check_tolerance
-
-KERNEL_HEADER = "#casmat-kernel v1"
 
 
 class Kernel:
@@ -185,63 +183,3 @@ def check_approximate_identity(family, probes, tolerance: float) -> IdentityRepo
     return IdentityReport(left_residuals=left, right_residuals=right,
                           non_increasing=non_inc, final_below=final,
                           tolerance=float(tolerance))
-
-
-def write_dump(fh, K: Kernel) -> None:
-    """Write one kernel dump: the v1 header, then CSV rows of re,im pairs."""
-    fh.write(f"{KERNEL_HEADER} n={K.space.node_count}\n")
-    # re,im pairs side by side: a complex row viewed as float64
-    for row in np.ascontiguousarray(K.entries).view(float):
-        fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
-def write_kernel(K: Kernel, path) -> None:
-    """Dump a kernel as CSV rows of re,im pairs under the v1 header."""
-    with open(path, "w") as fh:
-        write_dump(fh, K)
-
-
-def _read_dump(reader, space: MeasureSpace) -> Kernel:
-    """Read the next kernel dump from a _LineReader; its n= must match the
-    space."""
-    lineno, text = reader.next_content()
-    if text is None or not text.startswith(KERNEL_HEADER):
-        raise ParseError(f"expected header {KERNEL_HEADER!r}", line=lineno)
-    try:
-        n = int(text.split("n=", 1)[1])
-    except (IndexError, ValueError):
-        raise ParseError("header is missing the n=<node_count> field",
-                         line=lineno)
-    if n != space.node_count:
-        raise ParseError(
-            f"kernel is over {n} nodes, space has {space.node_count}",
-            line=lineno)
-    rows = np.empty((n, 2 * n))
-    for r in range(n):
-        lineno, text = reader.next_content()
-        if text is None:
-            raise ParseError(f"expected {n} matrix rows, got {r}",
-                             line=lineno)
-        parts = text.split(",")
-        if len(parts) != 2 * n:
-            raise ParseError(f"expected {2 * n} comma-separated fields, "
-                             f"got {len(parts)}", line=lineno)
-        try:
-            rows[r] = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError("malformed float field", line=lineno)
-        if not np.isfinite(rows[r]).all():
-            raise ParseError("non-finite float field", line=lineno)
-    return Kernel(rows.view(complex), space)
-
-
-def read_kernel(path, space: MeasureSpace) -> Kernel:
-    """Read a kernel dump written by write_kernel; n must match the space."""
-    with _LineReader(path) as reader:
-        K = _read_dump(reader, space)
-        lineno, text = reader.next_content()
-    if text is not None:
-        raise ParseError(
-            f"expected {K.space.node_count} matrix rows, got more",
-            line=lineno)
-    return K

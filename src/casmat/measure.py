@@ -64,7 +64,7 @@ def make_quadrature(weights, coordinates=None) -> MeasureSpace:
         i = int(np.argmax(bad))
         raise ValueError(
             f"weight at index {i} must be finite and strictly positive, "
-            f"got {w[i]!r}")
+            f"got {float(w[i])!r}")
     w = w.copy()
     w.setflags(write=False)
     return MeasureSpace(weights=w, total_mass=float(w.sum()),

@@ -1030,10 +1030,16 @@ def _read_scheme(reader) -> Scheme:
         lineno, text = reader.next_content()
         if text is None:
             fail(f"expected {n} weights, got {len(weights)}", lineno)
+        tokens = text.split()
         try:
-            weights.extend(float(t) for t in text.split())
+            values = [float(t) for t in tokens]
         except ValueError:
             fail(f"malformed weight in {text!r}", lineno)
+        for token, w in zip(tokens, values):
+            if not 0.0 < w < np.inf:
+                fail(f"weight must be finite and strictly positive, got "
+                     f"{token!r}", lineno)
+        weights.extend(values)
     if len(weights) != n:
         fail(f"expected exactly {n} weights, got {len(weights)}", lineno)
 

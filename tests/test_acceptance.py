@@ -264,3 +264,12 @@ def test_criterion_9_degenerate_algebra_rejected():
         detail = (f"span(J) rejected with diagonal-contamination error "
                   f"naming pair {exc.pair}")
     report_line(9, ok, detail)
+
+
+def test_exported_surface_resolves():
+    import casmat
+    missing = [name for name in casmat.__all__ if not hasattr(casmat, name)]
+    assert not missing, f"__all__ names no attribute: {missing}"
+    # the dense kernel dump and basis bundle formats are gone
+    for name in ("read_kernel", "write_kernel", "read_basis", "write_basis"):
+        assert not hasattr(casmat, name), name

@@ -200,47 +200,6 @@ def test_shrinking_neighborhood_monotonicity():
     assert report.all_final_below
 
 
-def test_basis_bundle_round_trip(tmp_path):
-    from casmat import read_basis, write_basis
-    scheme = cyclic_scheme(4)
-    alg = algebra_of_scheme(scheme)
-    path = tmp_path / "z4.basis"
-    write_basis(alg, path)
-    assert path.read_text().startswith("#casmat-basis v1 count=4")
-    back = read_basis(path, scheme.space)
-    assert back.size == alg.size
-    assert back.contains_J == alg.contains_J
-    for a, b in zip(alg.basis, back.basis):
-        assert np.array_equal(a.entries, b.entries)
-
-
-def test_read_basis_refuses_a_dump_over_another_node_count(tmp_path):
-    from casmat import ParseError, read_basis, write_basis
-    scheme = cyclic_scheme(3)
-    path = tmp_path / "z3.basis"
-    write_basis(algebra_of_scheme(scheme), path)
-    text = path.read_text()
-    path.write_text(text.replace("#casmat-kernel v1 n=3",
-                                 "#casmat-kernel v1 n=7", 1))
-    with pytest.raises(ParseError, match="line 2: kernel is over 7 nodes, "
-                                         "space has 3"):
-        read_basis(path, scheme.space)
-
-
-def test_read_basis_reads_blank_lines_between_dumps(tmp_path):
-    from casmat import read_basis, write_basis
-    scheme = cyclic_scheme(3)
-    alg = algebra_of_scheme(scheme)
-    path = tmp_path / "z3.basis"
-    write_basis(alg, path)
-    text = path.read_text()
-    path.write_text(text.replace("\n#casmat-kernel",
-                                 "\n\n  \n#casmat-kernel"))
-    back = read_basis(path, scheme.space)
-    assert [K.entries.tobytes() for K in back.basis] == \
-        [K.entries.tobytes() for K in alg.basis]
-
-
 def test_matmul_documented_tolerance():
     # accumulation error of the weighted composition stays within the
     # documented 1e-10 relative budget

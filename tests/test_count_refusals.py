@@ -4,15 +4,17 @@ verify_cas refuses a diagonal_slack that is negative, NaN or not an
 integer before it scans the relation; verify_strong_cas refuses a
 test_function_count below 1 or not an integer, as convolve_point_masses
 refuses max_reps, and a probe function not of shape (L,) before it reduces
-a fiber; hat_bump refuses a NaN width as it refuses one <= 0.
+a fiber; hat_bump refuses a NaN width as it refuses one <= 0. A refusal
+that quotes a value quotes it as a float, never as a numpy scalar's repr.
 """
 
 import numpy as np
 import pytest
 
-from casmat import (circle_scheme, cyclic_scheme, hamming_scheme, hat_bump,
-                    kernel_of_scheme, random_probe_pairs, verify_cas,
-                    verify_strong_cas)
+from casmat import (build_approximate_identity, circle_scheme, cyclic_scheme,
+                    delsarte_scheme, hamming_scheme, hat_bump,
+                    kernel_of_scheme, make_quadrature, random_probe_pairs,
+                    verify_cas, verify_strong_cas)
 from casmat import hypergroup as hypergroup_module
 from casmat import scheme as scheme_module
 
@@ -74,3 +76,25 @@ def test_hat_bump_refuses_a_width_that_is_not_positive(width):
     label_space = circle_scheme(24, 4).label_space
     with pytest.raises(ValueError, match="width must be positive"):
         hat_bump(label_space, width, period=2 * np.pi)
+
+
+# (the refused call, the value its message quotes)
+QUOTED = {
+    "negative weight": (lambda: make_quadrature([1.0, -2.0]), "got -2.0"),
+    "asymmetric metric": (
+        lambda: delsarte_scheme([[0.0, 1.0], [2.0, 0.0]]), "1.0 vs 2.0"),
+    "metric off zero on the diagonal": (
+        lambda: delsarte_scheme([[0.5, 1.0], [1.0, 0.0]]), "got 0.5"),
+    "bump off 1 at the identity": (
+        lambda: build_approximate_identity(cyclic_scheme(4), (0,),
+                                           np.full(4, 0.5)), "got 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", QUOTED)
+def test_a_refusal_quotes_a_plain_float(name):
+    call, quoted = QUOTED[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert quoted in str(exc.value)
+    assert "np." not in str(exc.value)

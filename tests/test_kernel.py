@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from casmat import (Kernel, SpaceMismatchError, check_approximate_identity,
                     conjugate, diagonal_kernel, hadamard, make_quadrature,
-                    matmul, ones_kernel, read_kernel, sup_norm, transpose,
-                    write_kernel)
+                    matmul, ones_kernel, sup_norm, transpose)
 
 
 def counting(n):
@@ -199,13 +198,3 @@ def test_approximate_identity_averaging_fails():
     assert report.left_residuals[0, 0] > 1e-6
     assert not report.all_final_below
 
-
-def test_kernel_dump_round_trip(tmp_path):
-    space = counting(4)
-    rng = np.random.default_rng(9)
-    K = random_kernel(space, rng)
-    path = tmp_path / "k.csv"
-    write_kernel(K, path)
-    back = read_kernel(path, space)
-    assert np.array_equal(back.entries, K.entries)
-    assert path.read_text().startswith("#casmat-kernel v1 n=4")

@@ -1,9 +1,12 @@
-"""Fuzz tests of the quadrature, kernel and basis readers.
+"""Fuzz tests of the quadrature reader, and the UTF-8 refusal of the
+scheme and quadrature readers.
 
-Each test writes a valid file, mutates it line by line (fields swapped for
-awkward tokens, lines replaced, inserted or deleted) and reads it back.
-Whatever the mutation, a reader returns a valid object or raises
-ParseError; no other exception may escape.
+The fuzz test writes a valid quadrature file, mutates it line by line
+(fields swapped for awkward tokens, lines replaced, inserted or deleted)
+and reads it back. Whatever the mutation, read_quadrature returns a valid
+space or raises ParseError; no other exception may escape. The UTF-8 test
+puts an invalid byte on one line of a scheme or quadrature file, and the
+reader must refuse it at that line.
 """
 
 import re
@@ -14,10 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from casmat import (AlgebraBasis, Kernel, MeasureSpace, ParseError,
-                    algebra_of_scheme, cyclic_scheme, make_quadrature,
-                    read_basis, read_kernel, read_quadrature, read_scheme,
-                    write_basis, write_kernel, write_quadrature,
+from casmat import (MeasureSpace, ParseError, cyclic_scheme, make_quadrature,
+                    read_quadrature, read_scheme, write_quadrature,
                     write_scheme)
 
 TOKENS = st.one_of(
@@ -74,19 +75,10 @@ def valid_lines(writer, obj):
         return path.read_text().splitlines()
 
 
-def assert_valid_kernel(K, space):
-    assert isinstance(K, Kernel) and K.space is space
-    assert K.entries.shape == (space.node_count,) * 2
-    assert np.isfinite(K.entries).all()
-
-
 SPACE = make_quadrature([1.0, 2.0, 0.5],
                         coordinates=np.arange(6.0).reshape(3, 2))
 QUADRATURE_LINES = valid_lines(write_quadrature, SPACE)
-KERNEL_LINES = valid_lines(
-    write_kernel, Kernel(np.arange(9.0).reshape(3, 3) * (1 - 0.5j), SPACE))
 SCHEME = cyclic_scheme(3)
-BASIS_LINES = valid_lines(write_basis, algebra_of_scheme(SCHEME))
 SCHEME_LINES = valid_lines(write_scheme, SCHEME)
 
 
@@ -104,42 +96,12 @@ def test_read_quadrature_on_mutated_files(edits):
         assert (space.weights > 0).all()
 
 
-@settings(deadline=None, max_examples=150)
-@given(EDITS)
-@example([("field", 1, 0, "nan")])
-@example([("field", 3, 5, "-inf")])
-def test_read_kernel_on_mutated_files(edits):
-    K = read_mutated(read_kernel, mutate(KERNEL_LINES, edits, ","), SPACE)
-    if K is not None:
-        assert_valid_kernel(K, SPACE)
-
-
-@settings(deadline=None, max_examples=150)
-@given(EDITS, st.booleans())
-@example([("field", 0, 2, "count")], True)
-@example([("field", 0, 2, "count=0")], True)
-@example([("field", 0, 4, "closure_tolerance=x")], True)
-@example([("field", 2, 1, "inf")], False)
-def test_read_basis_on_mutated_files(edits, split_header):
-    # split_header: edit the header's space-separated fields, not commas
-    sep = r"\s" if split_header else ","
-    alg = read_mutated(read_basis, mutate(BASIS_LINES, edits, sep),
-                       SCHEME.space)
-    if alg is not None:
-        assert isinstance(alg, AlgebraBasis) and alg.size >= 1
-        assert isinstance(alg.contains_J, bool)
-        for K in alg.basis:
-            assert_valid_kernel(K, SCHEME.space)
-
-
 # (reader, its file's lines, the 0-based line that gets the byte, args)
 NON_UTF8 = {
     "scheme header line": (read_scheme, SCHEME_LINES,
                            SCHEME_LINES.index("nodes 3"), ()),
     "scheme relation row": (read_scheme, SCHEME_LINES,
                             SCHEME_LINES.index("relation") + 2, ()),
-    "kernel row": (read_kernel, KERNEL_LINES, 2, (SPACE,)),
-    "basis row": (read_basis, BASIS_LINES, 3, (SCHEME.space,)),
     "quadrature record": (read_quadrature, QUADRATURE_LINES, 1, ()),
 }
 

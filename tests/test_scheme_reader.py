@@ -120,6 +120,38 @@ def test_faults_name_the_row_loop_line(name):
         assert text.splitlines()[line - 1].strip()
 
 
+# cyclic(5)'s 17 lines cut short: (lines kept, blank lines after them,
+# the line named, the message)
+CUTS = {
+    "in the weights": (3, 0, 4, "expected 5 weights, got 0"),
+    "in the label table": (5, 0, 6, "label table ended early"),
+    "in the relation": (16, 0, 17, "relation matrix ended early at row 4"),
+    "before two blank lines": (16, 2, 19,
+                               "relation matrix ended early at row 4"),
+}
+
+
+@pytest.mark.parametrize("name", CUTS)
+def test_an_error_at_the_end_names_the_line_after_the_last(name):
+    keep, blanks, line, message = CUTS[name]
+    text = "\n".join(LINES[:keep]) + "\n" * (1 + blanks)
+    assert line == len(text.splitlines()) + 1
+    assert read_bytes(text.encode()) == (
+        "ParseError", f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "0", "-1"])
+def test_a_bad_weight_is_refused_at_its_line(token):
+    lines = list(LINES)
+    at = lines.index("weights") + 1
+    fields = lines[at].split()
+    fields[1] = token
+    lines[at] = " ".join(fields)
+    assert read_bytes("\n".join(lines).encode()) == (
+        "ParseError", f"line {at + 1}: weight must be finite and strictly "
+                      f"positive, got {token!r}", at + 1)
+
+
 CHARACTERS = st.sampled_from(
     list("0123456789 -+_.#x\t\n\r\v\f\x1c\x1d\x1e\x1f\x00")
     + ["\x85", "\xa0", "\u2028", "\u3000", "\r\n", "\n\n", "255", "256"])
