@@ -47,7 +47,7 @@ def cyclic_scheme(n: int) -> Scheme:
 
 def hamming_scheme(d: int, q: int) -> Scheme:
     """Hamming scheme H(d, q): words of length d over q symbols, labels
-    are Hamming distances."""
+    are Hamming distances, summed a coordinate at a time."""
     if d < 1 or q < 2:
         raise ValueError("hamming scheme needs d >= 1 and q >= 2")
     n = q ** d
@@ -55,10 +55,10 @@ def hamming_scheme(d: int, q: int) -> Scheme:
         raise ValueError(
             f"q^d = {n} exceeds the {HAMMING_NODE_CAP}-node cap")
     words = np.array(list(product(range(q), repeat=d)), dtype=np.int16)
-    rel = np.empty((n, n), dtype=label_dtype(d + 1))
-    for start, block in _row_blocks(rel, (1 << 22) // d):
-        block[...] = (words[start:start + len(block), None, :]
-                      != words[None, :, :]).sum(axis=2)
+    rel = np.zeros((n, n), dtype=label_dtype(d + 1))
+    for start, block in _row_blocks(rel):
+        for j in range(d):
+            block += words[start:start + len(block), None, j] != words[:, j]
     label_space = LabelSpace(involution=np.arange(d + 1), identity_label=0)
     return Scheme._adopt(_counting_space(n, coordinates=words), label_space,
                          rel)

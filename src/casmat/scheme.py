@@ -107,11 +107,11 @@ def label_dtype(label_count: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
-# a block of relation rows counted at once stays near this many entries
+# a block of relation rows walked at once stays near this many entries
 _COUNT_BLOCK_ENTRIES = 1 << 16
-# read_scheme parses a block's rows from their bytes this many entries at
-# a time
-_PARSE_BLOCK_ENTRIES = 1 << 14
+# read_scheme parses this many entries at a time: the parse's scratch
+# takes a few bytes for each byte of text
+_READ_BLOCK_ENTRIES = 1 << 14
 
 
 class Scheme:
@@ -228,7 +228,8 @@ def fiber(scheme: Scheme, i) -> tuple:
 def _row_blocks(array, entries=None):
     """(first row, block) for consecutive blocks of array's rows, each
     near entries (by default _COUNT_BLOCK_ENTRIES) entries: every walk
-    over a relation, or a table the size of one, reads it through here."""
+    over a relation, or a table the size of one, reads it through here.
+    Only read_scheme passes entries, to keep its parse scratch small."""
     entries = entries or _COUNT_BLOCK_ENTRIES
     rows = max(1, entries // max(array.shape[1], 1))
     for a in range(0, array.shape[0], rows):
@@ -652,8 +653,8 @@ def resolve_borel_family(scheme: Scheme, borel_family):
                                    f"set {tuple(W)} (labels are 0..{L - 1})")
                       for i in W) for W in borel_family]
         kind = "caller-supplied"
-        if not sets:
-            raise ValueError("borel family must be non-empty")
+    if not sets:
+        raise ValueError("borel family must be non-empty")
     F = len(sets)
     if F * F > 50_000_000:
         raise ValueError(f"borel family has {F} sets; the {F}x{F} deviation "
@@ -880,10 +881,6 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
 # scheme file format
 
 
-# a block of relation rows keeps its gathered bytes near this size
-_WRITE_BLOCK_BYTES = 1 << 22
-
-
 def _label_bytes(L, end):
     """(L, W) uint8 table: label i's decimal digits, then end, then zero
     padding to the width of the widest label."""
@@ -894,8 +891,8 @@ def _label_bytes(L, end):
 def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
     """Write the `#casmat-scheme v1` text format (bit-exact round trip).
 
-    Relation rows are gathered from a per-label byte table in blocks of
-    rows, so entries are never formatted one by one.
+    Relation rows are gathered from a per-label byte table a block of
+    rows at a time, so entries are never formatted one by one.
     """
     ls = scheme.label_space
     lines = [SCHEME_HEADER]
@@ -923,10 +920,9 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
             lines.append(" ".join(str(i) for i in W))
     lines.append("relation")
     spaced, ended = _label_bytes(ls.size, b" "), _label_bytes(ls.size, b"\n")
-    entries = _WRITE_BLOCK_BYTES // spaced.shape[1]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for _, block in _row_blocks(scheme.relation, entries):
+        for _, block in _row_blocks(scheme.relation):
             text = np.take(spaced, block, axis=0)
             text[:, -1] = ended[block[:, -1]]
             # the padding is the only zero byte
@@ -935,34 +931,23 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
 
 def _load_relation_rows(texts, n, L):
     """The relation rows in texts as a (len(texts), n) array of
-    label_dtype(L), parsed from their bytes, or None when a row holds
-    anything but ASCII digits, spaces and tabs, is not n entries, or has
-    an entry with more digits than L - 1 or not below L: the row loop
-    reads those.
+    label_dtype(L), parsed from their bytes in one pass, or None when a
+    row holds anything but ASCII digits, spaces and tabs, is not n
+    entries, or has an entry with more digits than L - 1 or not below L:
+    the row loop reads those.
 
-    The rows are parsed _PARSE_BLOCK_ENTRIES entries at a time, so the
-    parse's scratch arrays, a few bytes for each byte of text, stay small
-    beside the relation.
+    The parse's scratch arrays take a few bytes for each byte of text, so
+    read_scheme hands over _READ_BLOCK_ENTRIES entries at a time.
     """
-    out = np.empty((len(texts), n), dtype=label_dtype(L))
-    for a, block in _row_blocks(out, _PARSE_BLOCK_ENTRIES):
-        if not _parse_rows(texts[a:a + len(block)], L, block):
-            return None
-    return out
-
-
-def _parse_rows(texts, L, out):
-    """Parse the rows in texts into out and return True, or return False,
-    out untouched, when _load_relation_rows refuses them."""
     try:
         data = np.frombuffer("\n".join([*texts, ""]).encode("ascii"),
                              dtype=np.uint8)
     except UnicodeEncodeError:
-        return False
+        return None
     digit = data - np.uint8(48)
     is_digit = digit <= 9
     if not (is_digit | (data == 32) | (data == 9) | (data == 10)).all():
-        return False
+        return None
     # at each byte, the value of the digits that end there, by place
     # value while they last; int16 holds every entry of up to 4 digits
     width = len(str(L - 1))
@@ -978,29 +963,28 @@ def _parse_rows(texts, L, out):
                                          10 ** place, dtype=value.dtype)
     # width + 1 digits in a row: an entry with more digits than L - 1
     if reach.any():
-        return False
+        return None
     # each entry's last digit: a digit before a separator
     ends = np.flatnonzero(is_digit[:-1] & ~is_digit[1:])
-    n = out.shape[1]
     newlines = np.cumsum([len(t) + 1 for t in texts]) - 1
     if not np.array_equal(np.searchsorted(ends, newlines),
-                          np.arange(n, out.size + 1, n)):
-        return False
+                          np.arange(n, n * len(texts) + 1, n)):
+        return None
     values = value[ends]
     if values.max() >= L:
-        return False
-    out[...] = values.reshape(out.shape)
-    return True
+        return None
+    return values.astype(label_dtype(L)).reshape(len(texts), n)
 
 
 def read_scheme(path) -> Scheme:
     """Parse a `#casmat-scheme v1` file; errors carry the line number.
 
     The file is streamed: lines are read one at a time and the relation
-    goes into label_dtype a block of rows at a time, parsed from the
-    block's bytes, so no copy of the file's text is held. The labels are
-    counted a block at a time too. A block that parse refuses is parsed
-    again row by row, from its lines, to name the faulty line.
+    goes into label_dtype a block of rows at a time, each block near
+    _READ_BLOCK_ENTRIES entries and parsed from its bytes in one call, so
+    no copy of the file's text is held. The labels are counted a block at
+    a time too. A block that parse refuses is parsed again row by row,
+    from its lines, to name the faulty line.
     """
     with _LineReader(path) as reader:
         return _read_scheme(reader)
@@ -1022,6 +1006,8 @@ def _read_scheme(reader) -> Scheme:
         n = int(text.split()[1])
     except (IndexError, ValueError):
         fail("malformed node count", lineno)
+    if n < 1:
+        fail(f"node count must be at least 1, got {n}", lineno)
     lineno, text = reader.next_content()
     if text != "weights":
         fail("expected 'weights' section", lineno)
@@ -1050,6 +1036,8 @@ def _read_scheme(reader) -> Scheme:
         L = int(text.split()[1])
     except (IndexError, ValueError):
         fail("malformed label count", lineno)
+    if L < 1:
+        fail(f"label count must be at least 1, got {L}", lineno)
     involution = np.zeros(L, dtype=np.int64)
     bin_meta: list = [None] * L
     any_bins = False
@@ -1096,6 +1084,9 @@ def _read_scheme(reader) -> Scheme:
             n_sets = int(text.split()[1])
         except (IndexError, ValueError):
             fail("malformed binfamily count", lineno)
+        if n_sets < 0:
+            fail(f"binfamily count must not be negative, got {n_sets}",
+                 lineno)
         borel_bins = []
         for _ in range(n_sets):
             lineno, text = reader.next_content()
@@ -1110,7 +1101,7 @@ def _read_scheme(reader) -> Scheme:
         fail("expected 'relation' section", lineno)
     rel = np.empty((n, n), dtype=label_dtype(L))
     counts = np.zeros(L, dtype=np.int64)
-    for start, block in _row_blocks(rel):
+    for start, block in _row_blocks(rel, _READ_BLOCK_ENTRIES):
         lines = [reader.next_content() for _ in range(len(block))]
         texts = [text for _, text in lines]
         rows = None if None in texts else _load_relation_rows(texts, n, L)

@@ -136,12 +136,13 @@ def test_writer_matches_oracle_on_one_node(tmp_path):
     assert_oracle_bytes(tmp_path, one, recipe="cyclic n=1")
 
 
-@pytest.mark.parametrize("block_bytes", [1, 50, 333, 4096])
+@pytest.mark.parametrize("block_entries", [1, 50, 333, 4096])
 def test_writer_blocks_match_oracle_across_block_edges(tmp_path, monkeypatch,
-                                                       block_bytes):
-    # blocks of one row, of a few rows and of a ragged final block
-    monkeypatch.setattr(scheme_module, "_WRITE_BLOCK_BYTES", block_bytes)
-    rng = np.random.default_rng(block_bytes)
+                                                       block_entries):
+    # blocks of one row, of a few rows and of a ragged final block: 61
+    # rows in blocks of 1, 1, 5 and 61; 13 rows in 1, 3, 13 and 13
+    monkeypatch.setattr(scheme_module, "_COUNT_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(block_entries)
     assert_oracle_bytes(tmp_path, random_scheme(rng, 61, 1001))
     assert_oracle_bytes(tmp_path, random_scheme(rng, 13, 12),
                         recipe="cyclic n=13")

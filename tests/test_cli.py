@@ -833,6 +833,8 @@ REFUSALS = {
     "parse error": (["verify", "{junk}"], {}),
     "bad family": (["verify", "{h32}", "--borel-family", "frob"], {}),
     "family over 5e7": (["verify", "{c120}", "--borel-family", "pairs"], {}),
+    "empty stored family": (["verify", "{nobins}", "--borel-family", "bins"],
+                            {}),
     "cas2 budget": (["verify", "{h32}"],
                     {"casmat.cli.VERIFY_WORK_BUDGET": 100}),
     "bma budget": (["verify", "{h32}", "--max-pairs", "3", "--bma", "on"],
@@ -866,13 +868,18 @@ def test_every_refusal_exits_2_with_one_error_line(tmp_path, hamming_file,
     c120 = tmp_path / "c120.scheme"
     if "{c120}" in argv:
         write_scheme(circle_scheme(120, 30), c120)
+    nobins = tmp_path / "nobins.scheme"
+    if "{nobins}" in argv:
+        c5 = cyclic_scheme(5)
+        write_scheme(Scheme(c5.space, c5.label_space, c5.relation,
+                            borel_bins=()), nobins)
     for target, value in patches.items():
         if target == "CASMAT_SEED":
             monkeypatch.setenv(target, value)
         else:
             monkeypatch.setattr(target, value)
-    argv = [a.format(tmp=tmp_path, junk=junk, h32=hamming_file, c120=c120)
-            for a in argv]
+    argv = [a.format(tmp=tmp_path, junk=junk, h32=hamming_file, c120=c120,
+                     nobins=nobins) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     # no report on stdout: a report there means exit 0 or 1

@@ -1,11 +1,12 @@
 """The byte parse of relation rows against the row loop.
 
-read_scheme parses each block of relation rows from its bytes
-(scheme._load_relation_rows) and hands a block that parse refuses to the
-row loop, the oracle. Every file here must read as it does with the byte
-parse switched off, and the files write_scheme writes must never reach
-the row loop. The reader also counts the labels of each block it holds;
-those counts must be the ones Scheme(...) counts for itself.
+read_scheme parses each block of relation rows, _READ_BLOCK_ENTRIES
+entries, from its bytes in one call (scheme._load_relation_rows) and
+hands a block that parse refuses to the row loop, the oracle. Every file
+here must read as it does with the byte parse switched off, and the
+files write_scheme writes must never reach the row loop. The reader also
+counts the labels of each block it holds; those counts must be the ones
+Scheme(...) counts for itself.
 """
 
 import functools
@@ -59,9 +60,9 @@ TOKENS = st.one_of(
 EDITS = st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 10**6),
                            st.one_of(st.none(), TOKENS)), max_size=3)
 
-# rows per block and per parsed sub-block, patched: None keeps the module's
-# sizes; (5, 2) gives sub-blocks that do not divide their block
-BLOCKS = st.sampled_from([None, (None, 1), (5, 1), (5, 2), (4, 3)])
+# rows per block that the reader parses, patched: None keeps the module's
+# size
+BLOCKS = st.sampled_from([None, 1, 2, 3, 4, 5])
 
 
 def edited(L, edits, separator):
@@ -81,31 +82,28 @@ def edited(L, edits, separator):
     return (head + body + "\n").encode()
 
 
-def block_sizes(blocks, n):
-    """The reader's block sizes, in entries, for rows per block and per
-    sub-block: None keeps the module's own."""
-    block, sub = blocks or (None, None)
-    return {"_COUNT_BLOCK_ENTRIES": block * n if block
-            else scheme_module._COUNT_BLOCK_ENTRIES,
-            "_PARSE_BLOCK_ENTRIES": sub * n if sub
-            else scheme_module._PARSE_BLOCK_ENTRIES}
+def block_sizes(rows, n):
+    """The reader's block size, in entries, for rows per block: None keeps
+    the module's own."""
+    return {"_READ_BLOCK_ENTRIES": rows * n if rows
+            else scheme_module._READ_BLOCK_ENTRIES}
 
 
 @settings(deadline=None, max_examples=250)
 @given(st.sampled_from(sorted(NODES)), EDITS,
        st.sampled_from([" ", "\t", "  ", " \t"]), BLOCKS)
 @example(1, [], " ", None)
-@example(65537, [], " ", (5, 2))
+@example(65537, [], " ", 2)
 @example(11, [(0, 1, "{L}")], " ", None)
-@example(257, [(3, 2, "{L}")], " ", (5, 2))
+@example(257, [(3, 2, "{L}")], " ", 2)
 @example(10, [(0, 1, "99999999999")], " ", None)
 @example(100, [(0, 1, "0{L-1}")], " ", None)
 @example(10, [(0, 2, "01")], " ", None)
-@example(101, [(1, 1, "+2")], " ", (None, 1))
+@example(101, [(1, 1, "+2")], " ", 1)
 @example(11, [(1, 1, "0_1")], " ", None)
 @example(11, [(1, 1, "٣")], " ", None)
-@example(1001, [(2, 0, None)], " ", (5, 2))
-@example(101, [(0, 3, "{L-1}"), (2, 5, "10")], "\t", (4, 3))
+@example(1001, [(2, 0, None)], " ", 3)
+@example(101, [(0, 3, "{L-1}"), (2, 5, "10")], "\t", 3)
 def test_byte_parse_reads_as_the_row_loop(L, edits, separator, blocks):
     data = edited(L, edits, separator)
     with mock.patch.multiple(scheme_module, **block_sizes(blocks, NODES[L])):

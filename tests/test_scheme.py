@@ -422,6 +422,14 @@ def test_borel_family_rejects_out_of_range_labels(bad):
     assert sets == [(0, 3), (1, 2)]
 
 
+@pytest.mark.parametrize("family", ["bins", []])
+def test_an_empty_family_is_refused_whoever_supplies_it(family):
+    c5 = cyclic_scheme(5)
+    scheme = Scheme(c5.space, c5.label_space, c5.relation, borel_bins=())
+    with pytest.raises(ValueError, match="borel family must be non-empty"):
+        verify_cas(scheme, borel_family=family)
+
+
 def test_float_labels_are_refused_not_truncated():
     # hamming(3, 2) has labels 0..3: 1.5 must not act as label 1
     scheme = hamming_scheme(3, 2)

@@ -1,9 +1,9 @@
 """The streamed scheme reader against its row loop.
 
-read_scheme parses the relation block from its bytes into label_dtype,
-_PARSE_BLOCK_ENTRIES entries at a time (_load_relation_rows), and reads
-the block again with a row loop, the oracle for messages and line
-numbers, whenever that parse refuses it. Every file here must read as it
+read_scheme parses the relation from its bytes into label_dtype in
+blocks of _READ_BLOCK_ENTRIES entries, one call of _load_relation_rows a
+block, and reads a block again with a row loop, the oracle for messages
+and line numbers, whenever that parse refuses it. Every file here must read as it
 does with the byte parse switched off. Warnings are errors in this
 module, so no numpy warning can reach stderr.
 """
@@ -152,6 +152,62 @@ def test_a_bad_weight_is_refused_at_its_line(token):
                       f"positive, got {token!r}", at + 1)
 
 
+def header_edit(at, *new, cut=False):
+    """cyclic(5)'s file with line at + 1 replaced by the new lines, and
+    with the lines after it dropped when cut."""
+    rest = [""] if cut else LINES[at + 1:]
+    return "\n".join(LINES[:at] + list(new) + rest)
+
+
+# cyclic(5)'s header with one fault: (text, message, line)
+HEADER_FAULTS = {
+    "no nodes line": (header_edit(1, "points 5"),
+                      "expected 'nodes <count>'", 2),
+    "no weights line": (header_edit(2, "weight"),
+                        "expected 'weights' section", 3),
+    "six weights": (header_edit(3, " ".join(["1.0"] * 6)),
+                    "expected exactly 5 weights, got 6", 4),
+    "no labels line": (header_edit(4, "label 5"),
+                       "expected 'labels <count>'", 5),
+    "label count five": (header_edit(4, "labels five"),
+                         "malformed label count", 5),
+    "label record of 3 fields": (header_edit(6, "1 4 0.5"),
+                                 "label record needs 2 or 4 fields, got 3",
+                                 7),
+    "label partner x": (header_edit(6, "1 x"), "malformed label ids", 7),
+    "label id 5": (header_edit(6, "5 4"), "label id 5 out of range", 7),
+    "bin interval end x": (header_edit(6, "1 4 0.0 x"),
+                           "malformed bin interval", 7),
+    "no identity line": (header_edit(10, "ident 0"),
+                         "expected 'identity <id|none>'", 11),
+    "identity x": (header_edit(10, "identity x"),
+                   "malformed identity label", 11),
+    "binfamily x": (header_edit(11, "binfamily x", "relation"),
+                    "malformed binfamily count", 12),
+    "binfamily cut short": (header_edit(11, "binfamily 2", "0 1", cut=True),
+                            "binfamily ended early", 14),
+    "binfamily record x": (header_edit(11, "binfamily 1", "0 x", "relation"),
+                           "malformed binfamily record", 13),
+    "nodes 0": (header_edit(1, "nodes 0"),
+                "node count must be at least 1, got 0", 2),
+    "nodes -1": (header_edit(1, "nodes -1"),
+                 "node count must be at least 1, got -1", 2),
+    "labels 0": (header_edit(4, "labels 0"),
+                 "label count must be at least 1, got 0", 5),
+    "labels -1": (header_edit(4, "labels -1"),
+                  "label count must be at least 1, got -1", 5),
+    "binfamily -1": (header_edit(11, "binfamily -1", "relation"),
+                     "binfamily count must not be negative, got -1", 12),
+}
+
+
+@pytest.mark.parametrize("name", HEADER_FAULTS)
+def test_a_header_fault_is_refused_at_its_line(name):
+    text, message, line = HEADER_FAULTS[name]
+    assert read_bytes(text.encode()) == (
+        "ParseError", f"line {line}: {message}", line)
+
+
 CHARACTERS = st.sampled_from(
     list("0123456789 -+_.#x\t\n\r\v\f\x1c\x1d\x1e\x1f\x00")
     + ["\x85", "\xa0", "\u2028", "\u3000", "\r\n", "\n\n", "255", "256"])
@@ -219,7 +275,7 @@ def test_a_fault_in_the_last_row_rereads_only_its_block(tmp_path, token):
             read_scheme(path)
     assert exc.value.line == line
     # the rows handed to the row loop: the last block of several
-    step = scheme_module._COUNT_BLOCK_ENTRIES // 600
+    step = scheme_module._READ_BLOCK_ENTRIES // 600
     assert 600 // step >= 2 and refused == [600 % step]
 
 
