@@ -9,12 +9,13 @@ partition up to relabeling.
 
 The indicator algebra of a scheme is held in cell form, as the scheme's
 relation, so no dense kernel is built on the way there and back: the
-joint level sets of a cell basis are its cells, numbered by first
-occurrence. A basis given as dense kernels is grouped by a hash of its
-values instead; that path serves every other basis and is the oracle the
-cell path is tested against. Cells, involutions and label bijections are
-all numbered by first row-major occurrence, found by one scatter-min over
-the pairs and never by sorting them.
+joint level sets of a cell basis are its cells. A basis given as dense
+kernels is grouped exactly, by one sort of each pair's values as a byte
+row. No command builds such a basis; it serves the library and the tests
+of the cell path, so a sort that is exact by construction beats a faster
+hash that needs a check. Both forms then share one tail: cells, involutions and label
+bijections are all numbered by first row-major occurrence, found by one
+scatter-min over the pairs, so the order of the sort never shows.
 """
 
 from dataclasses import asdict, dataclass
@@ -73,7 +74,6 @@ class CharacterPartition:
 # above this many exact groups a positive grouping tolerance is refused:
 # the merge compares every pair of groups
 _TOLERANCE_GROUP_CAP = 4096
-_KEY_SEED = 0x5EED_CA5
 
 
 def _first_occurrence(labels: np.ndarray, count: int) -> np.ndarray:
@@ -85,53 +85,18 @@ def _first_occurrence(labels: np.ndarray, count: int) -> np.ndarray:
     return first
 
 
-def _key_multipliers(count: int) -> np.ndarray:
-    """Fixed odd 64-bit multipliers, one per (kernel, real/imag part)."""
-    rng = np.random.default_rng(_KEY_SEED)
-    return rng.integers(0, 2**64, size=(count, 2), dtype=np.uint64) | 1
+def _value_cells(basis):
+    """Exact value groups of a dense basis: (group of each pair as an
+    n x n matrix, group count).
 
-
-def _pair_keys(basis) -> np.ndarray:
-    """One wrapping uint64 hash per node pair of its basis values.
-
-    Adding 0.0 turns -0.0 into 0.0, so pairs with equal values get equal
-    keys; unequal values may collide and are split by the caller.
+    Each pair's basis values are one byte row, so one sort groups the pairs
+    exactly; adding 0.0 first turns -0.0 into 0.0, so equal values share
+    their bytes.
     """
-    mult = _key_multipliers(len(basis))
-    key = np.zeros(basis[0].entries.size, dtype=np.uint64)
-    for K, m in zip(basis, mult):
-        flat = K.entries.ravel()  # row-major, whatever the entries' order
-        bits = (flat.view(float).reshape(-1, 2) + 0.0).view(np.uint64)
-        bits ^= bits >> np.uint64(31)
-        bits *= m
-        key += bits[:, 0]
-        key += bits[:, 1]
-    return key
-
-
-def _exact_groups(basis):
-    """Group pairs by equal basis values: (group per pair, first members).
-
-    Groups are hash groups verified member by member against their first
-    member; members that differ are regrouped exactly among themselves,
-    so a collision splits a hash group and never merges two value groups.
-    """
-    _, firsts, group_of = np.unique(_pair_keys(basis), return_index=True,
-                                    return_inverse=True)
-    group_of = group_of.reshape(-1)
-    first_of = firsts[group_of]
-    bad = np.zeros(group_of.size, dtype=bool)
-    for K in basis:
-        flat = K.entries.ravel()
-        bad |= flat != flat[first_of]
-    if bad.any():
-        rows = np.nonzero(bad)[0]
-        vals = np.stack([K.entries.ravel()[rows] for K in basis], axis=1)
-        _, sub_firsts, sub_of = np.unique(
-            vals.view(float), axis=0, return_index=True, return_inverse=True)
-        group_of[rows] = firsts.size + sub_of.reshape(-1)
-        firsts = np.concatenate([firsts, rows[sub_firsts]])
-    return group_of, firsts
+    vals = np.stack([K.entries.ravel() for K in basis], axis=1) + 0.0
+    rows = vals.view(np.dtype((np.void, vals.shape[1] * vals.itemsize)))
+    groups, group_of = np.unique(rows.ravel(), return_inverse=True)
+    return group_of.reshape(basis[0].entries.shape), groups.size
 
 
 def _tolerance_components(reps: np.ndarray, tol: float) -> np.ndarray:
@@ -177,43 +142,37 @@ def character_partition(alg: AlgebraBasis,
 
     Grouping is by value for tolerance 0 (-0.0 equals 0.0). A cell-form
     basis takes its cells as the exact groups: each pair's values are the
-    identity row of its cell. A basis of dense kernels is grouped by
-    hashing: pairs are hashed to one key, grouped on it, and every pair is
-    checked against its group's first member. With a positive tolerance,
-    exact groups whose representative values all agree within the
-    tolerance are merged (connected components over group
+    identity row of its cell. A basis of dense kernels takes the exact
+    value groups of _value_cells. Both are then numbered alike: with a
+    positive tolerance, exact groups whose representative values all
+    agree within the tolerance are merged (connected components over group
     representatives); more than _TOLERANCE_GROUP_CAP exact groups raise
     GroupingBudgetError.
     """
     _check_tolerance(grouping_tolerance)
     n = alg.space.node_count
     if alg.cell_form:
-        flat = alg.cells.ravel()
-        L = alg.size
+        cells, G = alg.cells, alg.size
 
         def values(pos):
-            rows = np.zeros((pos.size, L), dtype=complex)
-            rows[np.arange(pos.size), flat[pos]] = 1.0
+            rows = np.zeros((pos.size, G), dtype=complex)
+            rows[np.arange(pos.size), cells.ravel()[pos]] = 1.0
             return rows
-
-        first = _first_occurrence(flat, L)
-        present = np.flatnonzero(first < flat.size)
-        cell_of, cell_firsts = _number_cells(first[present], values,
-                                             grouping_tolerance, n)
-        lut = np.zeros(L, dtype=np.int32)
-        lut[present] = cell_of
-        cell_matrix = lut[alg.cells]
     else:
         basis = alg.basis
+        cells, G = _value_cells(basis)
 
         def values(pos):
             return np.stack([K.entries.ravel()[pos] for K in basis], axis=1)
 
-        group_of, firsts = _exact_groups(basis)
-        cell_of, cell_firsts = _number_cells(firsts, values,
-                                             grouping_tolerance, n)
-        cell_matrix = cell_of[group_of].reshape(n, n)
-    return CharacterPartition(cell_matrix=cell_matrix,
+    flat = cells.ravel()
+    first = _first_occurrence(flat, G)
+    present = np.flatnonzero(first < flat.size)
+    cell_of, cell_firsts = _number_cells(first[present], values,
+                                         grouping_tolerance, n)
+    lut = np.zeros(G, dtype=np.int32)
+    lut[present] = cell_of
+    return CharacterPartition(cell_matrix=lut[cells],
                               representative_values=values(cell_firsts))
 
 

@@ -16,6 +16,7 @@ Structural failures (CAS1/CAS3) are reported with witnesses rather than
 raised, so corrupted inputs can be diagnosed.
 """
 
+import bisect
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -1039,9 +1040,12 @@ def _read_scheme(reader) -> Scheme:
     if L < 1:
         fail(f"label count must be at least 1, got {L}", lineno)
     involution = np.zeros(L, dtype=np.int64)
+    record_line = np.zeros(L, dtype=np.int64)
     bin_meta: list = [None] * L
     any_bins = False
     seen = set()
+    # the intervals read so far, pairwise disjoint and sorted
+    taken = []
     for _ in range(L):
         lineno, text = reader.next_content()
         if text is None:
@@ -1058,13 +1062,28 @@ def _read_scheme(reader) -> Scheme:
         if lid in seen:
             fail(f"duplicate record for label {lid}", lineno)
         seen.add(lid)
-        involution[lid] = linv
+        if not 0 <= linv < L:
+            fail("involution entries must be valid label ids", lineno)
+        involution[lid], record_line[lid] = linv, lineno
         if len(parts) == 4:
             try:
-                bin_meta[lid] = (float(parts[2]), float(parts[3]))
+                a, b = float(parts[2]), float(parts[3])
             except ValueError:
                 fail("malformed bin interval", lineno)
+            if not a < b:
+                fail(f"bin interval [{a}, {b}) is empty", lineno)
+            # only the neighbours of its place can overlap it
+            k = bisect.bisect(taken, (a, b))
+            if (k and taken[k - 1][1] > a
+                    or k < len(taken) and b > taken[k][0]):
+                fail("bin intervals must be pairwise disjoint", lineno)
+            taken.insert(k, (a, b))
+            bin_meta[lid] = (a, b)
             any_bins = True
+    unpaired = np.flatnonzero(involution[involution] != np.arange(L))
+    if unpaired.size:
+        fail("involution table must be an involutive bijection",
+             int(record_line[unpaired].min()))
 
     lineno, text = reader.next_content()
     if text is None or not text.startswith("identity"):
@@ -1076,6 +1095,10 @@ def _read_scheme(reader) -> Scheme:
             identity = int(token)
         except ValueError:
             fail("malformed identity label", lineno)
+        if not 0 <= identity < L:
+            fail(f"identity label {identity} out of range", lineno)
+        if involution[identity] != identity:
+            fail("involution must fix the identity label", lineno)
 
     lineno, text = reader.next_content()
     borel_bins = None
@@ -1096,6 +1119,9 @@ def _read_scheme(reader) -> Scheme:
                 borel_bins.append(tuple(int(t) for t in text.split()))
             except ValueError:
                 fail("malformed binfamily record", lineno)
+            for i in borel_bins[-1]:
+                if not 0 <= i < L:
+                    fail(f"borel bin label {i} out of range", lineno)
         lineno, text = reader.next_content()
     if text != "relation":
         fail("expected 'relation' section", lineno)

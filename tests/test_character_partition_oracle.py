@@ -1,20 +1,22 @@
 """Differential tests of the character partition against a brute-force
 oracle.
 
-character_partition groups node pairs by a hash of their basis values,
-checks every pair against its group's first member and regroups the pairs
-that differ; scheme_of_algebra and roundtrip_check number cells and labels
-by first occurrence. The oracle below does the same work with plain
-Python: it keys each pair by the tuple of its basis values (so -0.0 and
-0.0 are one key), numbers cells by first row-major occurrence, and merges
-the connected components of groups whose values agree within the
-tolerance. Every engine must match it exactly, bit for bit.
+character_partition groups the node pairs of a dense basis exactly, by
+one sort of each pair's values as a byte row; scheme_of_algebra and
+roundtrip_check number cells and labels by first occurrence. The oracle
+below does the same work with plain Python: it keys each pair by the
+tuple of its basis values (so -0.0 and 0.0 are one key), numbers cells by
+first row-major occurrence, and merges the connected components of groups
+whose values agree within the tolerance. Every engine must match it
+exactly, bit for bit.
 
 The indicator algebra of a scheme is held in cell form, so its partition
-is a first-occurrence relabel of the relation and never hashes; its dense
-twin, the same indicators given as dense kernels, takes the hash path.
-The two must agree bit for bit on the random weighted, non-symmetric and
-corrupted schemes of test_joint_table_oracle and on the catalog schemes.
+is a first-occurrence relabel of the relation and never sorts values; its
+dense twin, the same indicators given as dense kernels, takes the value
+grouping. No command builds a dense basis, so the twin is how the value
+grouping is reached. The two must agree bit for bit on the random
+weighted, non-symmetric and corrupted schemes of test_joint_table_oracle
+and on the catalog schemes.
 """
 
 import random
@@ -290,27 +292,6 @@ def test_relabelled_roundtrip_matches_oracle(seed):
     assert_roundtrip_matches(random_relabelled(seed), 0.0)
 
 
-@pytest.mark.parametrize("keep", (0, 1))
-def test_hash_collisions_split_and_never_merge(monkeypatch, keep):
-    # keep=0: every key is equal; keep=1: keys see the first kernel only
-    def colliding(count):
-        mult = np.zeros((count, 2), dtype=np.uint64)
-        mult[:keep] = 1
-        return mult
-
-    cases = [(random_basis(seed), tol) for seed in range(10)
-             for tol in TOLERANCES]
-    cases += [(algebra_of_scheme(CATALOG[name]).basis, 0.0)
-              for name in ("cyclic12", "sphere20", "cyclic6_corrupt")]
-    monkeypatch.setattr(correspondence, "_key_multipliers", colliding)
-    for basis, tol in cases:
-        assert_partition_matches(basis, tol)
-        assert_scheme_matches(basis, tol)
-    for name in ("cyclic12", "sphere20", "cyclic6_corrupt"):
-        assert_roundtrip_matches(CATALOG[name], 0.0)
-
-
-
 def dense_twin(scheme):
     """The scheme's indicator basis given as dense kernels."""
     return AlgebraBasis(basis=tuple(
@@ -335,17 +316,17 @@ TWIN_SCHEMES += [pytest.param(lambda name=name: CATALOG[name], id=name)
 
 @pytest.mark.parametrize("tol", (0.0, 1e-9, 1.0))
 @pytest.mark.parametrize("make", TWIN_SCHEMES)
-def test_cell_partition_matches_dense_hash_path(make, tol, monkeypatch):
+def test_cell_partition_matches_dense_value_path(make, tol, monkeypatch):
     scheme = make()
     cells, dense = algebra_of_scheme(scheme), dense_twin(scheme)
     assert cells.cell_form and not dense.cell_form
-    hashed, exact_groups = [], correspondence._exact_groups
-    monkeypatch.setattr(correspondence, "_exact_groups",
-                        lambda basis: hashed.append(1) or exact_groups(basis))
+    grouped, value_cells = [], correspondence._value_cells
+    monkeypatch.setattr(correspondence, "_value_cells",
+                        lambda basis: grouped.append(1) or value_cells(basis))
     got = character_partition(cells, tol)
-    assert hashed == []
+    assert grouped == []
     want = character_partition(dense, tol)
-    assert hashed == [1]
+    assert grouped == [1]
     assert got.cell_matrix.dtype == want.cell_matrix.dtype == np.int32
     assert np.array_equal(got.cell_matrix, want.cell_matrix)
     assert (got.representative_values.dtype

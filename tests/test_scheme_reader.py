@@ -159,6 +159,12 @@ def header_edit(at, *new, cut=False):
     return "\n".join(LINES[:at] + list(new) + rest)
 
 
+def records(*new):
+    """cyclic(5)'s file with its five label records (lines 6-10) replaced
+    by the new ones, in file order."""
+    return "\n".join(LINES[:5] + list(new) + LINES[10:])
+
+
 # cyclic(5)'s header with one fault: (text, message, line)
 HEADER_FAULTS = {
     "no nodes line": (header_edit(1, "points 5"),
@@ -198,6 +204,47 @@ HEADER_FAULTS = {
                   "label count must be at least 1, got -1", 5),
     "binfamily -1": (header_edit(11, "binfamily -1", "relation"),
                      "binfamily count must not be negative, got -1", 12),
+    # the label table's own faults, and the identity and bin labels that
+    # refer to it, each at the line that holds it
+    "partner 9": (header_edit(6, "1 9"),
+                  "involution entries must be valid label ids", 7),
+    "partner -1": (header_edit(8, "3 -1"),
+                   "involution entries must be valid label ids", 9),
+    "identity 7": (header_edit(10, "identity 7"),
+                   "identity label 7 out of range", 11),
+    "identity -1": (header_edit(10, "identity -1"),
+                    "identity label -1 out of range", 11),
+    "identity not fixed": (header_edit(10, "identity 1"),
+                           "involution must fix the identity label", 11),
+    # 3 -> 3 leaves label 2 unpaired, and label 2's record comes first
+    "not involutive": (header_edit(8, "3 3"),
+                       "involution table must be an involutive bijection",
+                       8),
+    # labels 2 and 3 are unpaired: the record of 3 is the first in the
+    # file, though label 2 is the smaller id
+    "not involutive, records shuffled": (
+        records("0 0", "1 4", "3 2", "2 4", "4 1"),
+        "involution table must be an involutive bijection", 8),
+    "empty bin interval": (header_edit(6, "1 4 0.5 0.5"),
+                           "bin interval [0.5, 0.5) is empty", 7),
+    "overlapping bin intervals": (
+        records("0 0", "1 4 0.0 1.0", "2 3 0.5 2.0", "3 2", "4 1"),
+        "bin intervals must be pairwise disjoint", 8),
+    # the third interval falls between the first two and meets the first
+    "overlap with an earlier neighbour": (
+        records("0 0", "1 4 0.0 1.0", "2 3 2.0 3.0", "3 2 0.5 0.7", "4 1"),
+        "bin intervals must be pairwise disjoint", 9),
+    # the second interval falls before the first and reaches into it
+    "overlap with a later neighbour": (
+        records("0 0", "1 4 2.0 3.0", "2 3 0.5 2.5", "3 2", "4 1"),
+        "bin intervals must be pairwise disjoint", 8),
+    "touching bin intervals are disjoint, then equal ones overlap": (
+        records("0 0", "1 4 0.0 1.0", "2 3 1.0 2.0", "3 2 1.0 2.0", "4 1"),
+        "bin intervals must be pairwise disjoint", 9),
+    "bin label 5": (header_edit(11, "binfamily 2", "0 1", "2 5", "relation"),
+                    "borel bin label 5 out of range", 14),
+    "bin label -1": (header_edit(11, "binfamily 1", "-1 0", "relation"),
+                     "borel bin label -1 out of range", 13),
 }
 
 
