@@ -13,7 +13,8 @@ from itertools import product
 import numpy as np
 
 from .measure import MeasureSpace, make_quadrature, read_quadrature
-from .scheme import LabelSpace, Scheme, _row_blocks, label_dtype
+from .scheme import (LabelSpace, Scheme, _orbit_minima, _row_blocks,
+                     label_dtype)
 
 HAMMING_NODE_CAP = 4096
 GROUP_DEGREE_CAP = 1024
@@ -74,21 +75,6 @@ def _check_permutations(generators):
             raise ValueError(f"generator {g.tolist()} is not a permutation "
                              f"of 0..{m - 1}")
     return gens, m
-
-
-def _orbit_minima(images, size):
-    """Smallest member of each point's orbit under permutations of
-    0..size-1: pull minima along each permutation and its inverse, jump
-    pointers, and repeat until a round changes nothing."""
-    steps = [p for img in images for p in (img, np.argsort(img))]
-    low = np.arange(size)
-    while True:
-        prev = low
-        for p in steps:
-            low = np.minimum(low, low[p])
-        low = low[low]
-        if np.array_equal(low, prev):
-            return low
 
 
 def group_action_scheme(generators) -> Scheme:
@@ -415,5 +401,6 @@ def materialize_recipe(text: str):
         metric = np.loadtxt(need("metric"))
         bins = int(params["bins"]) if "bins" in params else None
         scheme = delsarte_scheme(metric, n_bins=bins)
-    return scheme, " ".join([kind] + [f"{k}={_recipe_value(v)}"
-                                      for k, v in params.items()])
+    scheme.recipe = " ".join([kind] + [f"{k}={_recipe_value(v)}"
+                                       for k, v in params.items()])
+    return scheme, scheme.recipe

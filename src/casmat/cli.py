@@ -25,8 +25,8 @@ from .correspondence import (GroupingBudgetError, algebra_of_scheme,
                              roundtrip_check)
 from .errors import ParseError, _LineReader
 from .hypergroup import kernel_of_scheme, random_probe_pairs, verify_strong_cas
-from .scheme import (_label_map, read_scheme, resolve_borel_family,
-                     verify_cas, write_scheme)
+from .scheme import (_certificate, _label_map, read_scheme,
+                     resolve_borel_family, verify_cas, write_scheme)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -156,7 +156,8 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
     label, whose sample is closed under swaps. The n steps a pair hold
     for sampled runs with many labels too: a fiber's reduction keeps
     state only for the cells its pairs touch, with no L**2 work a
-    fiber."""
+    fiber. Under a symmetry certificate the pairs are the n of one base
+    row."""
     n = scheme.space.node_count
     L = scheme.label_count
     per_pair = n
@@ -169,6 +170,8 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
         # nothing (and 2 * cap stays within int64)
         cap = min(max_pairs, n * n)
         counts = np.minimum(counts, np.where(self_paired, 2 * cap, cap))
+    if _certificate(scheme, max_pairs).get("route") == "symmetry":
+        counts = np.array([n])
     work = int(counts.sum()) * per_pair
     if work > VERIFY_WORK_BUDGET:
         suggest = VERIFY_WORK_BUDGET // (
@@ -190,12 +193,17 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
 def cmd_verify(args):
     scheme = _load_scheme(args.scheme)
     # --bma auto skips the BMA checks outside its caps or over their
-    # budget; --bma on refuses a run over that budget
-    run_bma = args.bma == "on" or (
-        args.bma == "auto"
-        and scheme.label_count <= BMA_AUTO_LABEL_CAP
-        and scheme.space.node_count <= BMA_AUTO_NODE_CAP
-        and _bma_work(scheme) <= BMA_WORK_BUDGET)
+    # budget, naming why; --bma on refuses a run over that budget
+    L, n, work = scheme.label_count, scheme.space.node_count, _bma_work(scheme)
+    skip = None
+    if args.bma == "off":
+        skip = "--bma off"
+    elif args.bma == "auto" and L > BMA_AUTO_LABEL_CAP:
+        skip = f"{L} labels (--bma auto cap {BMA_AUTO_LABEL_CAP})"
+    elif args.bma == "auto" and n > BMA_AUTO_NODE_CAP:
+        skip = f"{n} nodes (--bma auto cap {BMA_AUTO_NODE_CAP})"
+    elif args.bma == "auto" and work > BMA_WORK_BUDGET:
+        skip = f"{work:.1e} steps (budget {BMA_WORK_BUDGET:.0e})"
     try:
         family = _parse_family_arg(args.borel_family)
         sets, _ = resolve_borel_family(scheme, family)
@@ -213,7 +221,8 @@ def cmd_verify(args):
         _structural("cas3_transpose", cas.cas3_ok,
                     cas.witnesses.get("cas3", [])),
         _quantitative("cas2_intersection_constancy", cas.cas2_max_deviation,
-                      args.tol, cas.witnesses.get("cas2", [])),
+                      args.tol, cas.witnesses.get("cas2", [])
+                      + cas.witnesses.get("route", [])),
         _quantitative("fiber_transpose_identity",
                       cas.involution_identity_max_deviation, args.tol),
         _quantitative("row_valency_constancy", cas.row_valency_max_deviation,
@@ -224,7 +233,7 @@ def cmd_verify(args):
         _check("cas5_symmetry", "info", 0.0 if cas.symmetric else 1.0),
     ]
 
-    if run_bma:
+    if not skip:
         try:
             alg = algebra_of_scheme(scheme)
             bump, nbhd = indicator_bump(scheme.label_space)
@@ -251,7 +260,8 @@ def cmd_verify(args):
                        args.tol),
             ]
     else:
-        checks.append(_check("bma_checks", "skipped"))
+        checks.append(_check("bma_checks", "skipped",
+                             witnesses=[{"reason": skip}]))
 
     arguments = {"tol": args.tol, "borel_family": args.borel_family,
                  "diagonal_slack": args.diagonal_slack,

@@ -110,13 +110,14 @@ def _tolerance_components(reps: np.ndarray, tol: float) -> np.ndarray:
     return np.unique(comp, return_inverse=True)[1]
 
 
-def _number_cells(firsts, values, grouping_tolerance, n):
+def _number_cells(firsts, values, grouping_tolerance, n, gap=0.0):
     """Merge exact groups within the tolerance and number the cells.
 
     firsts[g] is the first member (row-major pair index) of exact group g,
-    values(positions) the basis values at pair indices. Returns the cell id
-    of every group and the first member of every cell, cells ordered by
-    first member.
+    values(positions) the basis values at pair indices, and no two groups'
+    values are closer than gap, so a tolerance below gap merges none.
+    Returns the cell id of every group and the first member of every cell,
+    cells ordered by first member.
     """
     G = firsts.size
     comp = np.arange(G)
@@ -126,7 +127,8 @@ def _number_cells(firsts, values, grouping_tolerance, n):
                 f"grouping tolerance {grouping_tolerance!r} would compare "
                 f"{G} exact groups pairwise (cap {_TOLERANCE_GROUP_CAP}); "
                 f"use tolerance 0")
-        comp = _tolerance_components(values(firsts), grouping_tolerance)
+        if grouping_tolerance >= gap:
+            comp = _tolerance_components(values(firsts), grouping_tolerance)
 
     cell_first = np.full(comp.max() + 1, n * n, dtype=np.int64)
     np.minimum.at(cell_first, comp, firsts)
@@ -146,13 +148,14 @@ def character_partition(alg: AlgebraBasis,
     value groups of _value_cells. Both are then numbered alike: with a
     positive tolerance, exact groups whose representative values all
     agree within the tolerance are merged (connected components over group
-    representatives); more than _TOLERANCE_GROUP_CAP exact groups raise
-    GroupingBudgetError.
+    representatives; identity rows are 1.0 apart, so a cell-form basis
+    compares none below tolerance 1); more than _TOLERANCE_GROUP_CAP exact
+    groups raise GroupingBudgetError.
     """
     _check_tolerance(grouping_tolerance)
     n = alg.space.node_count
     if alg.cell_form:
-        cells, G = alg.cells, alg.size
+        cells, G, gap = alg.cells, alg.size, 1.0
 
         def values(pos):
             rows = np.zeros((pos.size, G), dtype=complex)
@@ -160,7 +163,7 @@ def character_partition(alg: AlgebraBasis,
             return rows
     else:
         basis = alg.basis
-        cells, G = _value_cells(basis)
+        (cells, G), gap = _value_cells(basis), 0.0
 
         def values(pos):
             return np.stack([K.entries.ravel()[pos] for K in basis], axis=1)
@@ -169,7 +172,7 @@ def character_partition(alg: AlgebraBasis,
     first = _first_occurrence(flat, G)
     present = np.flatnonzero(first < flat.size)
     cell_of, cell_firsts = _number_cells(first[present], values,
-                                         grouping_tolerance, n)
+                                         grouping_tolerance, n, gap)
     lut = np.zeros(G, dtype=np.int32)
     lut[present] = cell_of
     return CharacterPartition(cell_matrix=lut[cells],

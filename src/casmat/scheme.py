@@ -19,6 +19,7 @@ raised, so corrupted inputs can be diagnosed.
 import bisect
 import math
 import numbers
+import shlex
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -130,10 +131,12 @@ class Scheme:
 
     borel_bins optionally stores a generating family of label sets used as
     the default CAS2 checking family for continuum-derived schemes.
+    recipe is the recipe line of the file or catalog call that made the
+    scheme, or None; verify_cas checks the symmetries it names.
     """
 
     __slots__ = ("space", "label_space", "relation", "borel_bins",
-                 "fiber_counts", "_row_counts")
+                 "fiber_counts", "recipe", "_row_counts", "_certificate")
 
     def __init__(self, space: MeasureSpace, label_space: LabelSpace,
                  relation, borel_bins=None):
@@ -170,7 +173,7 @@ class Scheme:
         self.label_space = label_space
         self.relation = rel
         self.fiber_counts = counts
-        self._row_counts = None
+        self.recipe = self._row_counts = self._certificate = None
         if borel_bins is not None:
             borel_bins = tuple(tuple(int(i) for i in W) for W in borel_bins)
             for W in borel_bins:
@@ -325,6 +328,80 @@ def _sample_fiber(scheme: Scheme, k, max_pairs, rng):
         inside = scheme.relation[sx, sz] == k
         sx, sz = sx[inside], sz[inside]
     return sx, sz, True
+
+
+def _orbit_minima(images, size):
+    """Smallest member of each point's orbit under permutations of
+    0..size-1: pull minima along each permutation and its inverse, jump
+    pointers, and repeat until a round changes nothing."""
+    steps = [p for img in images for p in (img, np.argsort(img))]
+    low = np.arange(size)
+    while True:
+        prev = low
+        for p in steps:
+            low = np.minimum(low, low[p])
+        low = low[low]
+        if np.array_equal(low, prev):
+            return low
+
+
+def _recipe_generators(recipe, n):
+    """Candidate symmetries of n nodes named by a recipe line: x -> x + 1
+    mod n for cyclic and circle, hamming's unit translations in
+    itertools.product node order, group's generators. Other kinds, lines
+    that do not parse and candidates that are not permutations give none."""
+    idx = np.arange(n)
+    try:
+        kind, *tokens = shlex.split(recipe or "")
+        params = dict(token.split("=", 1) for token in tokens)
+        gens = [(idx + 1) % n] if kind in ("cyclic", "circle") else []
+        if kind == "hamming":
+            # the words in itertools.product order, as a d-cube of nodes
+            cube = idx.reshape((int(params["q"]),) * min(int(params["d"]), 64))
+            gens = [np.roll(cube, -1, j).ravel() for j in range(cube.ndim)]
+        if kind == "group":
+            gens = [np.array([int(v) for v in g.split(",")])
+                    for g in params["generators"].split(";")]
+    except (ValueError, KeyError):
+        return []
+    ok = all(g.shape == (n,) and np.array_equal(np.sort(g), idx) for g in gens)
+    return gens if ok else []
+
+
+def _symmetry_fault(relation, weights, gens):
+    """The first fault of gens as symmetries, as a witness: for the first
+    generator g with one, a pair (x, y) with R(gx, gy) != R(x, y), found a
+    row block at a time, or a node x with w(gx) != w(x) (positive weights:
+    equal values are equal bits); else a node the orbit of 0 misses."""
+    for j, g in enumerate(gens):
+        for a, block in _row_blocks(relation):
+            bad = np.argwhere(relation[g[a:a + len(block)]][:, g] != block)
+            if bad.size:
+                return {"route": "full", "not_invariant": [
+                    a + int(bad[0, 0]), int(bad[0, 1])], "generator": j}
+        moved = np.flatnonzero(weights[g] != weights)
+        if moved.size:
+            return {"route": "full", "weight_not_invariant": int(moved[0]),
+                    "generator": j}
+    missed = np.flatnonzero(_orbit_minima(gens, weights.size))
+    if missed.size:
+        return {"route": "full", "unreached": int(missed[0])}
+
+
+def _certificate(scheme: Scheme, max_pairs=None) -> dict:
+    """What verify_cas goes by, checked once per scheme: {} when a cap of
+    max_pairs samples a fiber or the recipe names no symmetry, else
+    _symmetry_fault's witness or, with none, {"route": "symmetry"}: each
+    fiber pair then has the tables of a pair (0, z) of the base row."""
+    if max_pairs is not None and (scheme.fiber_counts > max_pairs).any():
+        return {}
+    if scheme._certificate is None:
+        w = scheme.space.weights
+        gens = _recipe_generators(scheme.recipe, w.size)
+        scheme._certificate = gens and (
+            _symmetry_fault(scheme.relation, w, gens)
+            or {"route": "symmetry", "generators": len(gens)}) or {}
+    return scheme._certificate
 
 
 def joint_table(left, right, weights, L) -> np.ndarray:
@@ -679,7 +756,9 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     swap-closed sample. Time follows the pairs checked times n, since a
     fiber's reduction keeps state only for the cells its pairs touch;
     memory is one label_count**2 scratch per call (one more for a
-    disjoint family's sets).
+    disjoint family's sets). Under a _certificate of symmetry (named in
+    witnesses["route"]) CAS2, CAS4 and the transpose identity reduce only
+    the n pairs of row 0 and, for partners, column 0.
 
     In addition to CAS1..CAS5 the report carries the fiber-transpose
     identity deviation (p_{W,W'}^k vs p_{W'^T,W^T}^{k^T}) and the
@@ -695,7 +774,8 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     inv = scheme.label_space.involution
     i0 = scheme.label_space.identity_label
     rng = np.random.default_rng(seed)
-    witnesses: dict = {}
+    certificate = _certificate(scheme, max_pairs_per_fiber)
+    witnesses: dict = {"route": [certificate]} if certificate else {}
 
     # CAS1 (identity fiber vs diagonal): the identity pairs off the
     # diagonal are its fiber count less those on it; the fiber is scanned
@@ -794,8 +874,15 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         return (range(F * F), values.ravel(), values.T.ravel(), lo.ravel(),
                 hi.ravel(), mean)
 
+    def pairs(k):
+        # a fiber, its sample, or under the certificate its base-row pairs
+        if certificate.get("route") == "symmetry":
+            zs = np.flatnonzero(rel[0] == k)
+            return np.zeros_like(zs), zs
+        return _sample_fiber(scheme, k, max_pairs_per_fiber, rng)[:2]
+
     for k, kt in orbits:
-        xs, zs, _ = _sample_fiber(scheme, k, max_pairs_per_fiber, rng)
+        xs, zs = pairs(k)
         per_orbit = [(k, *stats(xs, zs))]
         if kt != k:
             if cas3_ok:
@@ -805,8 +892,7 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             else:
                 # invalid schemes: the transposed sample may leave the
                 # fiber, fall back to an independent sample
-                xs, zs, _ = _sample_fiber(scheme, kt, max_pairs_per_fiber,
-                                          rng)
+                xs, zs = pairs(kt)
             per_orbit.append((kt, *stats(xs, zs)))
         # a cell outside cells has mean, min and max 0, so no maximum
         # below changes, and the first maximum in row-major order is
@@ -999,7 +1085,9 @@ def _read_scheme(reader) -> Scheme:
     if lineno != 1 or text != SCHEME_HEADER:
         fail(f"expected header {SCHEME_HEADER!r}", 1)
     lineno, text = reader.next_content()
+    recipe = None
     if text is not None and text.startswith("recipe"):
+        recipe = text[len("recipe"):].strip()
         lineno, text = reader.next_content()
     if text is None or not text.startswith("nodes "):
         fail("expected 'nodes <count>'", lineno)
@@ -1159,7 +1247,9 @@ def _read_scheme(reader) -> Scheme:
         space = make_quadrature(weights)
         label_space = LabelSpace(involution=involution, identity_label=identity,
                                  bin_meta=tuple(bin_meta) if any_bins else None)
-        return Scheme._adopt(space, label_space, rel, borel_bins=borel_bins,
-                             counts=counts)
+        scheme = Scheme._adopt(space, label_space, rel, borel_bins=borel_bins,
+                               counts=counts)
+        scheme.recipe = recipe
+        return scheme
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -371,6 +371,33 @@ def test_cell_partition_refuses_tolerance_over_the_group_cap(monkeypatch):
     assert f"{scheme.label_count} exact groups" in messages[0]
 
 
+@pytest.mark.parametrize("tol", (1e-12, 0.5, float(np.nextafter(1.0, 0.0))))
+def test_cell_partition_below_tolerance_one_compares_no_groups(tol,
+                                                               monkeypatch):
+    # distinct identity rows are 1.0 apart, so below tolerance 1 nothing
+    # merges: the partition is tolerance 0's, with no pairwise merge
+    merges = []
+    merge = correspondence._tolerance_components
+    monkeypatch.setattr(correspondence, "_tolerance_components",
+                        lambda *a: merges.append(1) or merge(*a))
+    for scheme in CATALOG.values():
+        alg = algebra_of_scheme(scheme)
+        got, want = character_partition(alg, tol), character_partition(alg)
+        assert np.array_equal(got.cell_matrix, want.cell_matrix)
+        assert (got.representative_values.tobytes()
+                == want.representative_values.tobytes())
+    assert merges == []
+    # tolerance 1 merges, and the dense twin compares at any tolerance
+    character_partition(algebra_of_scheme(CATALOG["cyclic5"]), 1.0)
+    character_partition(dense_twin(CATALOG["cyclic5"]), tol)
+    assert merges == [1, 1]
+    # the group cap is checked first
+    monkeypatch.setattr(correspondence, "_TOLERANCE_GROUP_CAP", 4)
+    with pytest.raises(correspondence.GroupingBudgetError,
+                       match="5 exact groups"):
+        character_partition(algebra_of_scheme(CATALOG["cyclic5"]), tol)
+
+
 def test_roundtrip_check_builds_no_kernel(monkeypatch):
     built = []
     init = Kernel.__init__

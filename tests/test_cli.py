@@ -393,8 +393,11 @@ def test_bad_casmat_seed_is_usage_error(hamming_file, capsys, monkeypatch):
     assert main(["verify", str(hamming_file), "--seed", "3"]) == 0
 
 
-def test_verify_refuses_work_over_budget(hamming_file, capsys, monkeypatch):
-    # h32: 8 nodes, 4 labels, 64 fiber pairs -> 512 pair x node steps
+def test_verify_refuses_work_over_budget(tmp_path, capsys, monkeypatch):
+    # h32 with no recipe, so no symmetry certificate prices it at one base
+    # row: 8 nodes, 4 labels, 64 fiber pairs -> 512 pair x node steps
+    hamming_file = tmp_path / "h32_plain.scheme"
+    write_scheme(hamming_scheme(3, 2), hamming_file)
     monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 100)
     assert main(["verify", str(hamming_file)]) == 2
     err = capsys.readouterr().err
@@ -835,8 +838,9 @@ REFUSALS = {
     "family over 5e7": (["verify", "{c120}", "--borel-family", "pairs"], {}),
     "empty stored family": (["verify", "{nobins}", "--borel-family", "bins"],
                             {}),
+    # h32's recipe certifies its symmetry: one base row, 8 x 8 steps
     "cas2 budget": (["verify", "{h32}"],
-                    {"casmat.cli.VERIFY_WORK_BUDGET": 100}),
+                    {"casmat.cli.VERIFY_WORK_BUDGET": 63}),
     "bma budget": (["verify", "{h32}", "--max-pairs", "3", "--bma", "on"],
                    {"casmat.cli.BMA_WORK_BUDGET": 7679}),
     "hypergroup cap": (["hypergroup", "{h32}"],
