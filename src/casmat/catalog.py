@@ -191,8 +191,9 @@ def _sphere_nodes(node_source, seed):
 
 
 def _binned_relation(values, edges):
-    """(relation, label space) of a square table binned by edges: occupied
-    off-diagonal bins become labels 1.. in bin order, the diagonal 0.
+    """(relation, label space, label counts) of a square table binned by
+    edges: occupied off-diagonal bins become labels 1.. in bin order, the
+    diagonal 0.
 
     A value's bin is np.clip(np.digitize(value, edges) - 1, 0, n_bins - 1):
     half-open bins, the last one closed. It is read off the equal-width
@@ -248,7 +249,8 @@ def _binned_relation(values, edges):
                                for b in occupied])
     return (rel.astype(label_dtype(occupied.size + 1), copy=False),
             LabelSpace(involution=np.arange(len(bin_meta)), identity_label=0,
-                       bin_meta=bin_meta))
+                       bin_meta=bin_meta),
+            np.concatenate([[len(rel)], counts[occupied]]))
 
 
 def sphere_scheme(node_source, n_bins: int,
@@ -273,10 +275,10 @@ def sphere_scheme(node_source, n_bins: int,
             f"{abs(norms[bad[0]] - 1.0):.3e})")
     t = coords @ coords.T
     np.clip(t, -1.0, 1.0, out=t)
-    rel, label_space = _binned_relation(
+    rel, label_space, counts = _binned_relation(
         t, np.linspace(-1.0, 1.0, n_bins + 1))
     return Scheme._adopt(make_quadrature(weights, coordinates=coords),
-                         label_space, rel)
+                         label_space, rel, counts=counts)
 
 
 def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
@@ -312,6 +314,7 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
         raise ValueError(f"squared distance {float(d.max())!r}**2 "
                          f"overflows float64")
     c = d * d
+    counts = None
     if n_bins is None:
         # the diagonal holds the only zeros, so it gets label 0
         values, rel = np.unique(c, return_inverse=True)
@@ -321,13 +324,13 @@ def delsarte_scheme(metric, weights=None, n_bins=None) -> Scheme:
     else:
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        rel, label_space = _binned_relation(
+        rel, label_space, counts = _binned_relation(
             c, np.linspace(0.0, float(c.max()), n_bins + 1))
     if weights is None:
         space = _counting_space(n)
     else:
         space = make_quadrature(weights)
-    return Scheme._adopt(space, label_space, rel)
+    return Scheme._adopt(space, label_space, rel, counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ are byte-identical except for the wall_time_s field.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -45,17 +44,6 @@ BMA_WORK_BUDGET = 4 * 10**10
 HYPERGROUP_TABLE_BYTES = 1 << 30
 # seeded random probes next to the basis members
 BMA_RANDOM_PROBES = 3
-# a block of a file read for its digest
-_DIGEST_BLOCK_BYTES = 1 << 20
-
-
-def _digest(path) -> str:
-    """sha256 of the file, read a block at a time."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(_DIGEST_BLOCK_BYTES):
-            h.update(block)
-    return "sha256:" + h.hexdigest()
 
 
 def _check(name, status, residual=None, tolerance=None, witnesses=()):
@@ -267,7 +255,7 @@ def cmd_verify(args):
                  "diagonal_slack": args.diagonal_slack,
                  "max_pairs": args.max_pairs, "seed": args.seed,
                  "bma": args.bma}
-    return arguments, args.scheme, checks
+    return arguments, scheme.digest, checks
 
 
 def _catalog_recipe(args) -> str:
@@ -293,11 +281,11 @@ def cmd_catalog(args):
         scheme, recipe = materialize_recipe(_catalog_recipe(args))
     except ValueError as exc:
         raise _Refusal(exc) from None
-    write_scheme(scheme, args.out, recipe=recipe)
+    digest = write_scheme(scheme, args.out, recipe=recipe)
     checks = [_check("materialized", "pass", 0.0, 0.0,
                      [{"recipe": recipe, "nodes": scheme.space.node_count,
                        "labels": scheme.label_count}])]
-    return {"kind": args.kind, "out": args.out}, args.out, checks
+    return {"kind": args.kind, "out": args.out}, digest, checks
 
 
 def cmd_correspond(args):
@@ -309,7 +297,7 @@ def cmd_correspond(args):
         raise _Refusal(exc) from None
     except ValueError as exc:
         checks = [_structural("roundtrip", False, [{"detail": str(exc)}])]
-        return arguments, args.scheme, checks
+        return arguments, scheme.digest, checks
     wit = [rt.witness] if rt.witness else []
     checks = [
         _structural("partition_roundtrip", rt.partition_match, wit),
@@ -318,7 +306,7 @@ def cmd_correspond(args):
         _check("label_bijection", "info", None, None,
                [rt.as_dict()["label_bijection"]]),
     ]
-    return arguments, args.scheme, checks
+    return arguments, scheme.digest, checks
 
 
 def _probe_work(n, probes):
@@ -350,7 +338,7 @@ def cmd_hypergroup(args):
         hg = kernel_of_scheme(scheme)
     except ValueError as exc:
         checks = [_structural("markov_kernel", False, [{"detail": str(exc)}])]
-        return arguments, args.scheme, checks
+        return arguments, scheme.digest, checks
     probes = random_probe_pairs(scheme.label_count, args.probes,
                                 seed=args.seed)
     rep = verify_strong_cas(hg, probes, tolerance=args.tol, seed=args.seed)
@@ -372,7 +360,7 @@ def cmd_hypergroup(args):
                          rep.residuals["cas4_deviation"], args.tol))
     checks.append(_check("representative_spread", "info",
                          rep.representative_spread, args.tol))
-    return arguments, args.scheme, checks
+    return arguments, scheme.digest, checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,13 +456,13 @@ def main(argv=None) -> int:
                                f"got {env_seed!r}")
         _check_numeric_flags(args)
         started = time.perf_counter()
-        arguments, path, checks = args.func(args)
+        arguments, digest, checks = args.func(args)
         report = {
             "schema": "casmat-report v1",
             "tool_version": __version__,
             "command": args.command,
             "arguments": arguments,
-            "input_digest": _digest(path),
+            "input_digest": digest,
             "checks": checks,
             "wall_time_s": time.perf_counter() - started,
         }

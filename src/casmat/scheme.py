@@ -17,6 +17,7 @@ raised, so corrupted inputs can be diagnosed.
 """
 
 import bisect
+import hashlib
 import math
 import numbers
 import shlex
@@ -111,9 +112,6 @@ def label_dtype(label_count: int) -> np.dtype:
 
 # a block of relation rows walked at once stays near this many entries
 _COUNT_BLOCK_ENTRIES = 1 << 16
-# read_scheme parses this many entries at a time: the parse's scratch
-# takes a few bytes for each byte of text
-_READ_BLOCK_ENTRIES = 1 << 14
 
 
 class Scheme:
@@ -132,11 +130,13 @@ class Scheme:
     borel_bins optionally stores a generating family of label sets used as
     the default CAS2 checking family for continuum-derived schemes.
     recipe is the recipe line of the file or catalog call that made the
-    scheme, or None; verify_cas checks the symmetries it names.
+    scheme, or None; verify_cas checks the symmetries it names. digest is
+    the "sha256:..." of the file read_scheme read it from, or None.
     """
 
     __slots__ = ("space", "label_space", "relation", "borel_bins",
-                 "fiber_counts", "recipe", "_row_counts", "_certificate")
+                 "fiber_counts", "recipe", "digest", "_row_counts",
+                 "_certificate")
 
     def __init__(self, space: MeasureSpace, label_space: LabelSpace,
                  relation, borel_bins=None):
@@ -173,7 +173,7 @@ class Scheme:
         self.label_space = label_space
         self.relation = rel
         self.fiber_counts = counts
-        self.recipe = self._row_counts = self._certificate = None
+        self.recipe = self.digest = self._row_counts = self._certificate = None
         if borel_bins is not None:
             borel_bins = tuple(tuple(int(i) for i in W) for W in borel_bins)
             for W in borel_bins:
@@ -229,13 +229,11 @@ def fiber(scheme: Scheme, i) -> tuple:
     return _fiber_scan(scheme.relation, i, int(scheme.fiber_counts[i]))
 
 
-def _row_blocks(array, entries=None):
+def _row_blocks(array):
     """(first row, block) for consecutive blocks of array's rows, each
-    near entries (by default _COUNT_BLOCK_ENTRIES) entries: every walk
-    over a relation, or a table the size of one, reads it through here.
-    Only read_scheme passes entries, to keep its parse scratch small."""
-    entries = entries or _COUNT_BLOCK_ENTRIES
-    rows = max(1, entries // max(array.shape[1], 1))
+    near _COUNT_BLOCK_ENTRIES entries: every walk over a relation, or a
+    table the size of one, reads it through here."""
+    rows = max(1, _COUNT_BLOCK_ENTRIES // max(array.shape[1], 1))
     for a in range(0, array.shape[0], rows):
         yield a, array[a:a + rows]
 
@@ -286,7 +284,8 @@ def _fiber_pairs_at(scheme: Scheme, k, ranks):
     """The fiber pairs of label k at the given ranks in row-major order.
 
     Rows are found from per-row label counts (built once per scheme);
-    only the rows that hold a drawn pair are scanned.
+    only the rows that hold a drawn pair are compared with k, at once,
+    and each pair is its row's start among their hits plus its offset.
     """
     if scheme._row_counts is None:
         scheme._row_counts = _row_masses(scheme.relation, None,
@@ -295,12 +294,10 @@ def _fiber_pairs_at(scheme: Scheme, k, ranks):
     ends = np.cumsum(per_row)
     xs = np.searchsorted(ends, ranks, side="right")
     offsets = ranks - (ends[xs] - per_row[xs])
-    zs = np.empty_like(xs)
-    order = np.argsort(xs, kind="stable")
-    rows, starts = np.unique(xs[order], return_index=True)
-    for x, group in zip(rows, np.split(order, starts[1:])):
-        zs[group] = np.flatnonzero(scheme.relation[x] == k)[offsets[group]]
-    return xs, zs
+    rows, at = np.unique(xs, return_inverse=True)
+    starts = np.cumsum(per_row[rows]) - per_row[rows]
+    hits = np.flatnonzero(scheme.relation[rows] == k)
+    return xs, hits[starts[at] + offsets] % scheme.space.node_count
 
 
 def _sample_fiber(scheme: Scheme, k, max_pairs, rng):
@@ -440,15 +437,17 @@ def _chunk_step(n, KK):
     return step, np.int32 if step * max(n, KK) < 2**31 else np.int64
 
 
-def _cell_keys(relation, xs, zs, K, left, right):
+def _cell_keys(relation, xs, zs, K, left, right, mirrored=False):
     """keys[p, y] = left[relation[x, y]] * K + right[relation[y, z]] for
-    the pairs (xs[p], zs[p]) (the labels themselves when left is None),
+    the pairs (xs[p], zs[p]) (the labels themselves where a map is None),
     as a (pairs, n) intp array, which bincount reads without a copy. Only
     mapped labels are further (pairs, n) arrays, in the maps' narrow
-    dtype."""
-    rows, cols = relation[xs], relation[:, zs].T
-    if left is not None:
-        rows, cols = left[rows], right[cols]
+    dtype. mirrored reads row z for column z: right then already holds
+    the involution that maps relation[z, y] to relation[y, z]."""
+    rows = relation[xs] if left is None else left[relation[xs]]
+    cols = relation[zs] if mirrored else relation[:, zs].T
+    if right is not None:
+        cols = right[cols]
     keys = np.multiply(rows, K, dtype=np.intp)
     keys += cols
     return keys
@@ -458,12 +457,16 @@ class _CellScratch:
     """What the CAS2 reductions of one pass over n nodes share for K x K
     tables, made once per pass: the chunk step, the column map slot (when
     K * K > n, K * K entries that are -1 off the cells a reduction has
-    numbered; each reduction resets slot at its own cells) and the weight
-    tile of a chunk."""
+    numbered; each reduction resets slot at its own cells), the weight
+    tile of a chunk. Given mirror, the involution of a relation that holds
+    CAS3, column z is read as row z through it (unless it is identity)."""
 
-    def __init__(self, K, n):
+    def __init__(self, K, n, mirror=None):
         KK = K * K
         self.K = K
+        self.mirrored = mirror is not None
+        self.flip = None if mirror is None or (
+            mirror == np.arange(mirror.size)).all() else mirror
         self.compact = KK > n
         self.step, self.itype = _chunk_step(n, KK)
         if self.compact:
@@ -514,9 +517,11 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
         raise ValueError("a table reduction needs at least one pair")
     n = weights.size
     K, itype, slot = scratch.K, scratch.itype, scratch.slot
-    if left is not None:
-        # so a chunk's mapped labels are as narrow as they can be
-        left, right = left.astype(label_dtype(K)), right.astype(label_dtype(K))
+    if scratch.flip is not None:
+        right = scratch.flip if right is None else right[scratch.flip]
+    # so a chunk's mapped labels are as narrow as they can be
+    left, right = (None if m is None else m.astype(label_dtype(K))
+                   for m in (left, right))
     wtile = scratch.weight_tile(weights, len(xs))
     cells = None if scratch.compact else slot
     step = scratch.step
@@ -524,7 +529,7 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
     s = 0
     while s < len(xs):
         keys = _cell_keys(relation, xs[s:s + step], zs[s:s + step], K,
-                          left, right)
+                          left, right, scratch.mirrored)
         C = len(keys)
         if scratch.compact:
             if cells is None:
@@ -740,6 +745,21 @@ def resolve_borel_family(scheme: Scheme, borel_family):
     return sets, f"{kind} ({F} sets)"
 
 
+def _transpose_holds(rel, inv, symmetric):
+    """Whether inv[rel[a, b]] == rel[b, a] for every pair (the lookup is
+    skipped when symmetric, inv the identity), read in square tiles of
+    the walker's _COUNT_BLOCK_ENTRIES: inv is an involution, so each
+    unordered pair of tiles is read once."""
+    t, n = math.isqrt(_COUNT_BLOCK_ENTRIES), len(rel)
+    for a in range(0, n, t):
+        for b in range(a, n, t):
+            tile = rel[a:a + t, b:b + t]
+            if not np.array_equal(tile if symmetric else np.take(inv, tile),
+                                  rel[b:b + t, a:a + t].T):
+                return False
+    return True
+
+
 def _first_pairs(xs, ys, count):
     """The first count pairs (xs[p], ys[p]) as int tuples."""
     return list(zip(xs[:count].tolist(), ys[:count].tolist()))
@@ -798,13 +818,15 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
                           for pair in _first_pairs(xs[off], ys[off], 5)]
             witnesses["cas1"] = items
 
-    # CAS3 (relation transpose vs involution table) scans a block of rows
-    # at a time, so no n x n temporary is held, and stops at the block of
-    # its fifth mismatch: witnesses are the first in row-major order
+    # CAS3 (relation transpose vs involution table) reads square tiles; a
+    # scheme that fails them is scanned a block of rows at a time up to the
+    # block of its fifth mismatch: witnesses are the first in row-major order
     mismatches = []
+    symmetric = scheme.label_space.is_symmetric()
     # in the relation's dtype, so a block's temporaries are no wider than it
     inv_rel = inv.astype(rel.dtype)
-    for a, block in _row_blocks(rel):
+    holds = _transpose_holds(rel, inv_rel, symmetric)
+    for a, block in () if holds else _row_blocks(rel):
         bad = np.take(inv_rel, block) != rel[:, a:a + len(block)].T
         if bad.any():
             mismatches += _first_pairs(*_block_pairs(bad, a),
@@ -818,8 +840,6 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             {"pair": (a, b),
              "label": int(rel[a, b]), "transposed_label": int(rel[b, a])}
             for a, b in mismatches]
-
-    symmetric = scheme.label_space.is_symmetric()
 
     family, descriptor = resolve_borel_family(scheme, borel_family)
     singleton = family == [(i,) for i in range(L)]
@@ -843,12 +863,14 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     labels_checked = 0
 
     # the pass's K x K scratch: the raw tables, and the mapped ones for
-    # disjoint sets
+    # disjoint sets; once CAS3 holds, R(y, z) = inv[R(z, y)], so both
+    # read column z as row z
     raw = mapped = None
+    mirror = inv if cas3_ok else None
     if singleton or index is not None:
-        raw = _CellScratch(L, n)
+        raw = _CellScratch(L, n, mirror)
     if not singleton and index is not None:
-        mapped = _CellScratch(F + 1, n)
+        mapped = _CellScratch(F + 1, n, mirror)
 
     def stats(xs, zs):
         # (cells, values, mirror, lo, hi, mean): the F x F cells to
@@ -936,8 +958,10 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     rowmass = row_masses(scheme)
     row_valency_max = float((rowmass.max(axis=0) - rowmass.min(axis=0)).max())
     fibermass = w @ rowmass
-    push_dev = np.abs(rowmass * scheme.space.total_mass - fibermass)
-    pushforward_max = float(push_dev.max())
+    # a block of rows at a time, so no further (n, L) array is held
+    pushforward_max = max(
+        float(np.abs(block * scheme.space.total_mass - fibermass).max())
+        for _, block in _row_blocks(rowmass))
     if row_valency_max > tolerance:
         i = int(np.argmax(rowmass.max(axis=0) - rowmass.min(axis=0)))
         witnesses["row_valency"] = [{
@@ -975,8 +999,9 @@ def _label_bytes(L, end):
     return text.view(np.uint8).reshape(L, text.itemsize)
 
 
-def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
-    """Write the `#casmat-scheme v1` text format (bit-exact round trip).
+def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> str:
+    """Write the `#casmat-scheme v1` text format (bit-exact round trip)
+    and return the "sha256:..." digest of the bytes written.
 
     Relation rows are gathered from a per-label byte table a block of
     rows at a time, so entries are never formatted one by one.
@@ -1007,33 +1032,40 @@ def write_scheme(scheme: Scheme, path, recipe: Optional[str] = None) -> None:
             lines.append(" ".join(str(i) for i in W))
     lines.append("relation")
     spaced, ended = _label_bytes(ls.size, b" "), _label_bytes(ls.size, b"\n")
+    head = ("\n".join(lines) + "\n").encode()
+    sha = hashlib.sha256(head)
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
+        fh.write(head)
         for _, block in _row_blocks(scheme.relation):
             text = np.take(spaced, block, axis=0)
             text[:, -1] = ended[block[:, -1]]
             # the padding is the only zero byte
-            fh.write(text[text != 0])
+            text = text[text != 0]
+            sha.update(text)
+            fh.write(text)
+    return "sha256:" + sha.hexdigest()
 
 
-def _load_relation_rows(texts, n, L):
-    """The relation rows in texts as a (len(texts), n) array of
-    label_dtype(L), parsed from their bytes in one pass, or None when a
-    row holds anything but ASCII digits, spaces and tabs, is not n
-    entries, or has an entry with more digits than L - 1 or not below L:
-    the row loop reads those.
-
-    The parse's scratch arrays take a few bytes for each byte of text, so
-    read_scheme hands over _READ_BLOCK_ENTRIES entries at a time.
+def _load_relation_rows(data, n, L):
+    """The relation rows in data, the bytes of whole lines, as a (lines,
+    n) array of label_dtype(L), parsed in one pass; or None, for the row
+    loop, when a line is not n entries of ASCII digits between spaces and
+    tabs (it may end in \\r\\n) or has an entry with more digits than L - 1
+    or not below L. The parse's scratch takes a few bytes a byte of data.
     """
-    try:
-        data = np.frombuffer("\n".join([*texts, ""]).encode("ascii"),
-                             dtype=np.uint8)
-    except UnicodeEncodeError:
+    if data[-1:] != b"\n":
+        data += b"\n"
+    if data.translate(None, b"0123456789 \t\r\n") or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
+    data = np.frombuffer(data, dtype=np.uint8)
     digit = data - np.uint8(48)
     is_digit = digit <= 9
-    if not (is_digit | (data == 32) | (data == 9) | (data == 10)).all():
+    # each entry's last digit: a digit before a separator
+    ends = np.flatnonzero(is_digit[:-1] > is_digit[1:])
+    newlines = np.flatnonzero(data == 10)
+    if not np.array_equal(np.searchsorted(ends, newlines),
+                          np.arange(n, n * newlines.size + 1, n)):
         return None
     # at each byte, the value of the digits that end there, by place
     # value while they last; int16 holds every entry of up to 4 digits
@@ -1051,27 +1083,20 @@ def _load_relation_rows(texts, n, L):
     # width + 1 digits in a row: an entry with more digits than L - 1
     if reach.any():
         return None
-    # each entry's last digit: a digit before a separator
-    ends = np.flatnonzero(is_digit[:-1] & ~is_digit[1:])
-    newlines = np.cumsum([len(t) + 1 for t in texts]) - 1
-    if not np.array_equal(np.searchsorted(ends, newlines),
-                          np.arange(n, n * len(texts) + 1, n)):
-        return None
     values = value[ends]
     if values.max() >= L:
         return None
-    return values.astype(label_dtype(L)).reshape(len(texts), n)
+    return values.astype(label_dtype(L)).reshape(newlines.size, n)
 
 
 def read_scheme(path) -> Scheme:
     """Parse a `#casmat-scheme v1` file; errors carry the line number.
 
-    The file is streamed: lines are read one at a time and the relation
-    goes into label_dtype a block of rows at a time, each block near
-    _READ_BLOCK_ENTRIES entries and parsed from its bytes in one call, so
-    no copy of the file's text is held. The labels are counted a block at
-    a time too. A block that parse refuses is parsed again row by row,
-    from its lines, to name the faulty line.
+    The file is read once, as bytes, and its sha256 left on the Scheme
+    as digest: header lines one at a time, the relation into label_dtype
+    (and counted) in blocks of whole lines near _READ_BLOCK_BYTES, each
+    parsed in one call; a block that parse refuses is read again row by
+    row, from its lines, to name the faulty line.
     """
     with _LineReader(path) as reader:
         return _read_scheme(reader)
@@ -1215,33 +1240,39 @@ def _read_scheme(reader) -> Scheme:
         fail("expected 'relation' section", lineno)
     rel = np.empty((n, n), dtype=label_dtype(L))
     counts = np.zeros(L, dtype=np.int64)
-    for start, block in _row_blocks(rel, _READ_BLOCK_ENTRIES):
-        lines = [reader.next_content() for _ in range(len(block))]
-        texts = [text for _, text in lines]
-        rows = None if None in texts else _load_relation_rows(texts, n, L)
+    r = 0
+    while r < n:
+        start = r
+        data = b"" if reader.pending else reader.block()
+        rows = _load_relation_rows(data, n, L)
         if rows is not None:
-            block[...] = rows
-        else:
-            # row by row: the oracle for relation-fault messages and lines
-            for r, (lineno, text) in enumerate(lines, start):
-                if text is None:
-                    fail(f"relation matrix ended early at row {r}", lineno)
-                parts = text.split()
-                if len(parts) != n:
-                    fail(f"relation row {r} has {len(parts)} entries, "
-                         f"expected {n}", lineno)
-                try:
-                    row = [int(t) for t in parts]
-                except ValueError:
-                    fail(f"malformed relation entry in row {r}", lineno)
-                if min(row) < 0 or max(row) >= L:
-                    fail("relation entries must lie in 0..label_count-1",
-                         lineno)
-                rel[r] = row
-        # the texts go before bincount copies the block to intp; both
-        # paths have checked its range
-        del lines, texts, rows
-        counts += np.bincount(block.ravel(), minlength=L)
+            # lines past row n - 1 are no rows, and nothing reads on
+            reader.skip(len(data), len(rows))
+            rel[r:r + len(rows)] = rows[:n - r]
+            r = min(n, r + len(rows))
+        # row by row through the block, at least one row: the oracle for
+        # relation-fault messages and lines
+        end = reader.tell() + len(data)
+        while rows is None and (r == start or r < n and (
+                reader.pending or reader.tell() < end)):
+            lineno, text = reader.next_content()
+            if text is None:
+                fail(f"relation matrix ended early at row {r}", lineno)
+            parts = text.split()
+            if len(parts) != n:
+                fail(f"relation row {r} has {len(parts)} entries, "
+                     f"expected {n}", lineno)
+            try:
+                row = [int(t) for t in parts]
+            except ValueError:
+                fail(f"malformed relation entry in row {r}", lineno)
+            if min(row) < 0 or max(row) >= L:
+                fail("relation entries must lie in 0..label_count-1",
+                     lineno)
+            rel[r] = row
+            r += 1
+        # both paths have checked the range
+        counts += np.bincount(rel[start:r].ravel(), minlength=L)
 
     try:
         space = make_quadrature(weights)
@@ -1249,7 +1280,7 @@ def _read_scheme(reader) -> Scheme:
                                  bin_meta=tuple(bin_meta) if any_bins else None)
         scheme = Scheme._adopt(space, label_space, rel, borel_bins=borel_bins,
                                counts=counts)
-        scheme.recipe = recipe
+        scheme.recipe, scheme.digest = recipe, reader.digest()
         return scheme
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -13,9 +13,9 @@ relation, involution, bin_meta and error text must agree exactly.
 import numpy as np
 import pytest
 
-from casmat import (catalog, cyclic_group, delsarte_scheme, dihedral_group,
-                    group_action_scheme, label_dtype, sphere_scheme,
-                    symmetric_group)
+from casmat import (Scheme, catalog, cyclic_group, delsarte_scheme,
+                    dihedral_group, group_action_scheme, label_dtype,
+                    sphere_scheme, symmetric_group)
 from casmat import scheme as scheme_module
 
 
@@ -215,10 +215,31 @@ def adversarial_table(edges, rng, inside=False):
 
 def assert_binned_like_oracle(values, edges):
     expected_rel, expected_meta = oracle_binned(values, edges)
-    rel, label_space = catalog._binned_relation(values, edges)
+    rel, label_space, counts = catalog._binned_relation(values, edges)
     assert rel.dtype == label_dtype(label_space.size)
     assert np.array_equal(rel, expected_rel)
     assert label_space.bin_meta == expected_meta
+    # the counts the builders hand to Scheme._adopt
+    want = scheme_module._label_counts(rel, label_space.size)
+    assert counts.dtype == want.dtype and np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_scheme(300, 20, seed=3),
+    lambda: delsarte_scheme(np.abs(np.subtract.outer(np.arange(9.0),
+                                                     np.arange(9.0))),
+                            n_bins=4)], ids=["sphere", "delsarte-binned"])
+def test_binned_builders_hand_over_their_counts(build, monkeypatch):
+    want = build()
+    own = Scheme(want.space, want.label_space, want.relation).fiber_counts
+
+    def rescan(*args):
+        raise AssertionError("the builder's relation was counted again")
+    monkeypatch.setattr(scheme_module, "_label_counts", rescan)
+    got = build()
+    assert np.array_equal(got.relation, want.relation)
+    assert got.fiber_counts.dtype == own.dtype
+    assert np.array_equal(got.fiber_counts, own)
 
 
 # a range a few ulps wide far from 0: its edges repeat, and the scale

@@ -11,8 +11,9 @@ import pytest
 
 from casmat import (LabelSpace, Scheme, circle_scheme, cyclic_scheme,
                     hamming_scheme, read_scheme, sphere_scheme, write_scheme)
-from casmat import cli
+from casmat import cli, errors
 from casmat.cli import main
+from casmat.errors import _LineReader
 from casmat.scheme import _sample_fiber, resolve_borel_family
 
 
@@ -656,19 +657,45 @@ def test_a_sample_cap_beyond_int64_samples_nothing(hamming_file, capsys):
 
 def test_digest_streams_the_file_in_blocks(tmp_path, capsys, monkeypatch):
     path = tmp_path / "blob"
-    monkeypatch.setattr("casmat.cli._DIGEST_BLOCK_BYTES", 7)
-    for data in (b"", b"abcdefg", bytes(range(256)) * 3):
+    monkeypatch.setattr("casmat.errors._READ_BLOCK_BYTES", 7)
+    for data, lines in ((b"", 0), (b"abcdefg", 0), (bytes(range(256)) * 3, 0),
+                        (b"x\n\ny\r\n" * 50, 3)):
         path.write_bytes(data)
-        assert cli._digest(path) == \
-            "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        # the digest reads on from wherever the reader stands
+        for read in range(lines + 1):
+            with _LineReader(path) as reader:
+                for _ in range(read):
+                    reader.next_content()
+                assert reader.digest() == \
+                    "sha256:" + hashlib.sha256(data).hexdigest()
     monkeypatch.undo()
     # cyclic(600) is a file of more than one default block
     path = tmp_path / "z600.scheme"
     code, report = run(capsys, "catalog", "cyclic", "--n", "600",
                        "--out", str(path))
-    assert code == 0 and path.stat().st_size > cli._DIGEST_BLOCK_BYTES
+    assert code == 0 and path.stat().st_size > errors._READ_BLOCK_BYTES
     assert report["input_digest"] == \
         "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# text after the relation, the second more than the reader reads at once
+@pytest.mark.parametrize("trailing", [b"", b"not a row\n" + b"1 2\n" * 40000])
+@pytest.mark.parametrize("argv", [["verify"], ["correspond"],
+                                  ["hypergroup", "--probes", "1"]])
+def test_input_digest_is_the_sha256_of_the_file(tmp_path, capsys, argv,
+                                                 trailing):
+    path = tmp_path / "c120.scheme"
+    code, report = run(capsys, "catalog", "cyclic", "--n", "120",
+                       "--out", str(path))
+    data = path.read_bytes()
+    assert code == 0 and len(data) > errors._READ_BLOCK_BYTES
+    assert report["input_digest"] == \
+        "sha256:" + hashlib.sha256(data).hexdigest()
+    path.write_bytes(data + trailing)
+    code, report = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert report["input_digest"] == \
+        "sha256:" + hashlib.sha256(data + trailing).hexdigest()
 
 
 def test_correspond_refuses_tolerance_grouping_over_cap(hamming_file, capsys,

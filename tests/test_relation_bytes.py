@@ -1,12 +1,14 @@
 """The byte parse of relation rows against the row loop.
 
-read_scheme parses each block of relation rows, _READ_BLOCK_ENTRIES
-entries, from its bytes in one call (scheme._load_relation_rows) and
-hands a block that parse refuses to the row loop, the oracle. Every file
-here must read as it does with the byte parse switched off, and the
-files write_scheme writes must never reach the row loop. The reader also
-counts the labels of each block it holds; those counts must be the ones
-Scheme(...) counts for itself.
+read_scheme parses each block of whole relation lines, near
+errors._READ_BLOCK_BYTES, from its bytes in one call
+(scheme._load_relation_rows) and hands a block that parse refuses to the
+row loop, the oracle. Every file here must read as it does with the byte
+parse switched off, at every block size test_scheme_reader.read_bytes
+tries, and the files write_scheme writes must never reach the row loop,
+with \\n or \\r\\n line breaks. The reader also counts the labels of each
+block it holds; those counts must be the ones Scheme(...) counts for
+itself.
 """
 
 import functools
@@ -22,8 +24,9 @@ from casmat import (LabelSpace, Scheme, SurjectivityError,
                     circle_scheme, cyclic_scheme, delsarte_scheme,
                     group_action_scheme, hamming_scheme, make_quadrature,
                     read_scheme, sphere_scheme, symmetric_group, write_scheme)
+from casmat import errors
 from casmat import scheme as scheme_module
-from test_scheme_reader import read_bytes, row_loop_bytes
+from test_scheme_reader import BLOCK_BYTES, read_bytes, row_loop_bytes
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -60,9 +63,8 @@ TOKENS = st.one_of(
 EDITS = st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 10**6),
                            st.one_of(st.none(), TOKENS)), max_size=3)
 
-# rows per block that the reader parses, patched: None keeps the module's
-# size
-BLOCKS = st.sampled_from([None, 1, 2, 3, 4, 5])
+# the reader's block size in bytes, patched: None keeps the module's size
+BLOCKS = st.sampled_from(BLOCK_BYTES)
 
 
 def edited(L, edits, separator):
@@ -82,18 +84,11 @@ def edited(L, edits, separator):
     return (head + body + "\n").encode()
 
 
-def block_sizes(rows, n):
-    """The reader's block size, in entries, for rows per block: None keeps
-    the module's own."""
-    return {"_READ_BLOCK_ENTRIES": rows * n if rows
-            else scheme_module._READ_BLOCK_ENTRIES}
-
-
 @settings(deadline=None, max_examples=250)
 @given(st.sampled_from(sorted(NODES)), EDITS,
        st.sampled_from([" ", "\t", "  ", " \t"]), BLOCKS)
 @example(1, [], " ", None)
-@example(65537, [], " ", 2)
+@example(65537, [], " ", 7)
 @example(11, [(0, 1, "{L}")], " ", None)
 @example(257, [(3, 2, "{L}")], " ", 2)
 @example(10, [(0, 1, "99999999999")], " ", None)
@@ -102,13 +97,12 @@ def block_sizes(rows, n):
 @example(101, [(1, 1, "+2")], " ", 1)
 @example(11, [(1, 1, "0_1")], " ", None)
 @example(11, [(1, 1, "٣")], " ", None)
-@example(1001, [(2, 0, None)], " ", 3)
-@example(101, [(0, 3, "{L-1}"), (2, 5, "10")], "\t", 3)
+@example(1001, [(2, 0, None)], " ", 64)
+@example(101, [(0, 3, "{L-1}"), (2, 5, "10")], "\t", 7)
 def test_byte_parse_reads_as_the_row_loop(L, edits, separator, blocks):
     data = edited(L, edits, separator)
-    with mock.patch.multiple(scheme_module, **block_sizes(blocks, NODES[L])):
-        got = read_bytes(data)
-        assert got == row_loop_bytes(data)
+    got = read_bytes(data, [blocks])
+    assert got == row_loop_bytes(data, [None])
     if not edits:
         # a clean file reads whole, in the narrowest dtype
         n = NODES[L]
@@ -120,29 +114,35 @@ def fast_path_only():
     """Patch _load_relation_rows so that a refused block fails the test."""
     own = scheme_module._load_relation_rows
 
-    def checked(texts, n, L):
-        rows = own(texts, n, L)
+    def checked(data, n, L):
+        rows = own(data, n, L)
         assert rows is not None, "a block went to the row loop"
         return rows
     return mock.patch.object(scheme_module, "_load_relation_rows", checked)
 
 
-@pytest.mark.parametrize("build, separator", [
-    (lambda: sphere_scheme(600, 20), " "),
-    (lambda: sphere_scheme(600, 20), "\t"),
-    (lambda: circle_scheme(240, 60), " "),
-    (lambda: circle_scheme(120, 30, signed=False), " "),
-    (lambda: cyclic_scheme(300), " "),
-], ids=["sphere", "sphere-tabs", "circle", "circle-unsigned", "cyclic300"])
-def test_written_files_take_the_byte_parse(tmp_path, build, separator):
+@pytest.mark.parametrize("size", BLOCK_BYTES)
+@pytest.mark.parametrize("build, separator, newline", [
+    (lambda: sphere_scheme(600, 20), " ", "\n"),
+    (lambda: sphere_scheme(600, 20), "\t", "\n"),
+    (lambda: sphere_scheme(600, 20), " ", "\r\n"),
+    (lambda: circle_scheme(240, 60), " ", "\n"),
+    (lambda: circle_scheme(120, 30, signed=False), " ", "\n"),
+    (lambda: cyclic_scheme(300), " ", "\n"),
+], ids=["sphere", "sphere-tabs", "sphere-crlf", "circle", "circle-unsigned",
+        "cyclic300"])
+def test_written_files_take_the_byte_parse(tmp_path, build, separator,
+                                           newline, size):
     scheme = build()
     path = tmp_path / "s.scheme"
     write_scheme(scheme, path)
-    if separator != " ":
+    if separator != " " or newline != "\n":
         head, _, block = path.read_bytes().partition(b"\nrelation\n")
-        path.write_bytes(head + b"\nrelation\n"
-                         + block.replace(b" ", separator.encode()))
-    with fast_path_only():
+        block = block.replace(b" ", separator.encode())
+        path.write_bytes((head + b"\nrelation\n" + block).replace(
+            b"\n", newline.encode()))
+    with fast_path_only(), mock.patch.object(
+            errors, "_READ_BLOCK_BYTES", size or errors._READ_BLOCK_BYTES):
         got = read_scheme(path)
     assert got.relation.dtype == scheme.relation.dtype
     assert np.array_equal(got.relation, scheme.relation)

@@ -5,9 +5,10 @@ label i in row-major order, whatever the row block, and stop drawing
 blocks at the one that holds the last of them. The label counts check
 each block's range before they count it, so an entry out of range in a
 late block is refused with the constructor's message, never handed to
-bincount. verify_cas's CAS3 scan stops at the block of its fifth
-mismatch, CAS1 reads no block unless the identity lies off the
-diagonal, and an empty fiber sample is refused before any block.
+bincount. verify_cas scans row blocks for CAS3 only once its tiles
+fail, and stops at the block of its fifth mismatch; CAS1 reads no block
+unless the identity lies off the diagonal, and an empty fiber sample is
+refused before any block.
 """
 
 import re
@@ -159,8 +160,8 @@ def test_cas3_scan_stops_at_the_block_of_its_fifth_mismatch(monkeypatch):
 
 
 def test_cas1_scans_only_for_identity_pairs_off_the_diagonal(monkeypatch):
-    # (2, 2) takes label 6, its own partner, so CAS3 holds and reads every
-    # block; CAS1 fails on the diagonal alone and reads none
+    # (2, 2) takes label 6, its own partner, so CAS3 holds on its tiles
+    # and scans no block; CAS1 fails on the diagonal alone and reads none
     base = cyclic_scheme(12)
     rel = base.relation.copy()
     rel[2, 2] = 6
@@ -168,7 +169,7 @@ def test_cas1_scans_only_for_identity_pairs_off_the_diagonal(monkeypatch):
     rep = verify_cas(scheme)
     assert rep.cas3_ok and rep.witnesses["cas1"] == [
         {"pair": (2, 2), "label": 6}]
-    assert structural_blocks(monkeypatch, scheme) == list(range(12))
+    assert structural_blocks(monkeypatch, scheme) == []
 
 
 @pytest.mark.parametrize("call", [

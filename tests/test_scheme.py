@@ -382,7 +382,8 @@ def test_read_scheme_relation_error_contract(name):
 
 def test_relation_block_parses_in_one_call():
     lines, start = _cyclic5_lines()
-    rel = scheme_module._load_relation_rows(lines[start:start + 5], 5, 5)
+    block = "\n".join(lines[start:start + 5]) + "\n"
+    rel = scheme_module._load_relation_rows(block.encode(), 5, 5)
     assert rel.dtype == np.uint8
     assert np.array_equal(rel, cyclic_scheme(5).relation)
 

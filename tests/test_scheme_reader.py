@@ -1,11 +1,13 @@
 """The streamed scheme reader against its row loop.
 
-read_scheme parses the relation from its bytes into label_dtype in
-blocks of _READ_BLOCK_ENTRIES entries, one call of _load_relation_rows a
-block, and reads a block again with a row loop, the oracle for messages
-and line numbers, whenever that parse refuses it. Every file here must read as it
-does with the byte parse switched off. Warnings are errors in this
-module, so no numpy warning can reach stderr.
+read_scheme reads its file once, as bytes, and parses the relation into
+label_dtype from blocks of whole lines near errors._READ_BLOCK_BYTES, one
+call of _load_relation_rows a block, and reads a block again with a row
+loop, the oracle for messages and line numbers, whenever that parse
+refuses it. Every file here must read as it does with the byte parse
+switched off, at the reader's own block size and at blocks of 1, 2, 7
+and 64 bytes. Warnings are errors in this module, so no numpy warning can
+reach stderr.
 """
 
 import tempfile
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casmat import ParseError, cyclic_scheme, read_scheme, sphere_scheme
+from casmat import errors
 from casmat import scheme as scheme_module
 from test_scheme import (RELATION_FAULTS, _cyclic5_lines, _read_lines,
                          _row_loop_read)
@@ -29,23 +32,33 @@ CLEAN = "\n".join(LINES)
 CYCLIC5 = ("ok", np.dtype(np.uint8), cyclic_scheme(5).relation.tolist())
 
 
-def read_bytes(data: bytes):
+# the reader's block sizes in bytes, patched; None keeps its own
+BLOCK_BYTES = [None, 1, 2, 7, 64]
+
+
+def read_bytes(data: bytes, sizes=BLOCK_BYTES):
     """read_scheme of the bytes: ("ok", dtype, relation) or (error, text,
-    line)."""
+    line), the same at every block size of sizes."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "x.scheme"
         path.write_bytes(data)
-        try:
-            s = read_scheme(path)
-        except ParseError as exc:
-            return "ParseError", str(exc), exc.line
-    return "ok", s.relation.dtype, s.relation.tolist()
+        got = []
+        for size in sizes:
+            with mock.patch.object(errors, "_READ_BLOCK_BYTES",
+                                   size or errors._READ_BLOCK_BYTES):
+                try:
+                    s = read_scheme(path)
+                    got.append(("ok", s.relation.dtype, s.relation.tolist()))
+                except ParseError as exc:
+                    got.append(("ParseError", str(exc), exc.line))
+    assert all(g == got[0] for g in got), (data, got)
+    return got[0]
 
 
-def row_loop_bytes(data: bytes):
+def row_loop_bytes(data: bytes, sizes=BLOCK_BYTES):
     with mock.patch.object(scheme_module, "_load_relation_rows",
                            return_value=None):
-        return read_bytes(data)
+        return read_bytes(data, sizes)
 
 
 def relation_row(r, old, new):
@@ -65,6 +78,14 @@ def test_relation_faults_read_as_the_row_loop_does(name):
 # files that read as cyclic(5) does
 SAME_SCHEME = {
     "crlf endings": CLEAN.replace("\n", "\r\n"),
+    "crlf endings, no final line break": CLEAN.rstrip("\n").replace(
+        "\n", "\r\n"),
+    "tabs and crlf": (CLEAN[:CLEAN.index("relation")] + CLEAN[
+        CLEAN.index("relation"):].replace(" ", "\t")).replace("\n", "\r\n"),
+    "blank lines between every row": CLEAN.replace("\n", "\n\n"),
+    "crlf blank lines in the block": relation_row(2, "", "\r\n \r\n"),
+    "text after the last row, no final line break": CLEAN.rstrip("\n")
+    + "\n0 1 2 3 4 5\nx",
     "cr endings": CLEAN.replace("\n", "\r"),
     "tabs": CLEAN[:CLEAN.index("relation")]
     + CLEAN[CLEAN.index("relation"):].replace(" ", "\t"),
@@ -309,21 +330,24 @@ def faulty_sphere600(tmp_path, token):
 @pytest.mark.parametrize("token", ["300", "x", "21"])
 def test_a_fault_in_the_last_row_rereads_only_its_block(tmp_path, token):
     path, line = faulty_sphere600(tmp_path, token)
-    refused = []
+    # (lines, refused) of each block handed to the byte parse
+    blocks = []
     own = scheme_module._load_relation_rows
 
-    def counted(texts, n, L):
-        rows = own(texts, n, L)
-        if rows is None:
-            refused.append(len(texts))
+    def counted(data, n, L):
+        rows = own(data, n, L)
+        blocks.append((data.count(b"\n"), rows is None))
         return rows
     with mock.patch.object(scheme_module, "_load_relation_rows", counted):
         with pytest.raises(ParseError) as exc:
             read_scheme(path)
     assert exc.value.line == line
-    # the rows handed to the row loop: the last block of several
-    step = scheme_module._READ_BLOCK_ENTRIES // 600
-    assert 600 // step >= 2 and refused == [600 % step]
+    # the rows handed to the row loop: the last block of several, whose
+    # last line is the faulty row
+    assert len(blocks) >= 2 and sum(lines for lines, _ in blocks) == 600
+    assert [refused for _, refused in blocks] == \
+        [False] * (len(blocks) - 1) + [True]
+    assert 1 < blocks[-1][0] < 600 // 2
 
 
 def test_a_faulty_file_is_refused_without_a_wide_copy(tmp_path):

@@ -130,9 +130,9 @@ def test_cas2_tie_is_witnessed_by_its_first_cell(budget, monkeypatch):
 
 def counted_scratch(monkeypatch, module, made):
     class Counted(_CellScratch):
-        def __init__(self, K, n):
+        def __init__(self, K, n, mirror=None):
             made.append(K)
-            super().__init__(K, n)
+            super().__init__(K, n, mirror)
     monkeypatch.setattr(module, "_CellScratch", Counted)
 
 
