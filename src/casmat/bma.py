@@ -203,28 +203,27 @@ def _cell_matrix(basis):
     return lab if (lab >= 0).all() else None
 
 
-def _cell_masses(lab, w, L):
-    """Product-measure mass of each of the L cells.
+def _cell_masses(lab, space, L):
+    """(pair weights, product-measure mass of each of the L cells).
 
     Disjoint indicators are orthogonal, so Gram-Schmidt's rule (dependent
     when the norm is <= 1e-10 * max(1, norm before projection)) reduces to
     a cell mass <= 1e-20; those members are named in RankDeficiencyError.
     """
-    mass = np.bincount(lab.ravel(), weights=np.outer(w, w).ravel(),
-                       minlength=L)
+    wxy = _pair_weights(space)
+    mass = np.bincount(lab.ravel(), weights=wxy, minlength=L)
     dependent = np.flatnonzero(mass <= 1e-20)
     if dependent.size:
         raise RankDeficiencyError(dependent)
-    return mass
+    return wxy, mass
 
 
-def _cell_span_solver(lab, w, L):
-    """expand(target) for a cell basis: the Gram matrix is diagonal, so
-    each coefficient is the target's weighted mean over its cell. Checks
-    the rank first."""
-    mass = _cell_masses(lab, w, L)
+def _cell_span_solver(lab, wxy, mass):
+    """expand(target) for a cell basis, given its _cell_masses: the Gram
+    matrix is diagonal, so each coefficient is the target's weighted mean
+    over its cell."""
+    L = mass.size
     cells = lab.ravel()
-    wxy = np.outer(w, w).ravel()
 
     def expand(target):
         t = np.asarray(target, dtype=complex).ravel()
@@ -235,16 +234,16 @@ def _cell_span_solver(lab, w, L):
     return expand
 
 
-def _transpose_residual(lab, w, L):
+def _transpose_residual(lab, wxy, mass):
     """BMA3 on a cell basis, from one joint count of (cells, cells^T).
 
     The cell solver gives A_k^T the coefficient c_jk = m_jk / mass_j on
     A_j, m_jk the mass of cell j on cell k of the transpose. A pair of
     cell j misses by |1 - c_jk| if its transpose is in cell k, else c_jk.
     """
-    mass = _cell_masses(lab, w, L)
+    L = mass.size
     keys = (lab.astype(np.int64) * L + lab.T).ravel()
-    m = np.bincount(keys, weights=np.outer(w, w).ravel(), minlength=L * L)
+    m = np.bincount(keys, weights=wxy, minlength=L * L)
     meets = np.bincount(keys, minlength=L * L).reshape(L, L)
     # the complex division the cell solver does, so the last bit agrees
     c = ((m.reshape(L, L) + 0j) / mass[:, None]).real
@@ -260,20 +259,19 @@ def _products(alg: AlgebraBasis, expand=None):
 
     On a cell basis (A_i o A_j)[x, z] is entry [i, j] of the joint table
     h of (x, z): one reduction per cell k gives the coefficients of A_k
-    (the table of the cell's first pair), their spread and the largest
-    entry of h - h^T. Any other basis forms the two products of each pair
-    {i, j} once and expands them with expand (built here when not given).
+    (the first pair's table) at the cells [i, j] its pairs touch, their
+    spread there and the largest entry of h - h^T, with no rank check. Any
+    other basis forms the two products of each pair {i, j} once and
+    expands them with expand (built here when not given).
     """
     basis = alg.basis
     L = len(basis)
-    w = alg.space.weights
 
     lab = alg.cells
     if lab is not None:
-        _cell_masses(lab, w, L)
-        fibers = _whole_fibers(lab, w, L, skew=True)
-        for k, (_, _, _, lo, hi, first, skew) in enumerate(fibers):
-            yield ((slice(None), slice(None), k), first,
+        fibers = _whole_fibers(lab, alg.space.weights, L, skew=True)
+        for k, (_, _, cells, _, lo, hi, first, skew) in enumerate(fibers):
+            yield ((cells // L, cells % L, k), first,
                    max(float((hi - first).max()), float((first - lo).max())),
                    skew)
         return
@@ -298,6 +296,8 @@ def structure_constants(alg: AlgebraBasis):
     tensor is real (float64); any other basis gives a complex tensor.
     """
     L = alg.size
+    if alg.cells is not None:
+        _cell_masses(alg.cells, alg.space, L)
     tensor = np.zeros((L, L, L), dtype=float if alg.cells is not None
                       else complex)
     residual = 0.0
@@ -400,8 +400,11 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
     identity_family = list(identity_family)
     probes = list(probes)
     lab = alg.cells
-    expand = (_span_solver(basis) if lab is None
-              else _cell_span_solver(lab, w, L))
+    if lab is None:
+        expand = _span_solver(basis)
+    else:
+        wxy, mass = _cell_masses(lab, alg.space, L)  # the rank first
+        expand = _cell_span_solver(lab, wxy, mass)
     for I_N in identity_family:
         _, resid = expand(I_N.entries)
         if resid > tolerance + span_membership_tolerance(I_N):
@@ -421,7 +424,7 @@ def verify_bma(alg: AlgebraBasis, identity_family, probes, tolerance: float,
         # (A_k o J)[x, z] is the mass of row x on cell k
         rows = _row_masses(lab, w, L)
         bma1b = float(np.abs(rows - rows[0]).max())
-        bma3_res = _transpose_residual(lab, w, L)
+        bma3_res = _transpose_residual(lab, wxy, mass)
         # every nonempty 0/1 member has sup norm 1
         bma3_budget = 1e-9 * (1.0 + 1.0)
         # the 0/1 members are symmetric exactly when the cells are

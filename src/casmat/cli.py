@@ -33,9 +33,10 @@ BMA_AUTO_LABEL_CAP = 64
 BMA_AUTO_NODE_CAP = 1024
 # fiber pairs evaluated x nodes: about a minute of CAS2 work
 VERIFY_WORK_BUDGET = 10**9
-# the BMA checks' steps, (2 * labels + 7) * n**3 (see _bma_work):
-# measured on one core at 0.7 ns (hamming(10,2), 3.1e10 in 20 s) to
-# 0.8 ns a step (sphere(800,40), 4.6e10 in 38 s), so at most about 35 s.
+# the BMA checks' steps (see _bma_work), dense products measured on one
+# core at 0.7 ns (hamming(10,2), 3.1e10 in 20 s) to 0.8 ns a step
+# (sphere(800,40), 4.6e10 in 38 s); the whole-fiber pass at about 13 ns
+# a step (sphere(800,40), 5.1e8 in 6.9 s).
 # Kept apart from the CAS2 budget, since --max-pairs samples none of the
 # fibers the BMA checks reduce. The hypergroup's probes, dense products
 # too, are priced against it (see _probe_work).
@@ -129,10 +130,14 @@ def _check_numeric_flags(args):
 
 
 def _bma_work(scheme):
-    """Steps of the BMA checks: the structure constants reduce every full
-    fiber, n * n**2 pair x node steps, and the identity is composed on both
-    sides with each basis member and random probe, n**3 per product."""
-    products = 2 * (scheme.label_count + BMA_RANDOM_PROBES)
+    """Steps of the BMA checks: the whole-fiber pass reduces every pair,
+    n * n**2 pair x node steps. An identity that is not diagonal (its
+    label's fiber holds an off-diagonal pair) is composed on both sides
+    with each basis member and random probe, n**3 per product."""
+    i0 = scheme.label_space.identity_label
+    diagonal = i0 is None or scheme.fiber_counts[i0] == np.count_nonzero(
+        scheme.relation.diagonal() == i0)
+    products = 0 if diagonal else 2 * (scheme.label_count + BMA_RANDOM_PROBES)
     return (products + 1) * scheme.space.node_count**3
 
 
@@ -171,7 +176,7 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
                        f"{VERIFY_WORK_BUDGET:.0e}); {fix}")
     work = _bma_work(scheme)
     if bma_on and work > BMA_WORK_BUDGET:
-        products = 2 * (L + BMA_RANDOM_PROBES)
+        products = work // n**3 - 1
         raise _Refusal(f"the BMA checks would take {work:.1e} steps (budget "
                        f"{BMA_WORK_BUDGET:.0e}): {L} full-fiber reductions "
                        f"and {products} dense products over {n} nodes; skip "

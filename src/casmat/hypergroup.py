@@ -6,11 +6,11 @@ identity exact in the finite case), and a convolution of point masses:
 delta_i * delta_i' puts mass p^i_{k,i'^T} / haar[i'] on label k, read off
 the joint table of the first pair (x, z) of the fiber of i in row-major
 order (under CAS3, kappa(z, i') pushed forward through y -> relation[x, y]).
-verify_strong_cas reduces each fiber once; the reduction hands out that
-first pair's table for the (L, L, L) table, with the whole-fiber spread and
-CAS4, and every identity is read off the table whole or in (L, L) slabs.
-convolve_point_masses takes its row from its own reduction; joint_table
-builds a single pair's table only where no reduction runs.
+verify_strong_cas reduces each fiber once: the first pair's values at the
+cells the fiber touches fill the (L, L, L) table, the whole-fiber spread
+and CAS4 fold over those cells, and every identity is read off the table
+whole or in (L, L) slabs. convolve_point_masses takes its column from its
+own reduction; joint_table builds one pair's table where none runs.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 from .kernel import Kernel, matmul
 # fiber is unused here but stays importable: perfbench's tracer wraps it
 from .scheme import (Scheme, _check_count, _check_tolerance, _fiber_scan,
-                     _index, _table_reduction, _whole_fibers, fiber,
+                     _index, _reduce_cells, _values_at, _whole_fibers, fiber,
                      joint_table, row_masses)
 
 
@@ -90,40 +90,36 @@ def kernel_of_scheme(scheme: Scheme, tolerance=None) -> HypergroupData:
                           row_mass_spread=spread)
 
 
-def _row(hg: HypergroupData, i, h=None) -> np.ndarray:
+def _row(hg: HypergroupData, i) -> np.ndarray:
     """delta_i * delta_i' for every i', read off the joint table h of the
-    first pair of the fiber of i in row-major order (found and built when
-    h is None): row i' is h[:, i'^T] / haar[i']."""
-    if h is None:
-        rel = hg.scheme.relation
-        xs, zs = _fiber_scan(rel, i, 1)
-        h = joint_table(rel[xs[0]], rel[:, zs[0]], hg.scheme.space.weights,
-                        hg.label_count)
+    first pair of the fiber of i in row-major order: row i' is
+    h[:, i'^T] / haar[i']."""
+    rel = hg.scheme.relation
+    xs, zs = _fiber_scan(rel, i, 1)
+    h = joint_table(rel[xs[0]], rel[:, zs[0]], hg.scheme.space.weights,
+                    hg.label_count)
     return h[:, hg.involution].T / hg.haar_weights[:, None]
 
 
 def _fiber_pass(hg: HypergroupData):
     """(table, spread, cas4) from one reduction of every fiber: table[i]
-    is the first pair's row, spread the worst spread of an entry over the
-    whole fiber, cas4 the worst |p - p^T| of a fiber's mean table p."""
-    scheme, L = hg.scheme, hg.label_count
-    table = np.empty((L, L, L))
+    is the first pair's _row, spread the worst spread of an entry over the
+    whole fiber, cas4 the worst |p - p^T| of a fiber's mean table p. Each
+    is read at the cells a fiber touches; every other cell is 0 in all."""
+    scheme, L, haar = hg.scheme, hg.label_count, hg.haar_weights
+    table = np.zeros((L, L, L))
     spread = cas4 = 0.0
-    # column j of a joint table holds the entries of row j^T
-    haar_t = hg.haar_weights[hg.involution]
     fibers = _whole_fibers(scheme.relation, scheme.space.weights, L)
-    for i, (xs, _, total, lo, hi, first) in enumerate(fibers):
-        table[i] = _row(hg, i, first)
-        spread = max(spread, float(((hi - lo) / haar_t).max()))
+    for i, (xs, _, cells, total, lo, hi, first) in enumerate(fibers):
+        a, b = np.divmod(cells, L)
+        # cell [a, b] of a joint table is entry a of row b^T
+        bt = hg.involution[b]
+        table[i, bt, a] = first / haar[bt]
+        spread = max(spread, float(((hi - lo) / haar[bt]).max()))
         mean = total / xs.size
-        cas4 = max(cas4, float(np.abs(mean - mean.T).max()))
+        cas4 = max(cas4, float(np.abs(
+            mean - _values_at(cells, mean, b * L + a)).max()))
     return table, spread, cas4
-
-
-def convolution_table(hg: HypergroupData):
-    """table[i, i'] = delta_i * delta_i' for all label pairs, and the worst
-    spread of an entry over the whole fiber of i."""
-    return _fiber_pass(hg)[:2]
 
 
 def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
@@ -141,15 +137,18 @@ def convolve_point_masses(hg: HypergroupData, i, i_prime, max_reps: int = 8,
     ip = _index(i_prime, L, f"unknown label {i_prime}")
     reps = min(int(scheme.fiber_counts[i]), max_reps)
     xs, zs = _fiber_scan(scheme.relation, i, reps)
-    _, lo, hi, first = _table_reduction(scheme.relation,
-                                        scheme.space.weights, xs, zs, L)
-    j = hg.involution[ip]
-    spread = float((hi[:, j] - lo[:, j]).max() / hg.haar_weights[ip])
+    cells, _, lo, hi, first = _reduce_cells(scheme.relation,
+                                            scheme.space.weights, xs, zs, L)
+    # column ip^T of the joint tables: its cells untouched are 0
+    a, b = np.divmod(cells, L)
+    col = b == hg.involution[ip]
+    spread = float((hi[col] - lo[col]).max(initial=0.0)
+                   / hg.haar_weights[ip])
     if tolerance is not None and spread > tolerance:
         raise RepresentativeDependenceError(
             f"convolution delta_{i} * delta_{ip} varies by {spread:.3e} "
             f"across fiber representatives (tolerance {tolerance:.3e})")
-    return _row(hg, i, first)[ip], spread
+    return np.bincount(a[col], first[col] / hg.haar_weights[ip], L), spread
 
 
 def convolve_measure_point(hg: HypergroupData, mu: np.ndarray, i_prime):

@@ -499,7 +499,8 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
     """(cells, sum, min, max, first) over the pairs of their K x K joint
     tables h at the cells the pairs touch, cells in increasing (row-major)
     order, first the table of the first pair; every other cell is 0 in
-    all four. With skew also the largest entry of h - h^T.
+    all four. With skew also the largest entry of h - h^T. scratch is the
+    pass's _CellScratch, or K for a reduction with a scratch of its own.
 
     The table of (x, z) counts y at cell left[relation[x, y]] * K +
     right[relation[y, z]] (the labels themselves when left is None). One
@@ -516,6 +517,8 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
     if not len(xs):
         raise ValueError("a table reduction needs at least one pair")
     n = weights.size
+    if not isinstance(scratch, _CellScratch):
+        scratch = _CellScratch(scratch, n)
     K, itype, slot = scratch.K, scratch.itype, scratch.slot
     if scratch.flip is not None:
         right = scratch.flip if right is None else right[scratch.flip]
@@ -573,32 +576,16 @@ def _reduce_cells(relation, weights, xs, zs, scratch, left=None, right=None,
     return (*out, worst) if skew else out
 
 
-def _table_reduction(relation, weights, xs, zs, K, left=None, right=None,
-                     skew=False, scratch=None):
-    """_reduce_cells as dense K x K tables: (sum, min, max, first), and
-    with skew the largest entry of h - h^T. scratch is the pass's
-    _CellScratch for K; without one, this call makes its own."""
-    out = _reduce_cells(relation, weights, xs, zs,
-                        scratch or _CellScratch(K, weights.size), left, right,
-                        skew)
-    dense = []
-    for values in out[1:5]:
-        table = np.zeros(K * K)
-        table[out[0]] = values
-        dense.append(table.reshape(K, K))
-    return (*dense, *out[5:])
-
-
 def _whole_fibers(relation, weights, L, skew=False):
     """For each label k in order, its whole fiber (xs, zs) in row-major
-    order and _table_reduction's (sum, min, max, first) over it, with skew
-    also the largest entry of h - h^T: every fiber reduced through one
+    order and _reduce_cells' (cells, sum, min, max, first) over it, with
+    skew also the largest entry of h - h^T: every fiber reduced through one
     scratch."""
     scratch = _CellScratch(L, weights.size)
     for k, count in enumerate(_label_counts(relation, L)):
         xs, zs = _fiber_scan(relation, k, int(count))
-        yield (xs, zs, *_table_reduction(relation, weights, xs, zs, L,
-                                         skew=skew, scratch=scratch))
+        yield (xs, zs, *_reduce_cells(relation, weights, xs, zs, scratch,
+                                      skew=skew))
 
 
 def _label_map(sets, L):
@@ -676,9 +663,10 @@ def intersection_number(scheme: Scheme, W, W_prime, k,
     right = np.where(_membership(scheme, W_prime), 0, 1)
     rng = np.random.default_rng(seed)
     xs, zs, _ = _sample_fiber(scheme, k, max_pairs, rng)
-    total, lo, hi, _ = _table_reduction(
+    cells, total, lo, hi, _ = _reduce_cells(
         scheme.relation, scheme.space.weights, xs, zs, 2, left, right)
-    return float(total[0, 0] / xs.size), float(hi[0, 0] - lo[0, 0])
+    total, lo, hi = (np.bincount(cells, a, 4)[0] for a in (total, lo, hi))
+    return float(total / xs.size), float(hi - lo)
 
 
 @dataclass
@@ -887,10 +875,13 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         if index is None:
             total, lo, hi = _projected_pair_stats(rel, w, L, xs, zs, M)
         else:
-            total = _table_reduction(rel, w, xs, zs, L, scratch=raw)[0]
-            _, lo, hi, _ = _table_reduction(rel, w, xs, zs, F + 1, index,
-                                            index, scratch=mapped)
-            lo, hi = lo[:F, :F], hi[:F, :F]
+            # dense tables from the cells, less set F's row and column
+            cells, total = _reduce_cells(rel, w, xs, zs, raw)[:2]
+            total = np.bincount(cells, total, L * L).reshape(L, L)
+            cells, _, lo, hi, _ = _reduce_cells(rel, w, xs, zs, mapped,
+                                                index, index)
+            lo, hi = (np.bincount(cells, a, (F + 1) ** 2)
+                      .reshape(F + 1, F + 1)[:F, :F] for a in (lo, hi))
         mean = total / xs.size
         values = M @ mean @ M.T
         return (range(F * F), values.ravel(), values.T.ravel(), lo.ravel(),

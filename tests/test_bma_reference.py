@@ -18,7 +18,8 @@ chunk size.
 import numpy as np
 import pytest
 
-from casmat import (algebra_of_scheme, circle_scheme, default_probes,
+from casmat import (AlgebraBasis, IndicatorKernels, RankDeficiencyError,
+                    algebra_of_scheme, circle_scheme, default_probes,
                     hamming_scheme, structure_constants, verify_bma)
 from casmat import bma as bma_module
 from casmat import scheme as scheme_module
@@ -53,9 +54,10 @@ def reference_structure_constants(lab, tables, L):
     return tensor, residual
 
 
-def reference_bma3(lab, w, L):
+def reference_bma3(lab, space, L):
     """One cell span solve per transposed indicator A_k^T."""
-    expand = bma_module._cell_span_solver(lab, w, L)
+    expand = bma_module._cell_span_solver(
+        lab, *bma_module._cell_masses(lab, space, L))
     return max(expand(lab.T == k)[1] for k in range(L))
 
 
@@ -82,7 +84,7 @@ def check_against_references(scheme):
     probes, policy = default_probes(alg, count=1, seed=0)
     rep = verify_bma(alg, [alg.basis[0]], probes, 1e-9, policy)
     assert rep.commutative_residual == reference_commutator(tables)
-    assert rep.bma3_residual == reference_bma3(lab, w, L)
+    assert rep.bma3_residual == reference_bma3(lab, scheme.space, L)
     want_tensor, want_residual = reference_structure_constants(lab, tables, L)
     assert rep.bma2_residual == want_residual
     tensor, residual = structure_constants(alg)
@@ -115,15 +117,49 @@ def test_cell_basis_reduces_each_fiber_once(N, monkeypatch):
     alg = algebra_of_scheme(scheme)
     reduced = []
     # the shared whole-fiber pass in scheme.py makes the reductions
-    own = scheme_module._table_reduction
+    own = scheme_module._reduce_cells
 
     def counted(relation, weights, xs, zs, *args, **kwargs):
         reduced.append(len(xs))
         return own(relation, weights, xs, zs, *args, **kwargs)
-    monkeypatch.setattr(scheme_module, "_table_reduction", counted)
+    monkeypatch.setattr(scheme_module, "_reduce_cells", counted)
     probes, policy = default_probes(alg, count=1, seed=0)
     verify_bma(alg, [alg.basis[0]], probes, 1e-9, policy)
     # one reduction per fiber, and together they cover the n^2 pairs once
     assert reduced == [int((scheme.relation == k).sum())
                        for k in range(alg.size)]
     assert max(reduced) < N * N and sum(reduced) == N * N
+
+
+def test_cell_path_weighs_the_pairs_once(monkeypatch):
+    # one cell-mass pass, which weighs the pairs once, serves the rank
+    # check, the span solver and BMA3
+    scheme, _, _ = random_scheme(1, False, False, 20)
+    alg = algebra_of_scheme(scheme)
+    probes, policy = default_probes(alg, count=1, seed=0)
+    log = []
+    own_masses, own_outer = bma_module._cell_masses, np.outer
+    monkeypatch.setattr(bma_module, "_cell_masses",
+                        lambda *a: log.append("masses") or own_masses(*a))
+    monkeypatch.setattr(np, "outer",
+                        lambda *a: log.append("outer") or own_outer(*a))
+    verify_bma(alg, [alg.basis[0]], probes, 1e-9, policy)
+    assert log == ["masses", "outer"]
+
+
+def test_an_empty_cell_is_named_before_any_reduction(monkeypatch):
+    # cell id L is unused, so its member is the zero kernel: both entry
+    # points refuse the rank before the fiber pass
+    scheme, _, _ = random_scheme(0, True, False)
+    L = scheme.label_count
+    alg = AlgebraBasis(IndicatorKernels(scheme.relation, scheme.space, L + 1))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a dependent basis reached the fiber pass")
+    monkeypatch.setattr(bma_module, "_whole_fibers", no_work)
+    for call in (lambda: verify_bma(alg, [alg.basis[0]], [alg.basis[0]],
+                                    1e-9),
+                 lambda: structure_constants(alg)):
+        with pytest.raises(RankDeficiencyError) as err:
+            call()
+        assert err.value.dependent == (L,)

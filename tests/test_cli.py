@@ -9,9 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from casmat import (LabelSpace, Scheme, circle_scheme, cyclic_scheme,
-                    hamming_scheme, read_scheme, sphere_scheme, write_scheme)
+from casmat import (LabelSpace, Scheme, algebra_of_scheme,
+                    build_approximate_identity, circle_scheme, cyclic_scheme,
+                    default_probes, hamming_scheme, indicator_bump,
+                    read_scheme, sphere_scheme, verify_bma, write_scheme)
 from casmat import cli, errors
+from casmat import scheme as scheme_module
 from casmat.cli import main
 from casmat.errors import _LineReader
 from casmat.scheme import _sample_fiber, resolve_borel_family
@@ -483,16 +486,17 @@ def test_family_too_large_for_memory_exits_2(tmp_path, capsys,
 
 def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
                                              monkeypatch):
-    # h32: 8 nodes x 64 full-fiber pairs, and 2 x (4 basis members + 3
-    # random probes) dense products of 8**3 steps: 7 680
-    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 7679)
+    # h32: 8 nodes x 64 full-fiber pairs, 512; its identity is diagonal,
+    # so it scales and forms no dense product
+    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 511)
     assert main(["verify", str(hamming_file), "--max-pairs", "3",
                  "--bma", "on"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.strip().count("\n") == 0
-    assert "7.7e+03" in captured.err and "--bma off" in captured.err
+    assert "5.1e+02" in captured.err and "--bma off" in captured.err
+    assert "0 dense products" in captured.err
     # --bma auto skips them, as outside its caps
     code, report = run(capsys, "verify", str(hamming_file), "--max-pairs", "3")
     assert code == 0
@@ -501,7 +505,7 @@ def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
     assert main(["verify", str(hamming_file), "--max-pairs", "3",
                  "--bma", "off"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 7680)
+    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 512)
     for flag in ("auto", "on"):
         code, report = run(capsys, "verify", str(hamming_file),
                            "--max-pairs", "3", "--bma", flag)
@@ -512,14 +516,21 @@ def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
 
 def test_bma_budget_refuses_before_any_check(tmp_path, capsys,
                                              no_verify_run):
-    # sphere(1000, 20) with --bma on: 4.9e10 steps of BMA work
+    # sphere(1000, 20) with --bma on and one identity pair off the
+    # diagonal: 1e9 steps for the fiber pass, and 2 x (21 basis members + 3
+    # random probes) dense products of 1000**3 steps, 4.9e10 in all
+    sphere = sphere_scheme(1000, 20)
+    rel = sphere.relation.copy()
+    rel[0, 1] = rel[1, 0] = sphere.label_space.identity_label
     path = tmp_path / "s1000.scheme"
-    write_scheme(sphere_scheme(1000, 20), path)
+    write_scheme(Scheme(sphere.space, sphere.label_space, rel), path)
     assert main(["verify", str(path), "--max-pairs", "50", "--bma", "on"]) \
         == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the BMA checks would take ")
+    assert captured.err.startswith("error: the BMA checks would take "
+                                   "4.9e+10 steps")
+    assert "48 dense products" in captured.err
     assert captured.err.strip().count("\n") == 0
 
 
@@ -529,6 +540,55 @@ def test_bma_budget_admits_unsigned_circle_at_the_auto_caps():
     assert scheme.label_count <= cli.BMA_AUTO_LABEL_CAP
     singletons, _ = resolve_borel_family(scheme, None)
     cli._check_verify_work(scheme, None, True, singletons)
+
+
+def test_bma_budget_admits_cyclic400_whose_identity_scales():
+    # 400 labels on 400 nodes: the fiber pass's 6.4e7 steps, no product
+    scheme = cyclic_scheme(400)
+    assert cli._bma_work(scheme) == 400**3
+    singletons, _ = resolve_borel_family(scheme, None)
+    cli._check_verify_work(scheme, None, True, singletons)
+
+
+def identity_off_the_diagonal():
+    """cyclic(8) with difference 4 merged into the identity label: its
+    fiber holds (x, x + 4) too, so the approximate identity is not
+    diagonal and is multiplied with every probe."""
+    c8 = cyclic_scheme(8)
+    label = np.array([0, 1, 2, 3, 0, 4, 5, 6])
+    return Scheme(c8.space, LabelSpace(involution=np.array([0, 6, 5, 4, 3,
+                                                            2, 1]),
+                                       identity_label=0),
+                  label[c8.relation])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_scheme(12), lambda: hamming_scheme(3, 2),
+    lambda: circle_scheme(24, 6), lambda: circle_scheme(24, 6, signed=False),
+    lambda: sphere_scheme(60, 4, seed=1), identity_off_the_diagonal],
+    ids=["cyclic12", "hamming32", "circle24", "circle24u", "sphere60",
+         "identity_off_the_diagonal"])
+def test_bma_price_bounds_the_work_done(build, monkeypatch):
+    # the checks cmd_verify runs, counted: n steps a reduced pair, n**3 a
+    # dense product
+    scheme = build()
+    n = scheme.space.node_count
+    reduced = []
+    own = scheme_module._reduce_cells
+
+    def counted(relation, weights, xs, zs, *args, **kwargs):
+        reduced.append(len(xs))
+        return own(relation, weights, xs, zs, *args, **kwargs)
+    monkeypatch.setattr(scheme_module, "_reduce_cells", counted)
+    alg = algebra_of_scheme(scheme)
+    bump, nbhd = indicator_bump(scheme.label_space)
+    identity = build_approximate_identity(scheme, nbhd, bump)
+    probes, policy = default_probes(alg, count=cli.BMA_RANDOM_PROBES)
+    rep = verify_bma(alg, [identity], probes, 1e-9, policy)
+    work = sum(reduced) * n + rep.stats["dense_matmuls"] * n**3
+    assert 0 < work <= cli._bma_work(scheme) <= 2 * work
+    assert (rep.stats["dense_matmuls"] > 0) \
+        == (build is identity_off_the_diagonal)
 
 
 @pytest.mark.parametrize("build", [
@@ -869,7 +929,7 @@ REFUSALS = {
     "cas2 budget": (["verify", "{h32}"],
                     {"casmat.cli.VERIFY_WORK_BUDGET": 63}),
     "bma budget": (["verify", "{h32}", "--max-pairs", "3", "--bma", "on"],
-                   {"casmat.cli.BMA_WORK_BUDGET": 7679}),
+                   {"casmat.cli.BMA_WORK_BUDGET": 511}),
     "hypergroup cap": (["hypergroup", "{h32}"],
                        {"casmat.cli.HYPERGROUP_TABLE_BYTES": 511}),
     "grouping cap": (["correspond", "{h32}", "--tol", "1e-9"],

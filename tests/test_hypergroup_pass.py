@@ -27,7 +27,7 @@ from casmat import (algebra_of_scheme, circle_scheme, convolve_functions,
                     verify_strong_cas)
 from casmat import hypergroup as hypergroup_module
 from casmat import scheme as scheme_module
-from casmat.hypergroup import convolution_table
+from casmat.hypergroup import _fiber_pass
 from test_joint_table_oracle import CASES, random_scheme
 
 SCHEMES = [pytest.param(lambda c=c: random_scheme(*c.values)[0],
@@ -74,7 +74,7 @@ def report(hg):
 def test_table_is_the_reoriented_structure_constants(build, integer_weights):
     hg = kernel_of_scheme(build(), tolerance=np.inf)
     tensor, _ = structure_constants(algebra_of_scheme(hg.scheme))
-    table, _ = convolution_table(hg)
+    table = _fiber_pass(hg)[0]
     inv = hg.involution
     for i in range(hg.label_count):
         want = tensor[:, inv, i].T / hg.haar_weights[:, None]
@@ -88,7 +88,7 @@ def test_representative_spread_is_the_whole_fiber_spread(build,
     want = oracle_spread(hg)
     # each cell sums in increasing y, as the oracle does: exact for any
     # weights
-    assert convolution_table(hg)[1] == want
+    assert _fiber_pass(hg)[1] == want
     assert report(hg).representative_spread == want
 
 
@@ -124,15 +124,15 @@ def test_each_function_does_its_own_fiber_work(build, integer_weights,
     # convolve_point_masses reduces its representatives itself
     counting(monkeypatch, scheme_module, "_fiber_scan", log)
     for module in (scheme_module, hypergroup_module):
-        counting(monkeypatch, module, "_table_reduction", log,
-                 lambda rel, w, xs, zs, K: len(xs))
+        counting(monkeypatch, module, "_reduce_cells", log,
+                 lambda rel, w, xs, zs, scratch: len(xs))
     counting(monkeypatch, hypergroup_module, "_fiber_scan", log,
              lambda relation, i, count: count)
 
     # one fiber and one reduction a label, over every pair; no verify_cas
     report(hg)
     assert [entry for entry, _ in log] \
-        == ["_fiber_scan", "_table_reduction"] * L
+        == ["_fiber_scan", "_reduce_cells"] * L
     assert sum(pairs for entry, pairs in log if pairs is not None) \
         == hg.scheme.space.node_count ** 2
 
@@ -141,7 +141,7 @@ def test_each_function_does_its_own_fiber_work(build, integer_weights,
         convolve_point_masses(hg, L - 1, 1, max_reps=max_reps)
         reps = min(max_reps, int(hg.scheme.fiber_counts[L - 1]))
         assert log == [("_fiber_scan", reps),
-                       ("_table_reduction", reps)]
+                       ("_reduce_cells", reps)]
 
     # one pair a label, and no reduction
     log.clear()

@@ -24,8 +24,8 @@ from casmat import (LabelSpace, Scheme, algebra_of_scheme, circle_scheme,
                     kernel_of_scheme, make_quadrature, structure_constants,
                     verify_cas)
 from casmat import scheme as scheme_module
-from casmat.scheme import (_label_map, _projected_pair_stats, _sample_fiber,
-                           _table_reduction, joint_table)
+from casmat.scheme import (_CellScratch, _label_map, _projected_pair_stats,
+                           _reduce_cells, _sample_fiber, joint_table)
 
 # label 0 is the diagonal, 1 and 2 are involution partners, 3 is symmetric
 INVOLUTION = [0, 2, 1, 3]
@@ -232,6 +232,19 @@ def test_point_mass_convolution_matches_oracle(seed, integer_weights,
                 agree(spread, want_spread, integer_weights)
 
 
+def dense_reduction(rel, w, xs, zs, scratch, left=None, right=None):
+    """_reduce_cells' (sum, min, max, first) as dense K x K tables, every
+    cell it leaves out 0."""
+    K = scratch.K if isinstance(scratch, _CellScratch) else scratch
+    cells, *out = _reduce_cells(rel, w, xs, zs, scratch, left, right)
+    dense = []
+    for values in out:
+        table = np.zeros(K * K)
+        table[cells] = values
+        dense.append(table.reshape(K, K))
+    return dense
+
+
 def reference_pair_stats(rel, w, L, xs, zs, A=None):
     """The per-pair loop: one table per pair, summed in pair order. A
     projection by disjoint label sets, the rows of A, maps each label to
@@ -263,7 +276,7 @@ def test_table_reduction_matches_loop_across_chunks(N, chunk, monkeypatch):
     rel, w = scheme.relation, scheme.space.weights
     rng = np.random.default_rng(N)
     xs, zs = rng.integers(0, N, 300), rng.integers(0, N, 300)
-    got = _table_reduction(rel, w, xs, zs, L)
+    got = dense_reduction(rel, w, xs, zs, L)
     want = reference_pair_stats(rel, w, L, xs, zs)
     for g, e in zip(got, want):
         assert np.array_equal(g, e), (g, e)
@@ -274,7 +287,7 @@ def test_table_reduction_matches_loop_across_chunks(N, chunk, monkeypatch):
     # tables without the row and column of the labels in no set
     partition = np.array([[0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
     index = _label_map([(1, 2), (3,)], L)
-    _, lo, hi, _ = _table_reduction(rel, w, xs, zs, 3, index, index)
+    _, lo, hi, _ = dense_reduction(rel, w, xs, zs, 3, index, index)
     want = reference_pair_stats(rel, w, L, xs, zs, partition)
     for g, e in zip((got[0], lo[:2, :2], hi[:2, :2]), want):
         assert np.array_equal(g, e), (g, e)
@@ -364,7 +377,7 @@ def test_one_column_tables_sum_in_pair_order():
     w = np.random.default_rng(0).uniform(0.5, 2.0, 3)
     rel = np.zeros((3, 3), dtype=np.uint8)
     xs, zs = np.nonzero(rel == 0)
-    got = _table_reduction(rel, w, xs, zs, 1)
+    got = dense_reduction(rel, w, xs, zs, 1)
     want = reference_pair_stats(rel, w, 1, xs, zs)
     for g, e in zip(got, want):
         assert np.array_equal(g, e), (g, e)

@@ -8,7 +8,7 @@ import pytest
 from casmat import (LabelSpace, Scheme, intersection_number, label_dtype,
                     make_quadrature, read_scheme, verify_cas, write_scheme)
 from casmat import scheme as scheme_module
-from casmat.scheme import (_label_map, _table_reduction, joint_table,
+from casmat.scheme import (_label_map, _reduce_cells, joint_table,
                            row_masses)
 
 
@@ -73,8 +73,8 @@ def _label_results(scheme):
     rel, w = scheme.relation, scheme.space.weights
     xs, zs = np.array([15, 3]), np.array([15, 7])
     index = _label_map([(255,), (253, 254)], 256)
-    stats = (_table_reduction(rel, w, xs, zs, 256)
-             + _table_reduction(rel, w, xs, zs, 3, index, index))
+    stats = (_reduce_cells(rel, w, xs, zs, 256)
+             + _reduce_cells(rel, w, xs, zs, 3, index, index))
     return (verify_cas(scheme).as_dict(), row_masses(scheme).tolist(),
             intersection_number(scheme, [255], [254, 255], 255),
             [a.tolist() for a in stats])

@@ -530,7 +530,7 @@ def test_family_too_large_for_its_tables_is_refused_before_reducing(
     def no_work(*args, **kwargs):
         raise AssertionError("a refused family reduced a fiber")
 
-    for name in ("_sample_fiber", "_table_reduction",
+    for name in ("_sample_fiber", "_reduce_cells",
                  "_projected_pair_stats", "joint_table"):
         monkeypatch.setattr(scheme_module, name, no_work)
     with pytest.raises(ValueError, match="borel family has 7260 sets; "

@@ -26,9 +26,9 @@ from casmat import (algebra_of_scheme, circle_scheme, cyclic_scheme,
 from casmat import bma as bma_module
 from casmat import hypergroup as hypergroup_module
 from casmat import scheme as scheme_module
-from casmat.scheme import (_CellScratch, _reduce_cells, _sample_fiber,
-                           _table_reduction)
-from test_joint_table_oracle import CASES, random_scheme, reference_pair_stats
+from casmat.scheme import _CellScratch, _reduce_cells, _sample_fiber
+from test_joint_table_oracle import (CASES, dense_reduction, random_scheme,
+                                     reference_pair_stats)
 
 
 def dense_singleton_report(scheme, max_pairs, seed):
@@ -195,8 +195,7 @@ def test_cells_first_met_in_a_later_chunk_start_at_zero(budget, monkeypatch):
     for k in range(4):
         xs, zs = np.nonzero(rel == k)
         for pairs in (2, 5, xs.size):
-            got = _table_reduction(rel, w, xs[:pairs], zs[:pairs], 4,
-                                   scratch=scratch)
+            got = dense_reduction(rel, w, xs[:pairs], zs[:pairs], scratch)
             want = reference_pair_stats(rel, w, 4, xs[:pairs], zs[:pairs])
             for g, e in zip(got, want):
                 assert np.array_equal(g, e), (k, pairs, g, e)

@@ -2,11 +2,12 @@
 per label.
 
 structure_constants, verify_bma and verify_strong_cas read every fiber's
-(sum, min, max, first-pair) tables, and the BMA the largest entry of
-h - h^T, from _whole_fibers. For each label in order it must yield exactly what
-fiber() (np.nonzero on a cell matrix, which has no Scheme) followed by a
-fresh _table_reduction gives: the same pairs in the same order and the
-same tables, bit for bit, whatever the row block of the fiber scan.
+touched cells with their (sum, min, max, first-pair) values, and the BMA
+the largest entry of h - h^T, from _whole_fibers. For each label in order it
+must yield exactly what fiber() (np.nonzero on a cell matrix, which has no
+Scheme) followed by a fresh _reduce_cells gives: the same pairs in the
+same order and the same cells and values, bit for bit, whatever the row
+block of the fiber scan.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from casmat import (AlgebraBasis, algebra_of_scheme, convolve_measure_point,
 from casmat import bma as bma_module
 from casmat import hypergroup as hypergroup_module
 from casmat import scheme as scheme_module
-from casmat.scheme import _table_reduction, _whole_fibers
+from casmat.scheme import _reduce_cells, _whole_fibers
 from test_joint_table_oracle import CASES, random_scheme
 
 # rows a block of the fiber scan: one, three, and the default
@@ -32,8 +33,8 @@ def check_against_fresh_calls(lab, w, L, find):
         assert len(got) == L
         for k, out in enumerate(got):
             xs, zs = find(k)
-            want = (xs, zs, *_table_reduction(lab, w, xs, zs, L, skew=skew))
-            assert len(out) == len(want) == (7 if skew else 6)
+            want = (xs, zs, *_reduce_cells(lab, w, xs, zs, L, skew=skew))
+            assert len(out) == len(want) == (8 if skew else 7)
             for g, e in zip(out, want):
                 g, e = np.asarray(g), np.asarray(e)
                 assert g.dtype == e.dtype and g.shape == e.shape, k
