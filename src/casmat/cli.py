@@ -24,22 +24,21 @@ from .correspondence import (GroupingBudgetError, algebra_of_scheme,
                              roundtrip_check)
 from .errors import ParseError, _LineReader
 from .hypergroup import kernel_of_scheme, random_probe_pairs, verify_strong_cas
-from .scheme import (_certificate, _label_map, read_scheme,
+from .scheme import (_certificate, _family_route, read_scheme,
                      resolve_borel_family, verify_cas, write_scheme)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 BMA_AUTO_LABEL_CAP = 64
 BMA_AUTO_NODE_CAP = 1024
-# fiber pairs evaluated x nodes: about a minute of CAS2 work
+# fiber pairs evaluated x nodes: about a minute of CAS2 work; the BMA
+# checks' and the hypergroup's whole-fiber passes count against it too
 VERIFY_WORK_BUDGET = 10**9
-# the BMA checks' steps (see _bma_work), dense products measured on one
-# core at 0.7 ns (hamming(10,2), 3.1e10 in 20 s) to 0.8 ns a step
-# (sphere(800,40), 4.6e10 in 38 s); the whole-fiber pass at about 13 ns
-# a step (sphere(800,40), 5.1e8 in 6.9 s).
-# Kept apart from the CAS2 budget, since --max-pairs samples none of the
-# fibers the BMA checks reduce. The hypergroup's probes, dense products
-# too, are priced against it (see _probe_work).
+# dense-product steps (see _bma_work), measured on one core at 0.7 ns
+# (hamming(10,2), 3.1e10 in 20 s) to 0.8 ns a step (sphere(800,40), 4.6e10
+# in 38 s); a pass step takes about 13 ns (sphere(800,40), 5.1e8 in 6.9
+# s). The hypergroup's probes, dense products too, are priced against it
+# (see _probe_work).
 BMA_WORK_BUDGET = 4 * 10**10
 # the hypergroup's (L, L, L) float64 convolution table
 HYPERGROUP_TABLE_BYTES = 1 << 30
@@ -130,21 +129,36 @@ def _check_numeric_flags(args):
 
 
 def _bma_work(scheme):
-    """Steps of the BMA checks: the whole-fiber pass reduces every pair,
-    n * n**2 pair x node steps. An identity that is not diagonal (its
-    label's fiber holds an off-diagonal pair) is composed on both sides
-    with each basis member and random probe, n**3 per product."""
+    """(pass, products) steps of the BMA checks: the whole-fiber pass
+    reduces every pair, n * n**2 steps. An identity that is not diagonal
+    (its label's fiber holds an off-diagonal pair) is composed on both
+    sides with each basis member and random probe, n**3 per product."""
     i0 = scheme.label_space.identity_label
     diagonal = i0 is None or scheme.fiber_counts[i0] == np.count_nonzero(
         scheme.relation.diagonal() == i0)
     products = 0 if diagonal else 2 * (scheme.label_count + BMA_RANDOM_PROBES)
-    return (products + 1) * scheme.space.node_count**3
+    cube = scheme.space.node_count**3
+    return cube, products * cube
+
+
+def _bma_over_budget(scheme):
+    """The BMA checks' steps over their budget, named, or None: the pass
+    against the CAS2 budget, the dense products against the BMA budget."""
+    passes, products = _bma_work(scheme)
+    if passes > VERIFY_WORK_BUDGET:
+        return (f"{passes:.1e} fiber-pass steps (CAS2 budget "
+                f"{VERIFY_WORK_BUDGET:.0e})")
+    if products > BMA_WORK_BUDGET:
+        return (f"{products:.1e} dense-product steps (BMA budget "
+                f"{BMA_WORK_BUDGET:.0e})")
+    return None
 
 
 def _check_verify_work(scheme, max_pairs, bma_on, family):
     """Refuse a verify whose CAS2 work or, under --bma on, whose BMA work
-    exceeds its budget. A fiber pair costs n steps, plus F**2 for its
-    projected table when the F label sets of family overlap.
+    exceeds its budget. A fiber pair costs n steps a reduction: two for
+    disjoint sets that ^T does not permute (scheme._family_route), else
+    one, plus F**2 for the projected table of F sets that overlap.
     A sample of max_pairs holds up to twice as many pairs on a self-paired
     label, whose sample is closed under swaps. The n steps a pair hold
     for sampled runs with many labels too: a fiber's reduction keeps
@@ -153,9 +167,9 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
     row."""
     n = scheme.space.node_count
     L = scheme.label_count
-    per_pair = n
-    if _label_map(family, L) is None:
-        per_pair += len(family) ** 2
+    index, sigma = _family_route(family, L, scheme.label_space.involution)
+    per_pair = (n if sigma is not None else 2 * n if index is not None
+                else n + len(family) ** 2)
     self_paired = scheme.label_space.involution == np.arange(L)
     counts = scheme.fiber_counts
     if max_pairs is not None:
@@ -174,20 +188,19 @@ def _check_verify_work(scheme, max_pairs, bma_on, family):
         raise _Refusal(f"verify would evaluate {work:.1e} CAS2 steps, "
                        f"{per_pair} per fiber pair (budget "
                        f"{VERIFY_WORK_BUDGET:.0e}); {fix}")
-    work = _bma_work(scheme)
-    if bma_on and work > BMA_WORK_BUDGET:
-        products = work // n**3 - 1
-        raise _Refusal(f"the BMA checks would take {work:.1e} steps (budget "
-                       f"{BMA_WORK_BUDGET:.0e}): {L} full-fiber reductions "
-                       f"and {products} dense products over {n} nodes; skip "
-                       f"them with --bma off")
+    over = _bma_over_budget(scheme) if bma_on else None
+    if over:
+        products = _bma_work(scheme)[1] // n**3
+        raise _Refusal(f"the BMA checks would take {over} over {n} nodes: "
+                       f"{L} full-fiber reductions and {products} dense "
+                       f"products; skip them with --bma off")
 
 
 def cmd_verify(args):
     scheme = _load_scheme(args.scheme)
     # --bma auto skips the BMA checks outside its caps or over their
     # budget, naming why; --bma on refuses a run over that budget
-    L, n, work = scheme.label_count, scheme.space.node_count, _bma_work(scheme)
+    L, n = scheme.label_count, scheme.space.node_count
     skip = None
     if args.bma == "off":
         skip = "--bma off"
@@ -195,8 +208,8 @@ def cmd_verify(args):
         skip = f"{L} labels (--bma auto cap {BMA_AUTO_LABEL_CAP})"
     elif args.bma == "auto" and n > BMA_AUTO_NODE_CAP:
         skip = f"{n} nodes (--bma auto cap {BMA_AUTO_NODE_CAP})"
-    elif args.bma == "auto" and work > BMA_WORK_BUDGET:
-        skip = f"{work:.1e} steps (budget {BMA_WORK_BUDGET:.0e})"
+    elif args.bma == "auto":
+        skip = _bma_over_budget(scheme)
     try:
         family = _parse_family_arg(args.borel_family)
         sets, _ = resolve_borel_family(scheme, family)

@@ -599,6 +599,24 @@ def _label_map(sets, L):
     return index
 
 
+def _family_route(sets, L, inv):
+    """(index, sigma): _label_map's index, None for the singletons in label
+    order (read as the raw labels; sigma is inv) and for sets that overlap
+    (sigma None too). sigma maps each set W to the set W^T = {j : inv[j]
+    in W}, and set F (the labels in no set) to itself, if ^T so permutes
+    the family; else it is None."""
+    if sets == [(i,) for i in range(L)]:
+        return None, inv
+    index = _label_map(sets, L)
+    if index is None:
+        return None, None
+    F = len(sets)
+    sigma = np.arange(F + 1)
+    sigma[index] = index[inv]
+    closed = (sigma[index] == index[inv]).all() and sigma[F] == F
+    return index, sigma if closed else None
+
+
 def _projected_pair_stats(relation, weights, L, xs, zs, M):
     """(sum, min, max) over the pairs of their L x L joint tables h, the
     sum raw and min, max of the projections M @ h @ M.T: one dense table
@@ -763,8 +781,8 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     max_pairs_per_fiber caps the per-fiber pair count with a seeded
     swap-closed sample. Time follows the pairs checked times n, since a
     fiber's reduction keeps state only for the cells its pairs touch;
-    memory is one label_count**2 scratch per call (one more for a
-    disjoint family's sets). Under a _certificate of symmetry (named in
+    memory is one K**2 scratch per call, K the label count or, for F
+    disjoint sets, F + 1. Under a _certificate of symmetry (named in
     witnesses["route"]) CAS2, CAS4 and the transpose identity reduce only
     the n pairs of row 0 and, for partners, column 0.
 
@@ -830,16 +848,22 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
             for a, b in mismatches]
 
     family, descriptor = resolve_borel_family(scheme, borel_family)
-    singleton = family == [(i,) for i in range(L)]
     F = len(family)
-    M = MT = index = None
-    if not singleton:
+    index, sigma = _family_route(family, L, inv)
+    if index is None and sigma is None:
+        # overlapping sets: dense F x F tables, cell (f1, f2) at f1 * F + f2
+        K = F
         M = np.zeros((F, L))
         for f, W in enumerate(family):
             M[f, list(W)] = 1.0
         # W^T holds j exactly when W holds inv[j]
         MT = M[:, inv]
-        index = _label_map(family, L)
+    else:
+        # the pass's K x K scratch, for label or set cells; once CAS3
+        # holds, R(y, z) = inv[R(z, y)], so column z is read as row z
+        K = L if index is None else F + 1
+        scratch = _CellScratch(K, n, inv if cas3_ok else None)
+    tsigma = np.arange(K) if sigma is None else sigma
 
     # involution orbits of labels, each led by its smaller label
     orbits = [(k, int(inv[k])) for k in range(L) if k <= inv[k]]
@@ -850,42 +874,27 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
     inv_id_max = 0.0
     labels_checked = 0
 
-    # the pass's K x K scratch: the raw tables, and the mapped ones for
-    # disjoint sets; once CAS3 holds, R(y, z) = inv[R(z, y)], so both
-    # read column z as row z
-    raw = mapped = None
-    mirror = inv if cas3_ok else None
-    if singleton or index is not None:
-        raw = _CellScratch(L, n, mirror)
-    if not singleton and index is not None:
-        mapped = _CellScratch(F + 1, n, mirror)
+    def reduced(xs, zs, labels):
+        # (cells, mean, lo, hi) at the touched cells, 0 in set F's cells
+        cells, total, lo, hi, _ = _reduce_cells(rel, w, xs, zs, scratch,
+                                                labels, labels)
+        off = (cells // K >= F) | (cells % K >= F)
+        total[off] = lo[off] = hi[off] = 0.0
+        return cells, total / xs.size, lo, hi
 
     def stats(xs, zs):
-        # (cells, values, mirror, lo, hi, mean): the F x F cells to
-        # check, the fiber mean there and at each cell's mirror (b, a),
-        # min and max there, and the raw L x L fiber mean. Singletons:
-        # the cells the pairs touch, mean sparse like them. Disjoint sets
-        # map each label to its set (the rest to set F), overlapping sets
-        # project each table: every cell, mean dense.
-        if singleton:
-            cells, total, lo, hi, _ = _reduce_cells(rel, w, xs, zs, raw)
-            mean = total / xs.size
-            mirror = _values_at(cells, mean, cells % L * L + cells // L)
-            return cells, mean, mirror, lo, hi, mean
-        if index is None:
+        # (cells, mean, lo, hi, tcells, tmean): the cells to check, the
+        # fiber mean, min and max there, and its mean over the sets W^T
+        if index is None and sigma is None:
             total, lo, hi = _projected_pair_stats(rel, w, L, xs, zs, M)
-        else:
-            # dense tables from the cells, less set F's row and column
-            cells, total = _reduce_cells(rel, w, xs, zs, raw)[:2]
-            total = np.bincount(cells, total, L * L).reshape(L, L)
-            cells, _, lo, hi, _ = _reduce_cells(rel, w, xs, zs, mapped,
-                                                index, index)
-            lo, hi = (np.bincount(cells, a, (F + 1) ** 2)
-                      .reshape(F + 1, F + 1)[:F, :F] for a in (lo, hi))
-        mean = total / xs.size
-        values = M @ mean @ M.T
-        return (range(F * F), values.ravel(), values.T.ravel(), lo.ravel(),
-                hi.ravel(), mean)
+            mean = total / xs.size
+            cells = np.arange(F * F)
+            return (cells, (M @ mean @ M.T).ravel(), lo.ravel(), hi.ravel(),
+                    cells, (MT @ mean @ MT.T).ravel())
+        cells, mean, lo, hi = reduced(xs, zs, index)
+        # over W^T: the tables over W (relabelled by sigma), or mapped anew
+        return cells, mean, lo, hi, *((cells, mean) if sigma is not None
+                                      else reduced(xs, zs, index[inv])[:2])
 
     def pairs(k):
         # a fiber, its sample, or under the certificate its base-row pairs
@@ -910,34 +919,31 @@ def verify_cas(scheme: Scheme, borel_family=None, tolerance: float = 0.0,
         # a cell outside cells has mean, min and max 0, so no maximum
         # below changes, and the first maximum in row-major order is
         # among cells
-        for lab, cells, values, mirror, lo, hi, _ in per_orbit:
+        for lab, cells, mean, lo, hi, *_ in per_orbit:
             labels_checked += 1
             dev = hi - lo
             at = int(np.argmax(dev))
             if dev[at] > cas2_max:
                 cas2_max = float(dev[at])
-                f1, f2 = divmod(int(cells[at]), F)
+                f1, f2 = divmod(int(cells[at]), K)
                 cas2_arg = (lab, family[f1], family[f2],
                             float(lo[at]), float(hi[at]))
             # CAS4: each cell against its mirror across the diagonal
-            cas4_max = max(cas4_max, float(np.abs(values - mirror).max()))
-        # transpose identity: p_{W1,W2}^k vs p_{W2^T,W1^T}^{k^T}
-        (_, cells_k, *_, mean_k), (_, cells_kt, *_, mean_kt) = \
-            per_orbit[0], per_orbit[-1]
-        if singleton:
-            # cell (a, b) of k against its partner (b^T, a^T) of k^T, from
-            # the cells of k and from those of k^T
-            pk, pkt = (inv[c % L] * L + inv[c // L]
-                       for c in (cells_k, cells_kt))
+            mirror = _values_at(cells, mean, cells % K * K + cells // K)
+            cas4_max = max(cas4_max, float(np.abs(mean - mirror).max()))
+        # transpose identity: p_{W1,W2}^k vs p_{W2^T,W1^T}^{k^T}, cell (a, b)
+        # over W against (b, a) over W^T; a family not closed under ^T
+        # (no sigma) is checked from k and from k^T
+        ends = per_orbit[0], per_orbit[-1]
+        for (_, cells, mean, *_), (*_, tcells, tmean) in \
+                (ends, ends[::-1])[:2 - (sigma is not None)]:
+            # cell (a, b) of a table over W^T at (tsigma[b], tsigma[a])
+            keys = tsigma[tcells % K] * K + tsigma[tcells // K]
+            order = np.argsort(keys)
             dev = np.concatenate([
-                mean_k - _values_at(cells_kt, mean_kt, pk),
-                _values_at(cells_k, mean_k, pkt) - mean_kt])
-        else:
-            # a family need not be closed under ^T: check from k and k^T
-            dev = np.concatenate([M @ a @ M.T - (MT @ b @ MT.T).T
-                                  for a, b in ((mean_k, mean_kt),
-                                               (mean_kt, mean_k))])
-        inv_id_max = max(inv_id_max, float(np.abs(dev).max()))
+                mean - _values_at(keys[order], tmean[order], cells),
+                _values_at(cells, mean, keys) - tmean])
+            inv_id_max = max(inv_id_max, float(np.abs(dev).max()))
 
     if cas2_arg is not None and cas2_max > tolerance:
         lab, Wset, Wpset, vmin, vmax = cas2_arg

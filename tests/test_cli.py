@@ -12,7 +12,8 @@ import pytest
 from casmat import (LabelSpace, Scheme, algebra_of_scheme,
                     build_approximate_identity, circle_scheme, cyclic_scheme,
                     default_probes, hamming_scheme, indicator_bump,
-                    read_scheme, sphere_scheme, verify_bma, write_scheme)
+                    read_scheme, sphere_scheme, verify_bma, verify_cas,
+                    write_scheme)
 from casmat import cli, errors
 from casmat import scheme as scheme_module
 from casmat.cli import main
@@ -486,9 +487,10 @@ def test_family_too_large_for_memory_exits_2(tmp_path, capsys,
 
 def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
                                              monkeypatch):
-    # h32: 8 nodes x 64 full-fiber pairs, 512; its identity is diagonal,
-    # so it scales and forms no dense product
-    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 511)
+    # h32: 8 nodes x 64 full-fiber pairs, 512 pass steps against the
+    # CAS2 budget; its identity is diagonal, so it scales and forms no
+    # dense product
+    monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 511)
     assert main(["verify", str(hamming_file), "--max-pairs", "3",
                  "--bma", "on"]) == 2
     captured = capsys.readouterr()
@@ -496,6 +498,7 @@ def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
     assert captured.err.startswith("error: ")
     assert captured.err.strip().count("\n") == 0
     assert "5.1e+02" in captured.err and "--bma off" in captured.err
+    assert "(CAS2 budget 5e+02)" in captured.err
     assert "0 dense products" in captured.err
     # --bma auto skips them, as outside its caps
     code, report = run(capsys, "verify", str(hamming_file), "--max-pairs", "3")
@@ -505,7 +508,7 @@ def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
     assert main(["verify", str(hamming_file), "--max-pairs", "3",
                  "--bma", "off"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 512)
+    monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 512)
     for flag in ("auto", "on"):
         code, report = run(capsys, "verify", str(hamming_file),
                            "--max-pairs", "3", "--bma", flag)
@@ -517,8 +520,9 @@ def test_verify_refuses_bma_work_over_budget(hamming_file, capsys,
 def test_bma_budget_refuses_before_any_check(tmp_path, capsys,
                                              no_verify_run):
     # sphere(1000, 20) with --bma on and one identity pair off the
-    # diagonal: 1e9 steps for the fiber pass, and 2 x (21 basis members + 3
-    # random probes) dense products of 1000**3 steps, 4.9e10 in all
+    # diagonal: 1e9 steps for the fiber pass, within the CAS2 budget, and
+    # 2 x (21 basis members + 3 random probes) dense products of 1000**3
+    # steps, 4.8e10, over the BMA budget
     sphere = sphere_scheme(1000, 20)
     rel = sphere.relation.copy()
     rel[0, 1] = rel[1, 0] = sphere.label_space.identity_label
@@ -529,7 +533,8 @@ def test_bma_budget_refuses_before_any_check(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the BMA checks would take "
-                                   "4.9e+10 steps")
+                                   "4.8e+10 dense-product steps (BMA "
+                                   "budget 4e+10)")
     assert "48 dense products" in captured.err
     assert captured.err.strip().count("\n") == 0
 
@@ -545,7 +550,7 @@ def test_bma_budget_admits_unsigned_circle_at_the_auto_caps():
 def test_bma_budget_admits_cyclic400_whose_identity_scales():
     # 400 labels on 400 nodes: the fiber pass's 6.4e7 steps, no product
     scheme = cyclic_scheme(400)
-    assert cli._bma_work(scheme) == 400**3
+    assert cli._bma_work(scheme) == (400**3, 0)
     singletons, _ = resolve_borel_family(scheme, None)
     cli._check_verify_work(scheme, None, True, singletons)
 
@@ -586,7 +591,7 @@ def test_bma_price_bounds_the_work_done(build, monkeypatch):
     probes, policy = default_probes(alg, count=cli.BMA_RANDOM_PROBES)
     rep = verify_bma(alg, [identity], probes, 1e-9, policy)
     work = sum(reduced) * n + rep.stats["dense_matmuls"] * n**3
-    assert 0 < work <= cli._bma_work(scheme) <= 2 * work
+    assert 0 < work <= sum(cli._bma_work(scheme)) <= 2 * work
     assert (rep.stats["dense_matmuls"] > 0) \
         == (build is identity_off_the_diagonal)
 
@@ -618,6 +623,50 @@ def test_sampled_fibers_stay_within_the_counted_work(build, monkeypatch):
                                 int(sizes.sum()) * n - 1)
             with pytest.raises(cli._Refusal):
                 cli._check_verify_work(scheme, max_pairs, False, singletons)
+
+
+@pytest.mark.parametrize("build, family", [
+    (lambda: circle_scheme(24, 4), "bins"),
+    (lambda: circle_scheme(24, 4, signed=False), "bins"),
+    (lambda: cyclic_scheme(12), [(1, 11), (2,), (5, 6, 7)])],
+    ids=["circle24_bins", "circle24u_bins", "cyclic12_caller"])
+@pytest.mark.parametrize("max_pairs", [None, 3])
+def test_family_price_bounds_the_reductions(build, family, max_pairs,
+                                            monkeypatch):
+    # a disjoint family's route reduces each pair once when ^T permutes
+    # its sets (the unsigned bins) and twice when not (the signed bins,
+    # whose arcs ^T maps across two arcs; the caller's sets, where ^T
+    # takes set (2,) to label 10, in no set); n steps a reduced pair
+    scheme = build()
+    n = scheme.space.node_count
+    sets, _ = resolve_borel_family(scheme, family)
+    reduced = []
+    own = scheme_module._reduce_cells
+
+    def counted(relation, weights, xs, zs, *args, **kwargs):
+        reduced.append(len(xs) * n)
+        return own(relation, weights, xs, zs, *args, **kwargs)
+    monkeypatch.setattr(scheme_module, "_reduce_cells", counted)
+    verify_cas(scheme, borel_family=family, max_pairs_per_fiber=max_pairs)
+    work = sum(reduced)
+    monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", work - 1)
+    with pytest.raises(cli._Refusal):
+        cli._check_verify_work(scheme, max_pairs, False, sets)
+    monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 4 * work)
+    cli._check_verify_work(scheme, max_pairs, False, sets)
+
+
+def test_bma_pass_is_priced_against_the_cas2_budget():
+    # n = 1000 is the largest node count whose whole-fiber pass, n**3
+    # steps, is admitted under --bma on; a cyclic identity is diagonal,
+    # so it forms no product
+    admitted, refused = cyclic_scheme(1000), cyclic_scheme(1001)
+    cli._check_verify_work(admitted, 50, True,
+                           resolve_borel_family(admitted, None)[0])
+    with pytest.raises(cli._Refusal, match="1.0e[+]09 fiber-pass steps "
+                                           "[(]CAS2 budget 1e[+]09[)]"):
+        cli._check_verify_work(refused, 50, True,
+                               resolve_borel_family(refused, None)[0])
 
 
 @pytest.fixture
@@ -929,7 +978,7 @@ REFUSALS = {
     "cas2 budget": (["verify", "{h32}"],
                     {"casmat.cli.VERIFY_WORK_BUDGET": 63}),
     "bma budget": (["verify", "{h32}", "--max-pairs", "3", "--bma", "on"],
-                   {"casmat.cli.BMA_WORK_BUDGET": 511}),
+                   {"casmat.cli.VERIFY_WORK_BUDGET": 511}),
     "hypergroup cap": (["hypergroup", "{h32}"],
                        {"casmat.cli.HYPERGROUP_TABLE_BYTES": 511}),
     "grouping cap": (["correspond", "{h32}", "--tol", "1e-9"],

@@ -176,15 +176,32 @@ def test_verify_cas_projected_family_matches_oracle(seed, integer_weights,
                                                    corrupt, N):
     scheme, rel, w = random_scheme(seed, integer_weights, corrupt, N)
     # overlapping sets, disjoint sets, disjoint sets that miss a label,
-    # disjoint sets that the involution does not map onto the family
+    # disjoint sets that the involution does not map onto the family, and
+    # singletons whose set (1,) the involution maps to label 2, in no set
     for family in ([(1, 2), (3,), (0, 3), (1,)], [(1, 2), (3,), (0,)],
-                   [(3,), (1, 2)], [(2,), (1, 3)]):
+                   [(3,), (1, 2)], [(2,), (1, 3)], [(0,), (1,), (3,)]):
         rep = verify_cas(scheme, borel_family=family, tolerance=0.0)
         cas2, cas4, transpose = oracle_cas(rel, w, family)
         agree(rep.cas2_max_deviation, cas2, integer_weights)
         # a projected fiber mean sums rounded means: never bit-exact
         agree(rep.cas4_max_deviation, cas4, False)
         agree(rep.involution_identity_max_deviation, transpose, False)
+
+
+@pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)
+def test_permuted_singletons_report_the_singleton_values(seed, integer_weights,
+                                                        corrupt, N):
+    # renumbered singletons map each label to one set: every table has the
+    # singletons' values at renumbered cells, summed in the same order
+    scheme, _, _ = random_scheme(seed, integer_weights, corrupt, N)
+    for max_pairs in (None, 3):
+        want = verify_cas(scheme, max_pairs_per_fiber=max_pairs)
+        for family in ([(1,), (0,), (2,), (3,)], [(3,), (2,), (1,), (0,)]):
+            got = verify_cas(scheme, borel_family=family,
+                             max_pairs_per_fiber=max_pairs)
+            for name in ("cas2_max_deviation", "cas4_max_deviation",
+                         "involution_identity_max_deviation"):
+                assert getattr(got, name) == getattr(want, name), name
 
 
 @pytest.mark.parametrize("seed,integer_weights,corrupt,N", CASES)

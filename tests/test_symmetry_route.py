@@ -24,6 +24,7 @@ from casmat import scheme as scheme_module
 from casmat.catalog import materialize_recipe
 from casmat.cli import main
 from casmat.scheme import _certificate
+from test_cli import identity_off_the_diagonal
 
 # measured 0 on every case below; the means behind CAS4 and the transpose
 # identity divide sums over different pair counts, so equality is not
@@ -357,6 +358,13 @@ def test_bma_auto_names_why_it_skipped(tmp_path, capsys, monkeypatch):
     assert reason(circle) == "130 labels (--bma auto cap 64)"
     assert reason(sphere) == "1030 nodes (--bma auto cap 1024)"
     assert reason(hamming, "--bma", "off") == "--bma off"
+    # an identity off the diagonal: 2 x (7 labels + 3 random probes)
+    # dense products of 8**3 steps
+    off = tmp_path / "off.scheme"
+    write_scheme(identity_off_the_diagonal(), off)
     monkeypatch.setattr("casmat.cli.BMA_WORK_BUDGET", 100)
-    assert reason(hamming) == f"{cli._bma_work(read_scheme(hamming)):.1e} " \
-                              f"steps (budget 1e+02)"
+    assert reason(off) == "1.0e+04 dense-product steps (BMA budget 1e+02)"
+    # H(3, 2): 512 steps of the fiber pass, priced as CAS2 steps against
+    # the 128 of its sampled CAS2 check
+    monkeypatch.setattr("casmat.cli.VERIFY_WORK_BUDGET", 200)
+    assert reason(hamming) == "5.1e+02 fiber-pass steps (CAS2 budget 2e+02)"
